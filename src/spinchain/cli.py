@@ -1,8 +1,8 @@
 """Command-line interface: scans, figure datasets, and critical-point queries.
 
 Exit codes: 0 success, 1 numeric failure (named grid point), 2 argument
-or configuration errors. Output is fully deterministic; SPINCHAIN_THREADS
-only affects the degree of parallelism, never the bytes written.
+or configuration errors. Output is fully deterministic. SPINCHAIN_THREADS
+must be a positive integer if set, but has no effect.
 """
 
 from __future__ import annotations

@@ -34,7 +34,10 @@ _SPIN_FLIP = np.array(
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# sigma_n (x) sigma_m for n, m in (x, y, z): the operators behind T_nm.
+_PAULI_PRODUCTS = np.array(
+    [[np.kron(sa, sb) for sb in (PAULI_X, PAULI_Y, PAULI_Z)] for sa in (PAULI_X, PAULI_Y, PAULI_Z)]
+)
 
 
 @dataclass(frozen=True)
@@ -120,12 +123,7 @@ def mutual_information(rho) -> float:
 
 def correlation_matrix(rho) -> np.ndarray:
     """3x3 spin correlation matrix T_nm = Tr[rho sigma_n (x) sigma_m]."""
-    m = _as_matrix(rho)
-    t = np.empty((3, 3))
-    for a, sa in enumerate(_PAULIS):
-        for b, sb in enumerate(_PAULIS):
-            t[a, b] = np.real(np.trace(m @ np.kron(sa, sb)))
-    return t
+    return np.real(np.einsum("ab,nmba->nm", _as_matrix(rho), _PAULI_PRODUCTS))
 
 
 def chsh_quantity(rho) -> float:
@@ -142,6 +140,43 @@ def chsh_quantity(rho) -> float:
 def chsh_violated(m_value: float) -> bool:
     """Violation test with the absolute tolerance pinning product states at M=1."""
     return m_value > 1.0 + 1e-12
+
+
+def x_state_eigenvalues(features) -> np.ndarray:
+    """Eigenvalues (..., 4) of the states diag(p00, p01, p10, p11) + z (|01><10| + |10><01|)
+    given as (..., 5) features (p00, p01, p10, p11, z)."""
+    p00, p01, p10, p11, z = np.moveaxis(np.asarray(features, dtype=np.float64), -1, 0)
+    mean = (p01 + p10) / 2.0
+    radius = np.hypot((p01 - p10) / 2.0, z)
+    return np.stack([p00, mean + radius, mean - radius, p11], axis=-1)
+
+
+def x_state_measures(features):
+    """C, E, I and M of the states of `x_state_eigenvalues`, elementwise.
+
+    Closed forms of `concurrence` (flushed below FLUSH_TOL), `eof_from_concurrence`,
+    `mutual_information` and `chsh_quantity` (Yu & Eberly, quant-ph/0503089;
+    X. Wang, PRA 64, 012313): C = 2 max(0, |z| - sqrt(p00 p11)) and
+    T = diag(2z, 2z, p00 - p01 - p10 + p11). Eigenvalues below 0 count as 0.
+    """
+    f = np.asarray(features, dtype=np.float64)
+    p00, p01, p10, p11, z = np.moveaxis(f, -1, 0)
+    c = 2.0 * (np.abs(z) - np.sqrt(p00 * p11))
+    c = np.where(c < FLUSH_TOL, 0.0, c)
+    x = (1.0 + np.sqrt(1.0 - np.minimum(c, 1.0) ** 2)) / 2.0
+    e = _entropy_bits(np.stack([x, 1.0 - x], axis=-1))
+    s_i = _entropy_bits(np.stack([p00 + p01, p10 + p11], axis=-1))
+    s_j = _entropy_bits(np.stack([p00 + p10, p01 + p11], axis=-1))
+    i = np.maximum(0.0, s_i + s_j - _entropy_bits(x_state_eigenvalues(f)))
+    t_xx = 4.0 * z * z
+    m = t_xx + np.maximum(t_xx, (p00 - p01 - p10 + p11) ** 2)
+    return c, e, i, m
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis, counting p <= 0 as 0."""
+    positive = p > 0.0
+    return 0.0 - np.sum(np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0), axis=-1)
 
 
 def w_state(n_spins: int) -> np.ndarray:

@@ -1,30 +1,35 @@
 """Parameter sweeps, critical-point detection, and figure datasets.
 
 Scan output is a flat table with columns B, kT, i, j, d, C, E, I, M in
-B-major order; rows are byte-for-byte deterministic regardless of the
-number of worker threads (each grid point is computed independently).
+B-major order. A scan is three steps: the (grid points x eigenstates)
+Boltzmann weight matrix W, times each pair's (eigenstates x 5) X-state
+feature table F, then the closed-form measures elementwise.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MAX_SPINS, ModelParams
-from .errors import NumericError, ParameterError, StateValidityError
-from .hamiltonian import critical_field_closed_form, sector_exchange_eigenvalues
-from .measures import chsh_quantity, concurrence, eof_from_concurrence, mutual_information
-from .thermal import ChainSpectrum, diagonalize_chain, gibbs_weights, pair_rdm
+from .basis import ModelParams
+from .errors import NumericError, ParameterError
+from .hamiltonian import sector_exchange_eigenvalues
+from .measures import x_state_eigenvalues, x_state_measures
+from .thermal import ChainSpectrum, diagonalize_chain, pair_features, weight_rows
 
 SCAN_COLUMNS = ("B", "kT", "i", "j", "d", "C", "E", "I", "M")
 
 # Concurrence threshold that counts a pair as entangled for l_E.
 ENTANGLEMENT_TOL = 1e-6
 
-THREADS_ENV_VAR = "SPINCHAIN_THREADS"
+# Entries of W formed at once (8 MiB of float64). Without chunking, N=14
+# on the 14,520-point default grid would need about 1.9 GB for W alone.
+WEIGHT_CHUNK_ENTRIES = 1 << 20
+
+# Largest trace error and most negative eigenvalue of a healthy pair state.
+HEALTH_TOL = 1e-10
 
 FIGURE_IDS = (1, 2, 3, 4, 5)
 
@@ -32,18 +37,18 @@ _DEFAULT_B_GRID = np.linspace(0.0, 6.0, 121)  # step 0.05
 _DEFAULT_KT_GRID = np.geomspace(0.01, 10.0, 120)
 
 
-def thread_count() -> int:
-    """Worker-thread cap: SPINCHAIN_THREADS if set, else the CPU count."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
+def check_threads_env():
+    """Reject a SPINCHAIN_THREADS value that is not a positive integer.
+
+    Kept for compatibility; the variable has no effect.
+    """
+    raw = os.environ.get("SPINCHAIN_THREADS", "1")
     try:
-        n = int(raw)
+        valid = int(raw) >= 1
     except ValueError:
-        raise ParameterError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ParameterError(f"{THREADS_ENV_VAR} must be a positive integer, got {n}")
-    return n
+        valid = False
+    if not valid:
+        raise ParameterError(f"SPINCHAIN_THREADS must be a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,6 @@ class ScanGrid:
     pairs: tuple
 
     def __post_init__(self):
-        ModelParams(n_spins=self.n_spins, coupling=self.coupling)
         for name, axis in (("b_values", self.b_values), ("kt_values", self.kt_values)):
             arr = np.asarray(axis, dtype=np.float64)
             if arr.size == 0 or not np.all(np.isfinite(arr)):
@@ -65,6 +69,7 @@ class ScanGrid:
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ParameterError(f"{name} must be strictly ascending")
             object.__setattr__(self, name, arr)
+        ModelParams(self.n_spins, self.coupling, field=self.b_values[0], kt=self.kt_values[0])
         if not self.pairs:
             raise ParameterError("at least one pair is required")
         for i, j in self.pairs:
@@ -82,50 +87,50 @@ class ScanGrid:
         return cls(n_spins, coupling, np.asarray(b_values, float), np.asarray(kt_values, float), tuple(pairs))
 
 
-def _point_rows(spectrum: ChainSpectrum, b: float, kt: float, pairs) -> list:
-    try:
-        ensemble = gibbs_weights(spectrum, b, kt)
-        rows = []
-        for i, j in pairs:
-            rho = pair_rdm(ensemble, i, j)
-            c = concurrence(rho).concurrence
-            rows.append(
-                (
-                    float(b),
-                    float(kt),
-                    i,
-                    j,
-                    rho.separation,
-                    c,
-                    eof_from_concurrence(c),
-                    mutual_information(rho),
-                    chsh_quantity(rho),
-                )
-            )
-        return rows
-    except (NumericError, StateValidityError, np.linalg.LinAlgError) as exc:
-        raise NumericError(f"failure at grid point B={b}, kT={kt}: {exc}") from exc
+def _weight_chunks(n_points: int, n_states: int) -> list:
+    """Consecutive slices of grid points whose W rows hold at most WEIGHT_CHUNK_ENTRIES."""
+    step = max(1, WEIGHT_CHUNK_ENTRIES // n_states)
+    return [slice(start, start + step) for start in range(0, n_points, step)]
 
 
 def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) -> list:
     """Evaluate C, E, I, M on every (B, kT, pair) point of the grid.
 
-    Rows come back B-major, then kT, then pair, independently of the
-    degree of parallelism.
+    Rows come back B-major, then kT, then pair. Raises NumericError naming
+    the first (B, kT) point whose pair state fails the health check.
     """
+    check_threads_env()
     if spectrum is None:
         spectrum = diagonalize_chain(grid.n_spins, grid.coupling)
-    # Warm the per-pair block cache serially; workers then only read it.
-    for i, j in grid.pairs:
-        spectrum.pair_blocks(i, j)
-    points = [(b, kt) for b in grid.b_values for kt in grid.kt_values]
-    workers = min(thread_count(), len(points))
-    if workers <= 1:
-        chunks = [_point_rows(spectrum, b, kt, grid.pairs) for b, kt in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda p: _point_rows(spectrum, p[0], p[1], grid.pairs), points))
-    return [row for chunk in chunks for row in chunk]
+    b = np.repeat(grid.b_values, len(grid.kt_values))
+    kt = np.tile(grid.kt_values, len(grid.b_values))
+    features = [pair_features(spectrum, i, j) for i, j in grid.pairs]
+    states = np.empty((len(b), len(features), 5))  # per point and pair
+    for chunk in _weight_chunks(len(b), features[0].shape[0]):
+        w = weight_rows(spectrum, b[chunk], kt[chunk])[0]
+        for p, f in enumerate(features):
+            states[chunk, p] = w @ f
+    _check_health(states, b, kt, grid.pairs)
+    c, e, mi, m = (col.tolist() for col in x_state_measures(states))
+    pairs = [(i, j, min(abs(i - j), grid.n_spins - abs(i - j))) for i, j in grid.pairs]
+    rows = []
+    for k, (b_k, kt_k) in enumerate(zip(b.tolist(), kt.tolist())):
+        for p, (i, j, d) in enumerate(pairs):
+            rows.append((b_k, kt_k, i, j, d, c[k][p], e[k][p], mi[k][p], m[k][p]))
+    return rows
+
+
+def _check_health(states: np.ndarray, b: np.ndarray, kt: np.ndarray, pairs):
+    """Raise NumericError at the first point with a pair state off the simplex."""
+    trace_err = np.abs(states[..., :4].sum(axis=-1) - 1.0)
+    min_eig = x_state_eigenvalues(states).min(axis=-1)
+    bad = ~((trace_err <= HEALTH_TOL) & (min_eig >= -HEALTH_TOL))
+    if bad.any():
+        k, p = np.argwhere(bad)[0]
+        raise NumericError(
+            f"failure at grid point B={b[k]}, kT={kt[k]}: pair {pairs[p]} state has trace error "
+            f"{trace_err[k, p]:.3e} and smallest eigenvalue {min_eig[k, p]:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -208,12 +213,8 @@ def entanglement_length(
     spectrum: ChainSpectrum | None = None,
 ) -> EntanglementLengthResult:
     """Concurrence profile C(d) at pair (0, d) and the entanglement length."""
-    if spectrum is None:
-        spectrum = diagonalize_chain(n_spins, coupling)
-    ensemble = gibbs_weights(spectrum, b_field, kt)
-    c_vals = np.array(
-        [concurrence(pair_rdm(ensemble, 0, d)).concurrence for d in range(1, n_spins // 2 + 1)]
-    )
+    grid = ScanGrid.from_separations(n_spins, coupling, [b_field], [kt], range(1, n_spins // 2 + 1))
+    c_vals = np.array([row[5] for row in scan_pair_measures(grid, spectrum)])
     above = np.flatnonzero(c_vals > ENTANGLEMENT_TOL)
     l_e = int(above.max() + 1) if above.size else 0
     return EntanglementLengthResult(c_by_separation=c_vals, l_e=l_e)
@@ -382,11 +383,3 @@ def _figure5():
         "title": "Mutual information and entanglement vs temperature, N=10, B=4.2",
     }
     return rows, plot
-
-
-def closed_form_vs_numeric_critical_field(n_spins: int, coupling: float):
-    """Pair (closed-form B_c, staircase B_c) for cross-checking."""
-    return (
-        critical_field_closed_form(n_spins, coupling),
-        magnetization_staircase(n_spins, coupling).b_c_numeric,
-    )

@@ -24,10 +24,6 @@ _HEAT_STOPS = (
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 36, 52
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _tick_label(v: float) -> str:
     return f"{v:.6g}"
 

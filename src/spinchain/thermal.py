@@ -2,35 +2,25 @@
 
 The full 2^N density matrix is never materialized. The chain is
 diagonalized once per (N, J); the field only shifts sector energies, so
-one spectrum serves every (B, kT) point of a scan. Pair reduced density
-matrices are accumulated eigenstate by eigenstate: each eigenstate's own
-4x4 pair block is precomputed (and cached per pair), and the thermal RDM
-is just the Boltzmann-weighted sum of those blocks.
+one spectrum serves every (B, kT) point of a scan. Every eigenstate lies in
+one S_z sector and is real, so its reduced state on a pair of sites is an
+X-state fixed by five numbers (p00, p01, p10, p11, z). A thermal pair RDM is
+the Boltzmann-weighted sum of those five numbers over the eigenstates.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, SectorBasis, enumerate_sector, zeeman_eigenvalue
+from .basis import ModelParams, SectorBasis, zeeman_eigenvalue
 from .errors import ParameterError, StateValidityError
 from .hamiltonian import build_sector_hamiltonian
-from .numerics import EigenDecomposition, eigh_symmetric, stable_boltzmann_weights
+from .numerics import eigh_symmetric
 
-# Eigenstates with Boltzmann weight below this are skipped in RDM sums.
-# Kept at the underflow floor: concurrence depends on sqrt(w_a * w_b), so a
-# dropped weight w perturbs it by up to sqrt(w), and skipping only weights
-# that underflow to (near) zero is what keeps the pipeline at 1e-10 accuracy.
-# At low kT almost every weight underflows outright, so the speed benefit of
-# skipping remains.
-WEIGHT_CUTOFF = 1e-300
 # Relative width of the T=0 ground manifold.
 DEGENERACY_TOL = 1e-9
-# Entries scattered per chunk when building per-eigenstate pair blocks.
-_CHUNK_ENTRIES = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -42,31 +32,10 @@ class ChainSpectrum:
     bases: tuple
     sectors: tuple  # EigenDecomposition per n_up
     zeeman_slopes: tuple  # 2*n_up - N per sector
-    _pair_blocks: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def exchange_energies(self) -> np.ndarray:
         """Concatenated exchange eigenvalues, sector order n_up = 0..N."""
         return np.concatenate([sec.values for sec in self.sectors])
-
-    def pair_blocks(self, i: int, j: int):
-        """Per-eigenstate 4x4 pair RDM blocks for sites (i, j), cached.
-
-        Returns one (dim_sector, 4, 4) array per sector; entry [k] is the
-        reduced state of sites (i, j) in that sector's k-th eigenstate.
-        """
-        key = (i, j)
-        with self._lock:
-            blocks = self._pair_blocks.get(key)
-        if blocks is not None:
-            return blocks
-        blocks = tuple(
-            _eigenstate_pair_blocks(basis, sec.vectors, i, j)
-            for basis, sec in zip(self.bases, self.sectors)
-        )
-        with self._lock:
-            self._pair_blocks.setdefault(key, blocks)
-        return blocks
 
 
 @dataclass(frozen=True)
@@ -134,51 +103,75 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     )
 
 
-def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEnsemble:
-    """Thermal weights over all eigenstates at field B and temperature kT.
+def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray):
+    """Thermal weights of every eigenstate, one row per (B, kT) point.
 
-    kT = 0 mixes all eigenstates within DEGENERACY_TOL of the ground
-    energy uniformly (this covers exact level crossings such as B = B_c).
+    Each row's energies are shifted by its ground energy before
+    exponentiation, so nothing overflows. A kT = 0 row mixes all
+    eigenstates within DEGENERACY_TOL of the ground energy uniformly (this
+    covers exact level crossings such as B = B_c).
+
+    Returns (weights, ground energies, log Z + E_ground/kT per row, 0.0 at
+    kT = 0); columns follow the sector order of `exchange_energies`.
     """
-    if not np.isfinite(b_field):
-        raise ParameterError(f"field must be finite, got {b_field}")
-    if kt < 0:
-        raise ParameterError(f"kT must be >= 0, got {kt}")
-    energies = np.concatenate(
-        [sec.values + b_field * slope for sec, slope in zip(spectrum.sectors, spectrum.zeeman_slopes)]
-    )
-    e0 = float(energies.min())
-    if kt == 0.0:
-        ground = np.abs(energies - e0) <= DEGENERACY_TOL * max(1.0, abs(e0))
-        flat = ground.astype(np.float64) / ground.sum()
-        log_z = 0.0
-    else:
-        flat, log_z = stable_boltzmann_weights(energies, kt)
+    slopes = np.repeat(spectrum.zeeman_slopes, [sec.dim for sec in spectrum.sectors])
+    shifted = spectrum.exchange_energies() + np.multiply.outer(b_values, slopes)
+    e0 = shifted.min(axis=1)
+    shifted -= e0[:, None]
+    cold = kt_values == 0.0
+    w = np.empty_like(shifted)
+    w[~cold] = np.exp(-shifted[~cold] / kt_values[~cold, None])
+    w[cold] = shifted[cold] <= (DEGENERACY_TOL * np.maximum(1.0, np.abs(e0[cold])))[:, None]
+    z = w.sum(axis=1)
+    w /= z[:, None]
+    return w, e0, np.where(cold, 0.0, np.log(z))
+
+
+def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEnsemble:
+    """Thermal weights over all eigenstates at field B >= 0 and temperature kT >= 0."""
+    ModelParams(n_spins=spectrum.n_spins, coupling=spectrum.coupling, field=b_field, kt=kt)
+    w, e0, log_z = weight_rows(spectrum, np.array([b_field], float), np.array([kt], float))
     sizes = [sec.dim for sec in spectrum.sectors]
-    splits = np.split(flat, np.cumsum(sizes)[:-1])
     return GibbsEnsemble(
         spectrum=spectrum,
         field=b_field,
         kt=kt,
-        weights=tuple(splits),
-        log_z_shifted=log_z,
-        energy_origin=e0,
+        weights=tuple(np.split(w[0], np.cumsum(sizes)[:-1])),
+        log_z_shifted=float(log_z[0]),
+        energy_origin=float(e0[0]),
     )
 
 
-def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:
-    """Reduced density matrix of sites (i, j) in the thermal state.
+def pair_features(spectrum: ChainSpectrum, i: int, j: int) -> np.ndarray:
+    """X-state features of sites (i, j) in every eigenstate, (eigenstates, 5).
 
-    Accumulates the Boltzmann-weighted per-eigenstate pair blocks,
-    skipping eigenstates with weight below WEIGHT_CUTOFF.
+    Columns are the pair populations p00, p01, p10, p11 (first slot site i,
+    |0> = spin down) and the coherence z = <01|rho|10>; rows follow the
+    sector order of `exchange_energies`. A real eigenstate of total S_z has
+    no other nonzero pair-RDM entry.
     """
+    _check_pair(spectrum.n_spins, i, j)
+    flip = (1 << i) | (1 << j)
+    out = []
+    for basis, sec in zip(spectrum.bases, spectrum.sectors):
+        v = sec.vectors
+        ab = _pair_labels(basis.states, i, j)
+        f = np.empty((sec.dim, 5))
+        f[:, :4] = ((ab == np.arange(4)[:, None]) @ (v * v)).T
+        rows01 = np.flatnonzero(ab == 1)
+        rows10 = np.searchsorted(basis.states, basis.states[rows01] ^ flip)
+        f[:, 4] = np.einsum("sk,sk->k", v[rows01], v[rows10])
+        out.append(f)
+    return np.concatenate(out)
+
+
+def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:
+    """Reduced density matrix of sites (i, j) in the thermal state: the
+    Boltzmann-weighted sum of the eigenstates' pair features as a 4x4 X-matrix."""
     n = ensemble.spectrum.n_spins
-    _check_pair(n, i, j)
-    rho = np.zeros((4, 4))
-    for w, blocks in zip(ensemble.weights, ensemble.spectrum.pair_blocks(i, j)):
-        keep = w >= WEIGHT_CUTOFF
-        if keep.any():
-            rho += np.einsum("k,kab->ab", w[keep], blocks[keep])
+    p00, p01, p10, p11, z = np.concatenate(ensemble.weights) @ pair_features(ensemble.spectrum, i, j)
+    rho = np.diag([p00, p01, p10, p11])
+    rho[1, 2] = rho[2, 1] = z
     return PairDensityMatrix(sites=(i, j), matrix=rho, separation=_separation(n, i, j)).validate()
 
 
@@ -203,37 +196,18 @@ def pure_state_pair_rdm(state, i: int, j: int, basis: SectorBasis | None = None)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-10:
         raise StateValidityError(f"state norm {norm} deviates from 1 beyond 1e-10")
-    ab, rest_idx, n_rest = _pair_indexing(patterns, i, j)
-    m = np.zeros((n_rest, 4), dtype=np.complex128)
-    m[rest_idx, ab] = psi
+    rest, rest_idx = np.unique(patterns & ~np.int64((1 << i) | (1 << j)), return_inverse=True)
+    m = np.zeros((rest.size, 4), dtype=np.complex128)
+    m[rest_idx, _pair_labels(patterns, i, j)] = psi
     rho = np.einsum("ra,rb->ab", m, m.conj())
     if np.abs(rho.imag).max() < 1e-15:
         rho = rho.real
     return PairDensityMatrix(sites=(i, j), matrix=rho, separation=_separation(n, i, j)).validate()
 
 
-def _pair_indexing(patterns: np.ndarray, i: int, j: int):
-    """Split basis patterns into a pair label 2a+b and a spectator index."""
-    a = (patterns >> i) & 1
-    b = (patterns >> j) & 1
-    ab = (2 * a + b).astype(np.intp)
-    rest = patterns & ~np.int64((1 << i) | (1 << j))
-    uniq, rest_idx = np.unique(rest, return_inverse=True)
-    return ab, rest_idx.astype(np.intp), len(uniq)
-
-
-def _eigenstate_pair_blocks(basis: SectorBasis, vectors: np.ndarray, i: int, j: int) -> np.ndarray:
-    """4x4 pair RDM of every eigenvector column, as a (dim, 4, 4) array."""
-    ab, rest_idx, n_rest = _pair_indexing(basis.states, i, j)
-    dim = basis.dim
-    out = np.zeros((dim, 4, 4))
-    chunk = max(1, _CHUNK_ENTRIES // (4 * n_rest))
-    for start in range(0, dim, chunk):
-        cols = vectors[:, start : start + chunk]
-        t = np.zeros((n_rest, 4, cols.shape[1]))
-        t[rest_idx, ab, :] = cols
-        out[start : start + chunk] = np.einsum("rak,rbk->kab", t, t)
-    return out
+def _pair_labels(patterns: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Pair label 2a + b of each basis pattern, with a = bit i and b = bit j."""
+    return 2 * ((patterns >> i) & 1) + ((patterns >> j) & 1)
 
 
 def _separation(n_spins: int, i: int, j: int) -> int:

@@ -36,9 +36,17 @@ def dense_hamiltonian(n, j, b):
 
 
 def dense_gibbs_state(n, j, b, kt):
-    """rho = exp(-H/kT)/Z via full eigendecomposition."""
+    """rho = exp(-H/kT)/Z via full eigendecomposition.
+
+    kT = 0 gives the uniform mixture of the eigenvectors within 1e-9
+    (relative) of the ground energy.
+    """
     vals, vecs = np.linalg.eigh(dense_hamiltonian(n, j, b))
-    w = np.exp(-(vals - vals.min()) / kt)
+    shifted = vals - vals.min()
+    if kt == 0:
+        w = (shifted <= 1e-9 * max(1.0, abs(vals.min()))).astype(float)
+    else:
+        w = np.exp(-shifted / kt)
     w /= w.sum()
     return (vecs * w) @ vecs.conj().T
 

@@ -70,6 +70,25 @@ class TestGridCommand:
         assert run(["grid", "--n", "2", "--j", "1", "--b-range", "junk",
                     "--kt-range", "1:1:1", "--sep", "1", "--out", "x.csv"]) == 2
 
+    def test_negative_field_exits_2(self, tmp_path):
+        assert run(["grid", "--n", "2", "--j", "1", "--b-range=-1:1:3", "--kt-range", "1:1:1",
+                    "--sep", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_invalid_threads_env_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPINCHAIN_THREADS", "0")
+        assert run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2", "--kt-range", "1:1:1",
+                    "--sep", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_unhealthy_pair_state_exits_1(self, tmp_path, monkeypatch, capsys):
+        from spinchain import scans
+
+        real = scans.pair_features
+        monkeypatch.setattr(scans, "pair_features", lambda sp, i, j: 1.5 * real(sp, i, j))
+        code = run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2", "--kt-range", "0.5:1:2",
+                    "--sep", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "B=0.0, kT=0.5" in capsys.readouterr().err
+
     def test_pair_and_sep_mutually_exclusive(self):
         assert run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2",
                     "--kt-range", "1:1:1", "--pair", "0,1", "--sep", "1", "--out", "x.csv"]) == 2
@@ -161,3 +180,4 @@ class TestJsonCommands:
     def test_invalid_model_parameters_exit_2(self):
         assert run(["staircase", "--n", "20", "--j", "1"]) == 2
         assert run(["staircase", "--n", "6", "--j", "-1"]) == 2
+        assert run(["elength", "--n", "6", "--j", "1", "--b", "-1", "--kt", "0.1"]) == 2

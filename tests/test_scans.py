@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    NumericError,
     ParameterError,
     ScanGrid,
     critical_field_closed_form,
@@ -12,6 +13,7 @@ from spinchain import (
     magnetization_staircase,
     scan_pair_measures,
 )
+from spinchain import scans
 from spinchain.scans import FIGURE_COLUMNS, SCAN_COLUMNS
 
 
@@ -29,6 +31,10 @@ class TestScanGrid:
             ScanGrid(4, 1.0, np.array([0.0]), np.array([0.1]), ((0, 4),))
         with pytest.raises(ParameterError):
             ScanGrid.from_separations(4, 1.0, [0.0], [0.1], (3,))
+        with pytest.raises(ParameterError):
+            ScanGrid(4, 1.0, np.array([-1.0, 0.5]), np.array([0.1]), ((0, 1),))
+        with pytest.raises(ParameterError):
+            ScanGrid(4, 1.0, np.array([0.0]), np.array([-0.1, 0.1]), ((0, 1),))
 
 
 class TestScanPairMeasures:
@@ -63,6 +69,44 @@ class TestScanPairMeasures:
         grid = ScanGrid(2, 1.0, np.array([0.0]), np.array([0.0]), ((0, 1),))
         (row,) = scan_pair_measures(grid)
         assert row[SCAN_COLUMNS.index("C")] == pytest.approx(1.0, abs=1e-12)
+
+    def test_weight_chunks_bound_w_for_largest_ring_on_default_grid(self):
+        # N=14 has 2**14 eigenstates; the default grid has 121 x 120 points.
+        # Unchunked, W would hold 2.4e8 float64 entries (about 1.9 GB).
+        n_points, n_states = 121 * 120, 2**14
+        sizes = [len(range(n_points)[c]) for c in scans._weight_chunks(n_points, n_states)]
+        assert sum(sizes) == n_points
+        assert max(sizes) * n_states <= scans.WEIGHT_CHUNK_ENTRIES
+        assert scans.WEIGHT_CHUNK_ENTRIES * 8 <= 64 * 2**20
+
+    def test_chunked_scan_matches_single_chunk(self, monkeypatch):
+        grid = ScanGrid(4, 1.0, np.linspace(0.0, 5.0, 3), np.array([0.0, 0.3, 2.0]), ((0, 1), (0, 2)))
+        whole = scan_pair_measures(grid)
+        shapes = []
+        real = scans.weight_rows
+
+        def spy(spectrum, b, kt):
+            shapes.append((len(b), spectrum.exchange_energies().size))
+            return real(spectrum, b, kt)
+
+        monkeypatch.setattr(scans, "weight_rows", spy)
+        monkeypatch.setattr(scans, "WEIGHT_CHUNK_ENTRIES", 32)  # two of the nine points per chunk
+        chunked = scan_pair_measures(grid)
+        assert shapes == [(2, 16)] * 4 + [(1, 16)]
+        assert np.abs(np.array(chunked) - np.array(whole)).max() < 1e-13
+
+    def test_unhealthy_pair_state_names_first_failing_point(self, monkeypatch):
+        grid = ScanGrid(2, 1.0, np.array([0.0, 1.0]), np.array([0.5]), ((0, 1),))
+        real = scans.pair_features
+
+        def corrupted(spectrum, i, j):
+            f = real(spectrum, i, j)
+            f[:, 4] *= 3.0  # coherence too large for a positive state
+            return f
+
+        monkeypatch.setattr(scans, "pair_features", corrupted)
+        with pytest.raises(NumericError, match=r"B=0\.0, kT=0\.5"):
+            scan_pair_measures(grid)
 
 
 class TestStaircase:

@@ -11,7 +11,6 @@ from spinchain import (
     pure_state_pair_rdm,
     w_state,
 )
-from spinchain import thermal
 from oracles import dense_gibbs_state, dense_pair_rdm
 
 SINGLET_RHO = np.array(
@@ -85,6 +84,11 @@ class TestGibbsWeights:
         flat = np.concatenate(ens.weights)
         assert np.allclose(sorted(flat), [0.0, 0.0, 0.5, 0.5])
 
+    @pytest.mark.parametrize("b,kt", [(-1.0, 1.0), (1.0, -0.5), (np.nan, 1.0), (1.0, np.inf)])
+    def test_rejects_point_outside_domain(self, b, kt):
+        with pytest.raises(ParameterError):
+            gibbs_weights(diagonalize_chain(2, 1.0), b, kt)
+
     def test_weights_form_simplex(self):
         sp = diagonalize_chain(5, 1.0)
         for b, kt in [(0.0, 0.3), (3.0, 2.0), (6.0, 10.0)]:
@@ -156,12 +160,13 @@ class TestPairRdm:
         rho_ji = pair_rdm(ens, 3, 1).matrix
         assert np.abs(rho_ij - SWAP @ rho_ji @ SWAP).max() < 1e-12
 
-    def test_weight_cutoff_soundness(self, monkeypatch):
+    def test_low_temperature_matches_dense_oracle(self):
+        # At kT=0.05 nearly every weight underflows; the full weighted sum
+        # must still reproduce the brute-force partial trace.
         sp = diagonalize_chain(6, 1.0)
-        ens = gibbs_weights(sp, 2.0, 0.05)
-        baseline = pair_rdm(ens, 0, 1).matrix
-        monkeypatch.setattr(thermal, "WEIGHT_CUTOFF", thermal.WEIGHT_CUTOFF / 2)
-        assert np.abs(pair_rdm(ens, 0, 1).matrix - baseline).max() < 1e-9
+        got = pair_rdm(gibbs_weights(sp, 2.0, 0.05), 0, 1).matrix
+        want = dense_pair_rdm(dense_gibbs_state(6, 1.0, 2.0, 0.05), 6, 0, 1)
+        assert np.abs(got - want).max() < 1e-10
 
     def test_commutes_with_pair_magnetization(self):
         sp = diagonalize_chain(6, 1.0)
