@@ -37,7 +37,6 @@ from .numerics import (
     EigenDecomposition,
     binary_entropy,
     eigh_symmetric,
-    stable_boltzmann_weights,
     von_neumann_entropy,
 )
 from .scans import (
@@ -85,7 +84,6 @@ __all__ = [
     "eigh_symmetric",
     "binary_entropy",
     "von_neumann_entropy",
-    "stable_boltzmann_weights",
     "ChainSpectrum",
     "GibbsEnsemble",
     "PairDensityMatrix",

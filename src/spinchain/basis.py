@@ -13,7 +13,7 @@ polarized down state |00...0> is the large-B ground state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class SectorBasis:
     n_spins: int
     n_up: int
     states: np.ndarray
-    index_of: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -65,16 +64,24 @@ class SectorBasis:
 def enumerate_sector(n_spins: int, n_up: int) -> SectorBasis:
     """Enumerate the magnetization sector with `n_up` up spins.
 
-    Returns the basis states in ascending numeric order together with the
-    inverse map from bit pattern to position.
+    Returns the basis states in ascending numeric order.
     """
     _check_sector_args(n_spins, n_up)
-    states = np.array(
-        [s for s in range(1 << n_spins) if s.bit_count() == n_up],
-        dtype=np.int64,
-    )
-    index_of = {int(s): k for k, s in enumerate(states)}
-    return SectorBasis(n_spins=n_spins, n_up=n_up, states=states, index_of=index_of)
+    patterns = np.arange(1 << n_spins, dtype=np.int64)
+    ups = sum((patterns >> site) & 1 for site in range(n_spins))
+    return SectorBasis(n_spins=n_spins, n_up=n_up, states=patterns[ups == n_up])
+
+
+def exchange_partners(states: np.ndarray, a: int, b: int):
+    """Pair up the patterns that swapping the spins of sites a and b connects.
+
+    Returns (rows, partners): the positions in the ascending `states` of
+    every pattern with bit a = 0 and bit b = 1, and of the same patterns
+    with those two bits swapped, found by bisection.
+    """
+    flip = (1 << a) | (1 << b)
+    rows = np.flatnonzero((states & flip) == 1 << b)
+    return rows, np.searchsorted(states, states[rows] ^ flip)
 
 
 def zeeman_eigenvalue(n_spins: int, n_up: int) -> int:

@@ -84,25 +84,39 @@ def _parse_pair(spec: str):
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset flags from a JSON config file; flags take precedence."""
+    """Fill unset flags from a JSON config file; flags take precedence.
+
+    Every key becomes a `--key=value` token (one per list item) for the same
+    parser, so the flags' types, choices and errors apply. Numeric flags
+    need JSON numbers and all other flags JSON strings.
+    """
     if not getattr(args, "config", None):
         return
     try:
         cfg = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config {args.config}: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"config {args.config} must hold a JSON object")
+    tokens = []
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "config") or not hasattr(args, attr):
             parser.error(f"unknown config key {key!r}")
+        tokens += [f"--{attr.replace('_', '-')}={item}" for item in _listed(value)]
+    parsed = parser.parse_args([args.command, *tokens])
+    for key, value in cfg.items():
+        attr = key.replace("-", "_")
+        want, got = _listed(value), _listed(getattr(parsed, attr))
+        mistyped = any(isinstance(w, str) == isinstance(g, (int, float)) for w, g in zip(want, got))
+        if len(want) != len(got) or mistyped:
+            parser.error(f"config key {key!r} has the wrong JSON type or count: {value!r}")
         if getattr(args, attr) is None:
-            if attr in ("b_range", "kt_range"):
-                value = _parse_range(value, attr)
-            elif attr == "pair":
-                value = [_parse_pair(p) for p in value] if isinstance(value, list) else [_parse_pair(value)]
-            elif attr == "sep" and not isinstance(value, list):
-                value = [value]
-            setattr(args, attr, value)
+            setattr(args, attr, getattr(parsed, attr))
+
+
+def _listed(value) -> list:
+    return value if isinstance(value, list) else [value]
 
 
 def build_parser() -> argparse.ArgumentParser:

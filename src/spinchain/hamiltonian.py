@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, SectorBasis, enumerate_sector, zeeman_eigenvalue
+from .basis import ModelParams, SectorBasis, enumerate_sector, exchange_partners, zeeman_eigenvalue
 from .errors import ParameterError
 
 
@@ -24,8 +24,6 @@ class SectorHamiltonian:
 
     basis: SectorBasis
     matrix: np.ndarray
-    # True for N=2, where the cyclic sum counts the single bond twice.
-    doubled_bond: bool
 
 
 def build_sector_hamiltonian(params: ModelParams, n_up: int) -> SectorHamiltonian:
@@ -38,21 +36,17 @@ def build_sector_hamiltonian(params: ModelParams, n_up: int) -> SectorHamiltonia
     n = params.n_spins
     j = params.coupling
     basis = enumerate_sector(n, n_up)
-    dim = basis.dim
-    h = np.zeros((dim, dim))
-    bonds = [(site, (site + 1) % n) for site in range(n)]
-    for row, state in enumerate(basis.states):
-        s = int(state)
-        for a, b in bonds:
-            bit_a = (s >> a) & 1
-            bit_b = (s >> b) & 1
-            if bit_a == bit_b:
-                h[row, row] += j
-            else:
-                h[row, row] -= j
-                flipped = s ^ ((1 << a) | (1 << b))
-                h[row, basis.index_of[flipped]] += 2.0 * j
-    return SectorHamiltonian(basis=basis, matrix=h, doubled_bond=(n == 2))
+    states = basis.states
+    diag = np.zeros(basis.dim)
+    h = np.zeros((basis.dim, basis.dim))
+    for a in range(n):
+        b = (a + 1) % n
+        diag += np.where(((states >> a) ^ (states >> b)) & 1, -j, j)
+        rows, partners = exchange_partners(states, a, b)
+        h[rows, partners] += 2.0 * j
+        h[partners, rows] += 2.0 * j
+    np.fill_diagonal(h, diag)
+    return SectorHamiltonian(basis=basis, matrix=h)
 
 
 def sector_exchange_eigenvalues(params: ModelParams, n_up: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, MeasurementError, NumericError, ParameterError
 from .numerics import binary_entropy, von_neumann_entropy
-from .thermal import PairDensityMatrix
+from .thermal import PairDensityMatrix, _check_pair
 
 # Concurrence below this is reported as exactly 0 (keeps the
 # entanglement length well-defined against roundoff).
@@ -200,8 +200,7 @@ def project_remaining_down(state, i: int, j: int):
     n = int(round(np.log2(psi.size)))
     if psi.ndim != 1 or (1 << n) != psi.size:
         raise ParameterError(f"full-basis state length {psi.size} is not a power of 2")
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ParameterError(f"invalid pair ({i}, {j}) for N={n}")
+    _check_pair(n, i, j)
     amps = np.array([psi[(a << i) | (b << j)] for a in (0, 1) for b in (0, 1)])
     prob = float(np.vdot(amps, amps).real)
     if prob <= 1e-30:

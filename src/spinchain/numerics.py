@@ -1,4 +1,4 @@
-"""Numerical kernels: symmetric eigendecomposition, entropies, Boltzmann weights."""
+"""Numerical kernels: symmetric eigendecomposition and entropies."""
 
 from __future__ import annotations
 
@@ -75,23 +75,3 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     lam = np.clip(lam, 0.0, None)
     lam = lam[lam > 0.0]
     return float(-np.sum(lam * np.log2(lam)))
-
-
-def stable_boltzmann_weights(energies: np.ndarray, kt: float):
-    """Normalized Boltzmann weights exp(-E/kT)/Z without overflow.
-
-    Energies are shifted by their minimum before exponentiation, which
-    makes the result invariant under a constant energy offset.
-
-    Returns (weights, logZ_shifted) where logZ_shifted is the log of the
-    partition sum of the shifted energies, i.e. log Z + E_min/kT.
-    """
-    e = np.asarray(energies, dtype=np.float64)
-    if e.size == 0 or not np.all(np.isfinite(e)):
-        raise ParameterError("energies must be a nonempty finite sequence")
-    if not (kt > 0.0):
-        raise DomainError(f"stable_boltzmann_weights requires kT > 0, got {kt}")
-    shifted = (e - e.min()) / kt
-    w = np.exp(-shifted)
-    z = w.sum()
-    return w / z, float(np.log(z))

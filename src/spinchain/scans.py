@@ -17,7 +17,15 @@ from .basis import ModelParams
 from .errors import NumericError, ParameterError
 from .hamiltonian import sector_exchange_eigenvalues
 from .measures import x_state_eigenvalues, x_state_measures
-from .thermal import ChainSpectrum, diagonalize_chain, pair_features, weight_rows
+from .thermal import (
+    DEGENERACY_TOL,
+    ChainSpectrum,
+    _check_pair,
+    _separation,
+    diagonalize_chain,
+    pair_features,
+    weight_rows,
+)
 
 SCAN_COLUMNS = ("B", "kT", "i", "j", "d", "C", "E", "I", "M")
 
@@ -73,8 +81,7 @@ class ScanGrid:
         if not self.pairs:
             raise ParameterError("at least one pair is required")
         for i, j in self.pairs:
-            if i == j or not (0 <= i < self.n_spins and 0 <= j < self.n_spins):
-                raise ParameterError(f"invalid pair ({i}, {j}) for N={self.n_spins}")
+            _check_pair(self.n_spins, i, j)
 
     @classmethod
     def from_separations(cls, n_spins, coupling, b_values, kt_values, separations):
@@ -112,7 +119,7 @@ def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) ->
             states[chunk, p] = w @ f
     _check_health(states, b, kt, grid.pairs)
     c, e, mi, m = (col.tolist() for col in x_state_measures(states))
-    pairs = [(i, j, min(abs(i - j), grid.n_spins - abs(i - j))) for i, j in grid.pairs]
+    pairs = [(i, j, _separation(grid.n_spins, i, j)) for i, j in grid.pairs]
     rows = []
     for k, (b_k, kt_k) in enumerate(zip(b.tolist(), kt.tolist())):
         for p, (i, j, d) in enumerate(pairs):
@@ -169,7 +176,7 @@ def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
     )
     # Ground sector just above B=0: smallest energy, ties broken toward
     # the smaller slope (smaller n_up), which wins for B > 0.
-    near = np.flatnonzero(eps <= eps.min() + 1e-9 * max(1.0, abs(eps.min())))
+    near = np.flatnonzero(eps <= eps.min() + DEGENERACY_TOL * max(1.0, abs(eps.min())))
     k = int(near.min())
     crossings = []
     b_cur = 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, SectorBasis, zeeman_eigenvalue
+from .basis import ModelParams, SectorBasis, exchange_partners, zeeman_eigenvalue
 from .errors import ParameterError, StateValidityError
 from .hamiltonian import build_sector_hamiltonian
 from .numerics import eigh_symmetric
@@ -151,15 +151,13 @@ def pair_features(spectrum: ChainSpectrum, i: int, j: int) -> np.ndarray:
     no other nonzero pair-RDM entry.
     """
     _check_pair(spectrum.n_spins, i, j)
-    flip = (1 << i) | (1 << j)
     out = []
     for basis, sec in zip(spectrum.bases, spectrum.sectors):
         v = sec.vectors
         ab = _pair_labels(basis.states, i, j)
         f = np.empty((sec.dim, 5))
         f[:, :4] = ((ab == np.arange(4)[:, None]) @ (v * v)).T
-        rows01 = np.flatnonzero(ab == 1)
-        rows10 = np.searchsorted(basis.states, basis.states[rows01] ^ flip)
+        rows01, rows10 = exchange_partners(basis.states, i, j)
         f[:, 4] = np.einsum("sk,sk->k", v[rows01], v[rows10])
         out.append(f)
     return np.concatenate(out)

@@ -1,8 +1,11 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from spinchain import ParameterError, enumerate_sector, zeeman_eigenvalue
+from spinchain.basis import exchange_partners
 
 
 def binomial(n, r):
@@ -31,8 +34,17 @@ def test_sector_sizes_sum_to_full_space(n):
 def test_states_ascending_and_index_round_trip():
     basis = enumerate_sector(8, 3)
     assert all(b > a for a, b in zip(basis.states, basis.states[1:]))
-    for pos, state in enumerate(basis.states):
-        assert basis.index_of[int(state)] == pos
+    assert np.array_equal(np.searchsorted(basis.states, basis.states), np.arange(basis.dim))
+
+
+@pytest.mark.parametrize("n,n_up", [(2, 1), (5, 2), (8, 4)])
+def test_exchange_partners_swap_the_two_bits(n, n_up):
+    states = enumerate_sector(n, n_up).states
+    for a, b in itertools.permutations(range(n), 2):
+        rows, partners = exchange_partners(states, a, b)
+        want = [k for k, s in enumerate(states) if not (s >> a) & 1 and (s >> b) & 1]
+        assert rows.tolist() == want
+        assert np.array_equal(states[partners], states[rows] ^ ((1 << a) | (1 << b)))
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,20 @@ class TestGridCommand:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"n": "6"}, {"b_range": 5}, {"b_range": "0:1"}, {"pair": "0,x"}, {"format": "xml"}, [1, 2]],
+        ids=["n-string", "range-number", "range-short", "pair-not-int", "format-choice", "not-object"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, change):
+        cfg = tmp_path / "cfg.json"
+        base = {"n": 2, "j": 1.0, "b_range": "0:1:2", "kt_range": "1:1:1", "sep": [1]}
+        if isinstance(change, dict) and "pair" in change:
+            del base["sep"]
+        cfg.write_text(json.dumps({**base, **change} if isinstance(change, dict) else change))
+        assert run(["grid", "--config", str(cfg), "--out", str(tmp_path / "scan.csv")]) == 2
+        assert "error:" in capsys.readouterr().err.splitlines()[-1]
+
 
 class TestFigureCommand:
     def test_unknown_id_exits_2(self):

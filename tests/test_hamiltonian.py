@@ -18,7 +18,6 @@ class TestSectorBuild:
     def test_two_spins_one_up_doubled_bond(self):
         sh = build_sector_hamiltonian(ModelParams(2, 1.0), 1)
         assert np.array_equal(sh.matrix, [[-2.0, 4.0], [4.0, -2.0]])
-        assert sh.doubled_bond
         assert np.allclose(np.linalg.eigvalsh(sh.matrix), [-6.0, 2.0])
 
     def test_two_spins_all_down(self):
@@ -28,7 +27,16 @@ class TestSectorBuild:
     def test_four_spins_all_down(self):
         sh = build_sector_hamiltonian(ModelParams(4, 1.0), 0)
         assert np.array_equal(sh.matrix, [[4.0]])
-        assert not sh.doubled_bond
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("j", [1.0, -0.7])
+    def test_matches_dense_oracle_restricted_to_sector(self, n, j):
+        # N=2 covers the doubled bond: the cyclic sum visits (0, 1) twice.
+        dense = dense_hamiltonian(n, j, 0.0)
+        for n_up in range(n + 1):
+            sh = build_sector_hamiltonian(ModelParams(n, j), n_up)
+            block = dense[np.ix_(sh.basis.states, sh.basis.states)]
+            assert np.abs(sh.matrix - block).max() <= 1e-12
 
     @pytest.mark.parametrize("n,n_up", [(3, 1), (5, 2), (8, 4), (10, 3)])
     def test_exact_symmetry(self, n, n_up):

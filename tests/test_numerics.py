@@ -7,7 +7,6 @@ from spinchain import (
     StateValidityError,
     binary_entropy,
     eigh_symmetric,
-    stable_boltzmann_weights,
     von_neumann_entropy,
 )
 
@@ -80,34 +79,3 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(np.diag([0.8, 0.3]))
         with pytest.raises(StateValidityError):
             von_neumann_entropy(np.diag([1.1, -0.1]))
-
-
-class TestBoltzmannWeights:
-    def test_degenerate_pair(self):
-        w, _ = stable_boltzmann_weights([0.0, 0.0], 3.7)
-        assert np.allclose(w, 0.5)
-
-    def test_high_temperature_limit(self):
-        w, _ = stable_boltzmann_weights([-6.0, 2.0, 2.0, 2.0], 1e9)
-        assert np.allclose(w, 0.25, atol=1e-8)
-
-    def test_singlet_weight_at_unit_temperature(self):
-        w, _ = stable_boltzmann_weights([-6.0, 2.0, 2.0, 2.0], 1.0)
-        assert w[0] == pytest.approx(np.exp(8) / (np.exp(8) + 3), abs=1e-12)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("shift", [-1e6, -3.5, 1.0, 1e6])
-    def test_shift_invariance(self, shift):
-        e = np.array([-6.0, 2.0, 2.0, 2.0])
-        w0, _ = stable_boltzmann_weights(e, 0.7)
-        w1, _ = stable_boltzmann_weights(e + shift, 0.7)
-        assert np.abs(w0 - w1).max() <= 1e-14
-
-    def test_no_overflow_at_tiny_temperature(self):
-        w, _ = stable_boltzmann_weights([-6.0, 2.0], 1e-4)
-        assert w[0] == pytest.approx(1.0)
-        assert w[1] == 0.0
-
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(DomainError):
-            stable_boltzmann_weights([0.0, 1.0], 0.0)

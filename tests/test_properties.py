@@ -64,11 +64,15 @@ def test_scan_measures_match_general_functions(point):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ring_points(6))
-def test_pair_rdm_matches_dense_oracle(point):
-    n, j, b, kt, d = point
-    got = pair_rdm(gibbs_weights(spectrum(n, j), b, kt), 0, d).matrix
-    want = dense_pair_rdm(dense_gibbs_state(n, j, b, kt), n, 0, d)
+@given(ring_points(6), st.data())
+def test_pair_rdm_matches_dense_oracle(point, data):
+    n, j, b, kt, _d = point
+    # Any ordered pair of distinct sites, i > k included, so that the site
+    # order of every feature is checked, not only that of the pairs (0, d).
+    i = data.draw(st.integers(0, n - 1))
+    k = (i + data.draw(st.integers(1, n - 1))) % n
+    got = pair_rdm(gibbs_weights(spectrum(n, j), b, kt), i, k).matrix
+    want = dense_pair_rdm(dense_gibbs_state(n, j, b, kt), n, i, k)
     assert np.abs(got - want).max() < 1e-10
 
 

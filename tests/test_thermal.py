@@ -89,6 +89,20 @@ class TestGibbsWeights:
         with pytest.raises(ParameterError):
             gibbs_weights(diagonalize_chain(2, 1.0), b, kt)
 
+    @pytest.mark.parametrize(
+        "coupling,kt,expected,tol",
+        [
+            (0.0, 3.7, [0.25, 0.25, 0.25, 0.25], 0.0),  # degenerate levels share equally
+            (1.0, 1e9, [0.25, 0.25, 0.25, 0.25], 1e-8),  # high-temperature limit
+            (1.0, 1e-4, [0.0, 1.0, 0.0, 0.0], 0.0),  # singlet only, no overflow
+            (1.0, 1.0, np.array([1.0, np.exp(8), 1.0, 1.0]) / (np.exp(8) + 3), 1e-12),
+        ],
+        ids=["degenerate", "hot", "cold", "unit"],
+    )
+    def test_two_spin_weight_limits(self, coupling, kt, expected, tol):
+        flat = np.concatenate(gibbs_weights(diagonalize_chain(2, coupling), 0.0, kt).weights)
+        assert np.abs(flat - expected).max() <= tol
+
     def test_weights_form_simplex(self):
         sp = diagonalize_chain(5, 1.0)
         for b, kt in [(0.0, 0.3), (3.0, 2.0), (6.0, 10.0)]:
