@@ -36,8 +36,8 @@ class ModelParams:
     kt: float = 0.0
 
     def __post_init__(self):
-        if not (2 <= self.n_spins <= MAX_SPINS):
-            raise ParameterError(f"n_spins must be in [2, {MAX_SPINS}], got {self.n_spins}")
+        if not isinstance(self.n_spins, (int, np.integer)) or not (2 <= self.n_spins <= MAX_SPINS):
+            raise ParameterError(f"n_spins must be an integer in [2, {MAX_SPINS}], got {self.n_spins!r}")
         for name in ("coupling", "field", "kt"):
             v = getattr(self, name)
             if not math.isfinite(v):

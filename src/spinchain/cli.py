@@ -18,26 +18,31 @@ from .errors import NumericError, SpinChainError
 from .hamiltonian import critical_field_closed_form
 from .scans import (
     FIGURE_IDS,
-    SCAN_COLUMNS,
     ScanGrid,
     entanglement_length,
     figure_dataset,
     lipschitz_check,
     magnetization_staircase,
     scan_pair_measures,
+    scan_table,
 )
 from .svgplot import render_line_plot, render_plot_payload
 
 
 def _num(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, int):
+        return str(v)
     return f"{float(v):.12g}"
 
 
-def _write_csv(path: Path, columns, rows):
-    lines = [",".join(columns)]
-    lines.extend(",".join(_num(v) for v in row) for row in rows)
+def _rows(table):
+    """Rows of a table of equal-length column arrays, as Python scalars."""
+    return zip(*(col.tolist() for col in table.values()))
+
+
+def _write_csv(path: Path, table):
+    lines = [",".join(table)]
+    lines.extend(",".join(_num(v) for v in row) for row in _rows(table))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -184,29 +189,24 @@ def _grid_from_args(args, parser) -> ScanGrid:
     return ScanGrid.from_separations(args.n, args.j, args.b_range, args.kt_range, tuple(args.sep))
 
 
-def _grid_svg(grid: ScanGrid, rows) -> str:
-    e_idx = SCAN_COLUMNS.index("E")
+def _grid_svg(grid: ScanGrid, e) -> str:
+    """Plot E, a (B, kT, pair) array: a heatmap of the first pair on a 2-D grid, else one line per pair."""
     if len(grid.b_values) > 1 and len(grid.kt_values) > 1:
-        first = grid.pairs[0]
-        sel = [r for r in rows if (r[2], r[3]) == first]
-        z = np.array([r[e_idx] for r in sel]).reshape(len(grid.b_values), len(grid.kt_values))
         from .svgplot import render_heatmap
 
         return render_heatmap(
             grid.b_values.tolist(),
             grid.kt_values.tolist(),
-            z.T.tolist(),
+            e[:, :, 0].T.tolist(),
             xlabel="B",
             ylabel="kT",
-            title=f"E(B, kT), N={grid.n_spins}, J={grid.coupling:g}, pair {first}",
+            title=f"E(B, kT), N={grid.n_spins}, J={grid.coupling:g}, pair {grid.pairs[0]}",
             logy=bool(np.all(grid.kt_values > 0)) and len(grid.kt_values) > 2,
         )
     along_b = len(grid.b_values) > 1
-    series = []
-    for pair in grid.pairs:
-        sel = [r for r in rows if (r[2], r[3]) == pair]
-        xs = [r[0] if along_b else r[1] for r in sel]
-        series.append({"label": f"pair {pair}", "x": xs, "y": [r[e_idx] for r in sel]})
+    x = (grid.b_values if along_b else grid.kt_values).tolist()
+    lines = e.reshape(len(x), len(grid.pairs)).T.tolist()
+    series = [{"label": f"pair {pair}", "x": x, "y": y} for pair, y in zip(grid.pairs, lines)]
     return render_line_plot(
         series,
         xlabel="B" if along_b else "kT",
@@ -217,15 +217,15 @@ def _grid_svg(grid: ScanGrid, rows) -> str:
 
 def _cmd_grid(args, parser) -> int:
     grid = _grid_from_args(args, parser)
-    rows = scan_pair_measures(grid)
+    measures = scan_pair_measures(grid)
+    table = scan_table(grid, measures)
     out = Path(args.out)
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        _write_csv(out, SCAN_COLUMNS, rows)
+    if (args.format or "csv") == "csv":
+        _write_csv(out, table)
     else:
-        _write_json(out, {"columns": list(SCAN_COLUMNS), "rows": [list(r) for r in rows]})
+        _write_json(out, {"columns": list(table), "rows": [list(row) for row in _rows(table)]})
     if args.svg:
-        Path(args.svg).write_text(_grid_svg(grid, rows))
+        Path(args.svg).write_text(_grid_svg(grid, measures["E"]))
     return 0
 
 
@@ -235,7 +235,7 @@ def _cmd_figure(args, parser) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ds = figure_dataset(args.id)
-    _write_csv(outdir / f"fig{args.id}.csv", ds.columns, ds.rows)
+    _write_csv(outdir / f"fig{args.id}.csv", ds.table)
     if args.svg:
         (outdir / f"fig{args.id}.svg").write_text(render_plot_payload(ds.plot))
     return 0
@@ -292,7 +292,7 @@ def _cmd_elength(args, _parser) -> int:
 
 def _cmd_lipschitz(args, _parser) -> int:
     grid = ScanGrid(args.n, args.j, args.b_range, args.kt_range, (tuple(args.pair),))
-    rep = lipschitz_check(grid, pair=tuple(args.pair))
+    rep = lipschitz_check(grid)
     payload = {
         "max_ratio": rep.max_ratio,
         "worst_point": {"B_left": rep.worst_point[0], "B_right": rep.worst_point[1], "kT": rep.worst_point[2]},

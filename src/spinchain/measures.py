@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, MeasurementError, NumericError, ParameterError
 from .numerics import binary_entropy, von_neumann_entropy
-from .thermal import PairDensityMatrix, _check_pair
+from .thermal import PairDensityMatrix, _check_pair, _full_basis_spins
 
 # Concurrence below this is reported as exactly 0 (keeps the
 # entanglement length well-defined against roundoff).
@@ -197,9 +197,7 @@ def project_remaining_down(state, i: int, j: int):
     post-measurement amplitude vector over {|00>,|01>,|10>,|11>}.
     """
     psi = np.asarray(state, dtype=np.complex128)
-    n = int(round(np.log2(psi.size)))
-    if psi.ndim != 1 or (1 << n) != psi.size:
-        raise ParameterError(f"full-basis state length {psi.size} is not a power of 2")
+    n = _full_basis_spins(psi)
     _check_pair(n, i, j)
     amps = np.array([psi[(a << i) | (b << j)] for a in (0, 1) for b in (0, 1)])
     prob = float(np.vdot(amps, amps).real)

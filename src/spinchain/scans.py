@@ -1,9 +1,10 @@
 """Parameter sweeps, critical-point detection, and figure datasets.
 
-Scan output is a flat table with columns B, kT, i, j, d, C, E, I, M in
-B-major order. A scan is three steps: the (grid points x eigenstates)
-Boltzmann weight matrix W, times each pair's (eigenstates x 5) X-state
-feature table F, then the closed-form measures elementwise.
+A scan is three steps: the (grid points x eigenstates) Boltzmann weight
+matrix W, times each pair's (eigenstates x 5) X-state feature table F, then
+the closed-form measures elementwise. It returns C, E, I and M as arrays
+indexed (B, kT, pair); `scan_table` flattens them into the columns
+B, kT, i, j, d, C, E, I, M, with rows B-major, then kT, then pair.
 """
 
 from __future__ import annotations
@@ -100,15 +101,22 @@ def _weight_chunks(n_points: int, n_states: int) -> list:
     return [slice(start, start + step) for start in range(0, n_points, step)]
 
 
-def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) -> list:
+def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) -> dict:
     """Evaluate C, E, I, M on every (B, kT, pair) point of the grid.
 
-    Rows come back B-major, then kT, then pair. Raises NumericError naming
-    the first (B, kT) point whose pair state fails the health check.
+    Returns {"C", "E", "I", "M"}, each an array of shape
+    (len(b_values), len(kt_values), len(pairs)). A given spectrum must be
+    that of the grid's (N, J). Raises NumericError naming the first (B, kT)
+    point whose pair state fails the health check.
     """
     check_threads_env()
     if spectrum is None:
         spectrum = diagonalize_chain(grid.n_spins, grid.coupling)
+    elif (spectrum.n_spins, spectrum.coupling) != (grid.n_spins, grid.coupling):
+        raise ParameterError(
+            f"spectrum of N={spectrum.n_spins}, J={spectrum.coupling} given for a grid "
+            f"of N={grid.n_spins}, J={grid.coupling}"
+        )
     b = np.repeat(grid.b_values, len(grid.kt_values))
     kt = np.tile(grid.kt_values, len(grid.b_values))
     features = [pair_features(spectrum, i, j) for i, j in grid.pairs]
@@ -118,13 +126,17 @@ def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) ->
         for p, f in enumerate(features):
             states[chunk, p] = w @ f
     _check_health(states, b, kt, grid.pairs)
-    c, e, mi, m = (col.tolist() for col in x_state_measures(states))
-    pairs = [(i, j, _separation(grid.n_spins, i, j)) for i, j in grid.pairs]
-    rows = []
-    for k, (b_k, kt_k) in enumerate(zip(b.tolist(), kt.tolist())):
-        for p, (i, j, d) in enumerate(pairs):
-            rows.append((b_k, kt_k, i, j, d, c[k][p], e[k][p], mi[k][p], m[k][p]))
-    return rows
+    shape = (len(grid.b_values), len(grid.kt_values), len(grid.pairs))
+    return {name: col.reshape(shape) for name, col in zip("CEIM", x_state_measures(states))}
+
+
+def scan_table(grid: ScanGrid, measures: dict) -> dict:
+    """Flatten a scan into SCAN_COLUMNS column arrays, rows B-major, then kT, then pair."""
+    axes = (grid.b_values, grid.kt_values, np.arange(len(grid.pairs)))
+    b, kt, p = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
+    i, j = np.array(grid.pairs).T
+    d = np.array([_separation(grid.n_spins, *pair) for pair in grid.pairs])
+    return {"B": b, "kT": kt, "i": i[p], "j": j[p], "d": d[p], **{k: measures[k].ravel() for k in "CEIM"}}
 
 
 def _check_health(states: np.ndarray, b: np.ndarray, kt: np.ndarray, pairs):
@@ -221,7 +233,7 @@ def entanglement_length(
 ) -> EntanglementLengthResult:
     """Concurrence profile C(d) at pair (0, d) and the entanglement length."""
     grid = ScanGrid.from_separations(n_spins, coupling, [b_field], [kt], range(1, n_spins // 2 + 1))
-    c_vals = np.array([row[5] for row in scan_pair_measures(grid, spectrum)])
+    c_vals = scan_pair_measures(grid, spectrum)["C"][0, 0]
     above = np.flatnonzero(c_vals > ENTANGLEMENT_TOL)
     l_e = int(above.max() + 1) if above.size else 0
     return EntanglementLengthResult(c_by_separation=c_vals, l_e=l_e)
@@ -236,34 +248,38 @@ class LipschitzReport:
     satisfied: bool  # max_ratio <= 1 + 1e-6
 
 
-def lipschitz_check(grid: ScanGrid, pair=(0, 1), spectrum: ChainSpectrum | None = None) -> LipschitzReport:
-    """Check that entanglement changes no faster than |dB|/kT along B."""
+def lipschitz_check(grid: ScanGrid, spectrum: ChainSpectrum | None = None) -> LipschitzReport:
+    """Check that entanglement changes no faster than |dB|/kT along B, for every pair of the grid."""
     if len(grid.b_values) < 2:
         raise ParameterError("lipschitz check needs at least two B samples")
     if np.any(grid.kt_values <= 0):
         raise ParameterError("lipschitz check requires kT > 0")
-    sub = ScanGrid(grid.n_spins, grid.coupling, grid.b_values, grid.kt_values, (tuple(pair),))
-    rows = scan_pair_measures(sub, spectrum=spectrum)
-    e_tab = np.array([r[6] for r in rows]).reshape(len(grid.b_values), len(grid.kt_values))
-    max_ratio, worst = 0.0, (grid.b_values[0], grid.b_values[-1], grid.kt_values[0])
-    for col, kt in enumerate(grid.kt_values):
-        de = np.abs(np.diff(e_tab[:, col]))
-        db = np.diff(grid.b_values)
-        ratios = kt * de / db
-        idx = int(np.argmax(ratios))
-        if ratios[idx] > max_ratio:
-            max_ratio = float(ratios[idx])
-            worst = (float(grid.b_values[idx]), float(grid.b_values[idx + 1]), float(kt))
-    return LipschitzReport(max_ratio=max_ratio, worst_point=worst, satisfied=max_ratio <= 1.0 + 1e-6)
+    de = np.abs(np.diff(scan_pair_measures(grid, spectrum)["E"], axis=0))
+    # kT |dE| / |dB| laid out (kT, pair, B step): argmax takes the first
+    # maximum by kT, then pair, then B.
+    ratios = grid.kt_values[:, None, None] * de.transpose(1, 2, 0) / np.diff(grid.b_values)
+    kt_idx, _, b_idx = np.unravel_index(np.argmax(ratios), ratios.shape)
+    max_ratio = float(ratios.max())
+    if max_ratio > 0.0:
+        worst = (grid.b_values[b_idx], grid.b_values[b_idx + 1], grid.kt_values[kt_idx])
+    else:  # E is flat everywhere: report the whole B range at the first kT
+        worst = (grid.b_values[0], grid.b_values[-1], grid.kt_values[0])
+    return LipschitzReport(
+        max_ratio=max_ratio, worst_point=tuple(map(float, worst)), satisfied=max_ratio <= 1.0 + 1e-6
+    )
 
 
 @dataclass(frozen=True)
 class FigureDataset:
-    """Table plus plot payload reproducing one of the reference figures."""
+    """Table plus plot payload reproducing one of the reference figures.
+
+    `table` maps each of FIGURE_COLUMNS to a 1-D array, one entry per row:
+    the rows of `scan_table` for each of the figure's scans, in turn, with
+    that scan's N and J prepended.
+    """
 
     figure_id: int
-    columns: tuple
-    rows: list
+    table: dict
     plot: dict  # kind "heatmap" or "lines" plus the prepared series/arrays
 
 
@@ -282,111 +298,69 @@ def figure_dataset(figure_id: int) -> FigureDataset:
     if figure_id not in FIGURE_IDS:
         raise ParameterError(f"figure id must be in {FIGURE_IDS}, got {figure_id}")
     build = {1: _figure1, 2: _figure2, 3: _figure3, 4: _figure4, 5: _figure5}[figure_id]
-    rows, plot = build()
-    return FigureDataset(figure_id=figure_id, columns=FIGURE_COLUMNS, rows=rows, plot=plot)
+    results, plot = build()
+    tables = []
+    for grid, m in results:
+        t = scan_table(grid, m)
+        n_rows = len(t["B"])
+        tables.append({"N": np.full(n_rows, grid.n_spins), "J": np.full(n_rows, grid.coupling), **t})
+    table = {name: np.concatenate([t[name] for t in tables]) for name in FIGURE_COLUMNS}
+    return FigureDataset(figure_id=figure_id, table=table, plot=plot)
 
 
-def _tag(rows, n, j):
-    return [(n, j) + row for row in rows]
-
-
-def _series(rows, x_idx, y_idx, label):
-    return {
-        "label": label,
-        "x": [row[x_idx] for row in rows],
-        "y": [row[y_idx] for row in rows],
-    }
-
-
-# Column indices within FIGURE_COLUMNS rows.
-_B, _KT, _C, _E, _I = 2, 3, 7, 8, 9
+# Each builder returns its scans as (grid, measures) pairs, plus the plot.
 
 
 def _figure1():
     grid = ScanGrid(2, 1.0, _DEFAULT_B_GRID, _DEFAULT_KT_GRID, ((0, 1),))
-    rows = _tag(scan_pair_measures(grid), 2, 1.0)
-    e_surface = np.array([r[_E] for r in rows]).reshape(len(grid.b_values), len(grid.kt_values))
-    plot = {
-        "kind": "heatmap",
-        "x": grid.b_values.tolist(),
-        "y": grid.kt_values.tolist(),
-        "z": e_surface.T.tolist(),  # one row per kT value
-        "xlabel": "B",
-        "ylabel": "kT",
-        "logy": True,
-        "title": "Entanglement E(B, kT), N=2, J=1",
-    }
-    return rows, plot
+    m = scan_pair_measures(grid)
+    x, y = grid.b_values.tolist(), grid.kt_values.tolist()
+    z = m["E"][:, :, 0].T.tolist()  # one row per kT value
+    title = "Entanglement E(B, kT), N=2, J=1"
+    plot = dict(kind="heatmap", x=x, y=y, z=z, xlabel="B", ylabel="kT", logy=True, title=title)
+    return [(grid, m)], plot
 
 
 def _figure2():
     grid = ScanGrid.from_separations(6, 1.0, _DEFAULT_B_GRID, [0.1], (1, 2, 3))
-    rows = _tag(scan_pair_measures(grid), 6, 1.0)
-    series = [
-        _series([r for r in rows if r[6] == d], _B, _E, f"d={d}") for d in (1, 2, 3)
-    ]
-    plot = {
-        "kind": "lines",
-        "series": series,
-        "xlabel": "B",
-        "ylabel": "E",
-        "title": "Entanglement vs field, N=6, kT=0.1, J=1",
-    }
-    return rows, plot
+    m = scan_pair_measures(grid)
+    b = grid.b_values.tolist()
+    series = [{"label": f"d={d}", "x": b, "y": m["E"][:, 0, p].tolist()} for p, d in enumerate((1, 2, 3))]
+    title = "Entanglement vs field, N=6, kT=0.1, J=1"
+    plot = dict(kind="lines", series=series, xlabel="B", ylabel="E", title=title)
+    return [(grid, m)], plot
 
 
 def _figure3():
-    rows, series = [], []
-    for n in (6, 8, 10):
-        grid = ScanGrid.from_separations(n, 1.0, _DEFAULT_B_GRID, [0.1], (2,))
-        tagged = _tag(scan_pair_measures(grid), n, 1.0)
-        rows.extend(tagged)
-        series.append(_series(tagged, _B, _E, f"N={n}"))
-    plot = {
-        "kind": "lines",
-        "series": series,
-        "xlabel": "B",
-        "ylabel": "E",
-        "title": "Next-nearest entanglement vs field, kT=0.1, J=1",
-    }
-    return rows, plot
+    grids = [ScanGrid.from_separations(n, 1.0, _DEFAULT_B_GRID, [0.1], (2,)) for n in (6, 8, 10)]
+    results = [(grid, scan_pair_measures(grid)) for grid in grids]
+    b = _DEFAULT_B_GRID.tolist()
+    series = [{"label": f"N={g.n_spins}", "x": b, "y": m["E"][:, 0, 0].tolist()} for g, m in results]
+    title = "Next-nearest entanglement vs field, kT=0.1, J=1"
+    plot = dict(kind="lines", series=series, xlabel="B", ylabel="E", title=title)
+    return results, plot
 
 
 def _figure4():
-    rows, series = [], []
-    for n in (5, 6, 7, 8, 9, 10):
-        grid = ScanGrid.from_separations(n, 1.0, [4.2], _DEFAULT_KT_GRID, (1,))
-        tagged = _tag(scan_pair_measures(grid), n, 1.0)
-        rows.extend(tagged)
-        series.append(_series(tagged, _KT, _E, f"N={n}"))
-    plot = {
-        "kind": "lines",
-        "series": series,
-        "xlabel": "kT",
-        "ylabel": "E",
-        "logx": True,
-        "title": "Nearest-neighbor entanglement vs temperature, B=4.2, J=1",
-    }
-    return rows, plot
+    grids = [ScanGrid.from_separations(n, 1.0, [4.2], _DEFAULT_KT_GRID, (1,)) for n in (5, 6, 7, 8, 9, 10)]
+    results = [(grid, scan_pair_measures(grid)) for grid in grids]
+    kt = _DEFAULT_KT_GRID.tolist()
+    series = [{"label": f"N={g.n_spins}", "x": kt, "y": m["E"][0, :, 0].tolist()} for g, m in results]
+    title = "Nearest-neighbor entanglement vs temperature, B=4.2, J=1"
+    plot = dict(kind="lines", series=series, xlabel="kT", ylabel="E", logx=True, title=title)
+    return results, plot
 
 
 def _figure5():
-    rows = []
-    for j in (1.0, -1.0):
-        grid = ScanGrid.from_separations(10, j, [4.2], _DEFAULT_KT_GRID, (1,))
-        rows.extend(_tag(scan_pair_measures(grid), 10, j))
-    af = [r for r in rows if r[1] > 0]
-    fm = [r for r in rows if r[1] < 0]
-    plot = {
-        "kind": "lines",
-        "series": [
-            _series(af, _KT, _I, "AF, I"),
-            _series(fm, _KT, _I, "F, I"),
-            _series(af, _KT, _E, "AF, E"),
-        ],
-        "xlabel": "kT",
-        "ylabel": "I, E",
-        "logx": True,
-        "title": "Mutual information and entanglement vs temperature, N=10, B=4.2",
-    }
-    return rows, plot
+    grids = [ScanGrid.from_separations(10, j, [4.2], _DEFAULT_KT_GRID, (1,)) for j in (1.0, -1.0)]
+    results = [(grid, scan_pair_measures(grid)) for grid in grids]
+    (_, af), (_, fm) = results
+    kt = _DEFAULT_KT_GRID.tolist()
+    series = [
+        {"label": "AF, I", "x": kt, "y": af["I"][0, :, 0].tolist()},
+        {"label": "F, I", "x": kt, "y": fm["I"][0, :, 0].tolist()},
+        {"label": "AF, E", "x": kt, "y": af["E"][0, :, 0].tolist()},
+    ]
+    title = "Mutual information and entanglement vs temperature, N=10, B=4.2"
+    plot = dict(kind="lines", series=series, xlabel="kT", ylabel="I, E", logx=True, title=title)
+    return results, plot

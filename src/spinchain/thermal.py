@@ -181,9 +181,7 @@ def pure_state_pair_rdm(state, i: int, j: int, basis: SectorBasis | None = None)
     """
     psi = np.asarray(state, dtype=np.complex128)
     if basis is None:
-        n = int(round(np.log2(psi.size)))
-        if psi.ndim != 1 or (1 << n) != psi.size:
-            raise ParameterError(f"full-basis state length {psi.size} is not a power of 2")
+        n = _full_basis_spins(psi)
         patterns = np.arange(psi.size, dtype=np.int64)
     else:
         n = basis.n_spins
@@ -201,6 +199,13 @@ def pure_state_pair_rdm(state, i: int, j: int, basis: SectorBasis | None = None)
     if np.abs(rho.imag).max() < 1e-15:
         rho = rho.real
     return PairDensityMatrix(sites=(i, j), matrix=rho, separation=_separation(n, i, j)).validate()
+
+
+def _full_basis_spins(psi: np.ndarray) -> int:
+    """N of an amplitude vector over the full 2^N basis; rejects any other length."""
+    if psi.ndim != 1 or psi.size == 0 or psi.size & (psi.size - 1):
+        raise ParameterError(f"full-basis state length {psi.size} is not a power of 2")
+    return psi.size.bit_length() - 1
 
 
 def _pair_labels(patterns: np.ndarray, i: int, j: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinchain import ParameterError, enumerate_sector, zeeman_eigenvalue
+from spinchain import ModelParams, ParameterError, diagonalize_chain, enumerate_sector, zeeman_eigenvalue
 from spinchain.basis import exchange_partners
 
 
@@ -69,3 +69,8 @@ def test_out_of_range_arguments_rejected():
         enumerate_sector(6, -1)
     with pytest.raises(ParameterError):
         zeeman_eigenvalue(4, 5)
+    with pytest.raises(ParameterError):
+        ModelParams(4.0, 1.0)
+    with pytest.raises(ParameterError):
+        diagonalize_chain(4.0, 1.0)
+    assert ModelParams(np.int64(4), 1.0).n_spins == 4

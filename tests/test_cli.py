@@ -50,6 +50,9 @@ class TestGridCommand:
         data = json.loads(out.read_text())
         assert data["columns"] == ["B", "kT", "i", "j", "d", "C", "E", "I", "M"]
         assert len(data["rows"]) == 1
+        b, kt, i, j, d = data["rows"][0][:5]
+        assert [type(v) for v in (i, j, d)] == [int, int, int]
+        assert [type(v) for v in (b, kt)] == [float, float]
 
     def test_geometric_kt_range(self, tmp_path):
         out = tmp_path / "scan.csv"

@@ -52,12 +52,13 @@ def ring_points(max_n):
 def test_scan_measures_match_general_functions(point):
     n, j, b, kt, d = point
     sp = spectrum(n, j)
-    (row,) = scan_pair_measures(ScanGrid.from_separations(n, j, [b], [kt], (d,)), spectrum=sp)
+    scan = scan_pair_measures(ScanGrid.from_separations(n, j, [b], [kt], (d,)), spectrum=sp)
+    got = np.array([scan[name][0, 0, 0] for name in "CEIM"])
     rho = pair_rdm(gibbs_weights(sp, b, kt), 0, d)
     c = concurrence(rho).concurrence
     expected = (c, eof_from_concurrence(c), mutual_information(rho), chsh_quantity(rho))
-    assert np.abs(np.array(row[5:]) - expected).max() < 1e-10
-    c, _e, i, m = row[5:]
+    assert np.abs(got - expected).max() < 1e-10
+    c, _e, i, m = got
     assert 0.0 <= c <= 1.0 + ROUNDOFF
     assert i >= 0.0
     assert m <= 2.0 + ROUNDOFF

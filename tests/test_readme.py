@@ -12,7 +12,8 @@ def test_library_example_runs(capsys):
     # Pad with blank lines so tracebacks point at README line numbers.
     source = "\n" * text[: match.start(1)].count("\n") + match.group(1)
     exec(compile(source, str(README), "exec"), {})
-    c_and_e, b_e = capsys.readouterr().out.splitlines()
+    c_and_e, b_e, shape = capsys.readouterr().out.splitlines()
     c, e = (float(v) for v in c_and_e.split())
     assert 0.0 < e < c < 1.0
     assert float(b_e) == pytest.approx(3.2360679, abs=1e-7)
+    assert shape == "(2, 3, 3)"

@@ -40,22 +40,29 @@ class TestScanGrid:
 class TestScanPairMeasures:
     def test_row_order_is_b_major_then_kt_then_pair(self):
         grid = ScanGrid(4, 1.0, np.array([0.0, 1.0]), np.array([0.5, 2.0]), ((0, 1), (0, 2)))
-        rows = scan_pair_measures(grid)
-        key = [(r[0], r[1], r[2], r[3]) for r in rows]
-        assert key == sorted(key, key=lambda t: (t[0], t[1], t[2], t[3]))
-        assert len(rows) == 8
+        m = scan_pair_measures(grid)
+        assert set(m) == {"C", "E", "I", "M"}
+        assert all(a.shape == (2, 2, 2) for a in m.values())
+        table = scans.scan_table(grid, m)
+        assert tuple(table) == SCAN_COLUMNS
+        key = list(zip(table["B"], table["kT"], table["i"], table["j"]))
+        assert key == sorted(key)
+        assert len(key) == 8
+        assert table["i"].tolist() == [0] * 8
+        assert table["j"].tolist() == table["d"].tolist() == [1, 2] * 4
+        # Row (B=1, kT=0.5, pair (0, 2)) holds the measures of array entry [1, 0, 1].
+        for name in "CEIM":
+            assert table[name][5] == m[name][1, 0, 1]
 
     def test_two_qubit_ground_state_is_maximally_entangled(self):
         grid = ScanGrid(2, 1.0, np.array([0.0]), np.array([1e-4]), ((0, 1),))
-        (row,) = scan_pair_measures(grid)
-        e_val = row[SCAN_COLUMNS.index("E")]
-        assert e_val == pytest.approx(1.0, abs=1e-9)
+        assert scan_pair_measures(grid)["E"][0, 0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_thermal_enhancement_above_critical_field(self):
         grid = ScanGrid(2, 1.0, np.array([4.6]), np.array([0.01, 1.0]), ((0, 1),))
-        cold, warm = scan_pair_measures(grid)
-        assert cold[SCAN_COLUMNS.index("E")] < 1e-6
-        assert warm[SCAN_COLUMNS.index("E")] > 0.05
+        cold, warm = scan_pair_measures(grid)["E"][0, :, 0]
+        assert cold < 1e-6
+        assert warm > 0.05
 
     def test_results_independent_of_thread_count(self, monkeypatch):
         grid = ScanGrid(5, 1.0, np.linspace(0.0, 5.0, 6), np.geomspace(0.1, 5.0, 5), ((0, 1), (0, 2)))
@@ -63,12 +70,23 @@ class TestScanPairMeasures:
         serial = scan_pair_measures(grid)
         monkeypatch.setenv("SPINCHAIN_THREADS", "4")
         parallel = scan_pair_measures(grid)
-        assert serial == parallel
+        assert all(np.array_equal(serial[name], parallel[name]) for name in "CEIM")
 
     def test_kt_zero_routed_through_ground_manifold(self):
         grid = ScanGrid(2, 1.0, np.array([0.0]), np.array([0.0]), ((0, 1),))
-        (row,) = scan_pair_measures(grid)
-        assert row[SCAN_COLUMNS.index("C")] == pytest.approx(1.0, abs=1e-12)
+        assert scan_pair_measures(grid)["C"][0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_spectrum_of_another_ring(self):
+        grid = ScanGrid.from_separations(8, 1.0, [3.5], [0.1], (1,))
+        with pytest.raises(ParameterError, match="N=6"):
+            scan_pair_measures(grid, spectrum=diagonalize_chain(6, 1.0))
+        with pytest.raises(ParameterError, match="N=6"):
+            entanglement_length(8, 1.0, 3.5, 0.1, spectrum=diagonalize_chain(6, 1.0))
+        ferro = ScanGrid(4, -1.0, np.array([0.0, 1.0]), np.array([0.5]), ((0, 1),))
+        with pytest.raises(ParameterError, match="J=1.0"):
+            scan_pair_measures(ferro, spectrum=diagonalize_chain(4, 1.0))
+        with pytest.raises(ParameterError, match="J=1.0"):
+            lipschitz_check(ferro, spectrum=diagonalize_chain(4, 1.0))
 
     def test_weight_chunks_bound_w_for_largest_ring_on_default_grid(self):
         # N=14 has 2**14 eigenstates; the default grid has 121 x 120 points.
@@ -93,7 +111,7 @@ class TestScanPairMeasures:
         monkeypatch.setattr(scans, "WEIGHT_CHUNK_ENTRIES", 32)  # two of the nine points per chunk
         chunked = scan_pair_measures(grid)
         assert shapes == [(2, 16)] * 4 + [(1, 16)]
-        assert np.abs(np.array(chunked) - np.array(whole)).max() < 1e-13
+        assert all(np.abs(chunked[name] - whole[name]).max() < 1e-13 for name in "CEIM")
 
     def test_unhealthy_pair_state_names_first_failing_point(self, monkeypatch):
         grid = ScanGrid(2, 1.0, np.array([0.0, 1.0]), np.array([0.5]), ((0, 1),))
@@ -167,6 +185,16 @@ class TestLipschitz:
         rep = lipschitz_check(grid)
         assert rep.max_ratio < 1e-3
 
+    def test_checks_every_pair_of_the_grid(self):
+        b_grid, kt_grid = np.linspace(0.0, 6.0, 25), np.array([0.3, 1.0])
+        rep_02 = lipschitz_check(ScanGrid(6, 1.0, b_grid, kt_grid, ((0, 2),)))
+        rep_01 = lipschitz_check(ScanGrid(6, 1.0, b_grid, kt_grid, ((0, 1),)))
+        assert rep_02.max_ratio == pytest.approx(0.0521, abs=1e-4)
+        assert rep_01.max_ratio == pytest.approx(0.1124, abs=1e-4)
+        both = lipschitz_check(ScanGrid(6, 1.0, b_grid, kt_grid, ((0, 2), (0, 1))))
+        assert both.max_ratio == rep_01.max_ratio
+        assert both.worst_point == rep_01.worst_point
+
     def test_requires_multiple_b_samples(self):
         grid = ScanGrid(2, 1.0, np.array([1.0]), np.array([0.5]), ((0, 1),))
         with pytest.raises(ParameterError):
@@ -180,26 +208,28 @@ class TestFigureDatasets:
 
     def test_figure2_structure(self):
         ds = figure_dataset(2)
-        assert ds.columns == FIGURE_COLUMNS
-        assert len(ds.rows) == 121 * 3
-        assert {r[6] for r in ds.rows} == {1, 2, 3}
+        assert tuple(ds.table) == FIGURE_COLUMNS
+        assert all(col.shape == (121 * 3,) for col in ds.table.values())
+        assert set(ds.table["d"].tolist()) == {1, 2, 3}
         assert ds.plot["kind"] == "lines"
         assert len(ds.plot["series"]) == 3
+        # The d=2 curve is that column of the table, rows B-major then pair.
+        assert ds.plot["series"][1]["y"] == ds.table["E"][1::3].tolist()
 
     def test_figure4_curves(self):
         ds = figure_dataset(4)
-        assert {r[0] for r in ds.rows} == {5, 6, 7, 8, 9, 10}
-        assert all(r[2] == 4.2 for r in ds.rows)
+        assert set(ds.table["N"].tolist()) == {5, 6, 7, 8, 9, 10}
+        assert np.all(ds.table["B"] == 4.2)
         labels = [s["label"] for s in ds.plot["series"]]
         assert labels == [f"N={n}" for n in (5, 6, 7, 8, 9, 10)]
 
     def test_figure5_has_both_signs_of_coupling(self):
         ds = figure_dataset(5)
-        assert {r[1] for r in ds.rows} == {1.0, -1.0}
+        assert set(ds.table["J"].tolist()) == {1.0, -1.0}
         assert [s["label"] for s in ds.plot["series"]] == ["AF, I", "F, I", "AF, E"]
 
     def test_ferromagnet_mutual_information_rises_with_temperature(self):
         ds = figure_dataset(5)
-        fm = [(r[3], r[9]) for r in ds.rows if r[1] < 0]
-        i_vals = [i for _, i in fm]
+        i_vals = ds.table["I"][ds.table["J"] < 0]
         assert max(i_vals) > i_vals[0] + 1e-6
+        assert ds.plot["series"][1]["y"] == i_vals.tolist()

@@ -8,6 +8,7 @@ from spinchain import (
     enumerate_sector,
     gibbs_weights,
     pair_rdm,
+    project_remaining_down,
     pure_state_pair_rdm,
     w_state,
 )
@@ -208,3 +209,9 @@ class TestPureStatePairRdm:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(StateValidityError):
             pure_state_pair_rdm(np.full(4, 0.9), 0, 1)
+
+    @pytest.mark.parametrize("length", [0, 3, 6])
+    @pytest.mark.parametrize("fn", [pure_state_pair_rdm, project_remaining_down])
+    def test_full_basis_length_must_be_power_of_two(self, fn, length):
+        with pytest.raises(ParameterError, match="not a power of 2"):
+            fn(np.ones(length), 0, 1)
