@@ -33,12 +33,7 @@ from .measures import (
     project_remaining_down,
     w_state,
 )
-from .numerics import (
-    EigenDecomposition,
-    binary_entropy,
-    eigh_symmetric,
-    von_neumann_entropy,
-)
+from .numerics import binary_entropy, eigh_symmetric, von_neumann_entropy
 from .scans import (
     EntanglementLengthResult,
     FigureDataset,
@@ -80,7 +75,6 @@ __all__ = [
     "full_eigenvalues",
     "critical_field_closed_form",
     "critical_temperature_two_qubit",
-    "EigenDecomposition",
     "eigh_symmetric",
     "binary_entropy",
     "von_neumann_entropy",

@@ -94,7 +94,8 @@ def zeeman_eigenvalue(n_spins: int, n_up: int) -> int:
 
 
 def _check_sector_args(n_spins: int, n_up: int):
-    if not (2 <= n_spins <= MAX_SPINS):
-        raise ParameterError(f"n_spins must be in [2, {MAX_SPINS}], got {n_spins}")
+    ModelParams(n_spins=n_spins, coupling=0.0)
+    if not isinstance(n_up, (int, np.integer)):
+        raise ParameterError(f"n_up must be an integer, got {n_up!r}")
     if not (0 <= n_up <= n_spins):
         raise ParameterError(f"n_up must be in [0, {n_spins}], got {n_up}")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError, StateValidityError
@@ -11,20 +9,12 @@ from .errors import DomainError, NumericError, ParameterError, StateValidityErro
 LOG2 = np.log(2.0)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
+def eigh_symmetric(matrix: np.ndarray):
+    """Full eigendecomposition of a real symmetric matrix, as `np.linalg.eigh`.
 
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-
-def eigh_symmetric(matrix: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a real symmetric matrix, values ascending."""
+    Returns (values, vectors): ascending eigenvalues and the orthonormal
+    eigenvector columns.
+    """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
@@ -32,10 +22,9 @@ def eigh_symmetric(matrix: np.ndarray) -> EigenDecomposition:
     if np.abs(a - a.T).max() > 1e-12 * scale:
         raise ParameterError("matrix is not symmetric within 1e-12 relative tolerance")
     try:
-        values, vectors = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed on {a.shape[0]}x{a.shape[0]} matrix: {exc}") from exc
-    return EigenDecomposition(values=values, vectors=vectors)
 
 
 def binary_entropy(x: float) -> float:

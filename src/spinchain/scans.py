@@ -1,10 +1,11 @@
 """Parameter sweeps, critical-point detection, and figure datasets.
 
 A scan is three steps: the (grid points x eigenstates) Boltzmann weight
-matrix W, times each pair's (eigenstates x 5) X-state feature table F, then
-the closed-form measures elementwise. It returns C, E, I and M as arrays
-indexed (B, kT, pair); `scan_table` flattens them into the columns
-B, kT, i, j, d, C, E, I, M, with rows B-major, then kT, then pair.
+matrix W, times the X-state feature table F of every pair, stacked as
+(pairs, eigenstates, 5), then the closed-form measures elementwise. It
+returns C, E, I and M as arrays indexed (B, kT, pair); `scan_table`
+flattens them into the columns B, kT, i, j, d, C, E, I, M, with rows
+B-major, then kT, then pair.
 """
 
 from __future__ import annotations
@@ -81,8 +82,12 @@ class ScanGrid:
         ModelParams(self.n_spins, self.coupling, field=self.b_values[0], kt=self.kt_values[0])
         if not self.pairs:
             raise ParameterError("at least one pair is required")
+        seen = set()
         for i, j in self.pairs:
             _check_pair(self.n_spins, i, j)
+            if (i, j) in seen:
+                raise ParameterError(f"pair ({i}, {j}) is repeated")
+            seen.add((i, j))
 
     @classmethod
     def from_separations(cls, n_spins, coupling, b_values, kt_values, separations):
@@ -119,12 +124,13 @@ def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) ->
         )
     b = np.repeat(grid.b_values, len(grid.kt_values))
     kt = np.tile(grid.kt_values, len(grid.b_values))
-    features = [pair_features(spectrum, i, j) for i, j in grid.pairs]
-    states = np.empty((len(b), len(features), 5))  # per point and pair
-    for chunk in _weight_chunks(len(b), features[0].shape[0]):
-        w = weight_rows(spectrum, b[chunk], kt[chunk])[0]
-        for p, f in enumerate(features):
-            states[chunk, p] = w @ f
+    # Stacked over pairs, W @ F is one (eigenstates x 5) product per pair, so
+    # a pair's bits do not depend on the other pairs of the grid; those of
+    # one wide (eigenstates x 5 * pairs) product do.
+    f = pair_features(spectrum, grid.pairs).transpose(1, 0, 2)  # (pairs, eigenstates, 5)
+    states = np.empty((len(b), len(grid.pairs), 5))  # per point and pair
+    for chunk in _weight_chunks(len(b), f.shape[1]):
+        states[chunk] = (weight_rows(spectrum, b[chunk], kt[chunk])[0] @ f).transpose(1, 0, 2)
     _check_health(states, b, kt, grid.pairs)
     shape = (len(grid.b_values), len(grid.kt_values), len(grid.pairs))
     return {name: col.reshape(shape) for name, col in zip("CEIM", x_state_measures(states))}

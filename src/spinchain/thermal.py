@@ -1,11 +1,14 @@
-"""Gibbs states over sector eigenstates and two-site reduced density matrices.
+"""Gibbs states over the ring's eigenstates and two-site reduced density matrices.
 
 The full 2^N density matrix is never materialized. The chain is
-diagonalized once per (N, J); the field only shifts sector energies, so
-one spectrum serves every (B, kT) point of a scan. Every eigenstate lies in
-one S_z sector and is real, so its reduced state on a pair of sites is an
-X-state fixed by five numbers (p00, p01, p10, p11, z). A thermal pair RDM is
-the Boltzmann-weighted sum of those five numbers over the eigenstates.
+diagonalized once per (N, J) into one flat table over all 2^N eigenstates:
+each eigenstate's exchange energy and Zeeman slope, so the field only
+shifts energies and one spectrum serves every (B, kT) point of a scan.
+Every eigenstate lies in one S_z sector and is real, so its reduced state
+on a pair of sites is an X-state fixed by five numbers (p00, p01, p10,
+p11, z). A thermal pair RDM is the Boltzmann-weighted sum of those five
+numbers over the eigenstates. Only `diagonalize_chain` and `pair_features`
+know how the eigenstates are blocked.
 """
 
 from __future__ import annotations
@@ -25,17 +28,20 @@ DEGENERACY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ChainSpectrum:
-    """Exchange Hamiltonian of a ring in diagonalized, sector-blocked form."""
+    """Exchange Hamiltonian of a ring, diagonalized into one flat eigen-table.
+
+    `energies` and `slopes` hold each eigenstate's exchange energy and its
+    Zeeman slope 2*n_up - N, so its energy at field B is
+    energies + B * slopes. `blocks` holds one (basis states, eigenvector
+    columns) pair per magnetization sector, n_up = 0..N; the blocks' columns,
+    in turn, are the eigenstates of the flat table.
+    """
 
     n_spins: int
     coupling: float
-    bases: tuple
-    sectors: tuple  # EigenDecomposition per n_up
-    zeeman_slopes: tuple  # 2*n_up - N per sector
-
-    def exchange_energies(self) -> np.ndarray:
-        """Concatenated exchange eigenvalues, sector order n_up = 0..N."""
-        return np.concatenate([sec.values for sec in self.sectors])
+    energies: np.ndarray
+    slopes: np.ndarray
+    blocks: tuple
 
 
 @dataclass(frozen=True)
@@ -45,19 +51,16 @@ class GibbsEnsemble:
     spectrum: ChainSpectrum
     field: float
     kt: float
-    weights: tuple  # one simplex slice per sector
+    weights: np.ndarray  # one per eigenstate of the spectrum's flat table, summing to 1
     log_z_shifted: float  # log Z + E_ground/kT (0.0 at kT = 0)
     energy_origin: float  # ground energy used as the shift
 
     def energies(self) -> np.ndarray:
-        """Concatenated total energies (exchange + Zeeman), sector order."""
-        sp = self.spectrum
-        return np.concatenate(
-            [sec.values + self.field * slope for sec, slope in zip(sp.sectors, sp.zeeman_slopes)]
-        )
+        """Total energies (exchange + Zeeman) of the spectrum's eigenstates."""
+        return self.spectrum.energies + self.field * self.spectrum.slopes
 
     def mean_energy(self) -> float:
-        return float(np.dot(self.energies(), np.concatenate(self.weights)))
+        return float(np.dot(self.energies(), self.weights))
 
 
 @dataclass(frozen=True)
@@ -88,18 +91,19 @@ class PairDensityMatrix:
 def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     """Diagonalize every magnetization sector of the exchange Hamiltonian."""
     params = ModelParams(n_spins=n_spins, coupling=coupling)
-    bases, sectors, slopes = [], [], []
+    energies, slopes, blocks = [], [], []
     for n_up in range(n_spins + 1):
         sh = build_sector_hamiltonian(params, n_up)
-        bases.append(sh.basis)
-        sectors.append(eigh_symmetric(sh.matrix))
-        slopes.append(zeeman_eigenvalue(n_spins, n_up))
+        values, vectors = eigh_symmetric(sh.matrix)
+        energies.append(values)
+        slopes.append(np.full(values.size, zeeman_eigenvalue(n_spins, n_up)))
+        blocks.append((sh.basis.states, vectors))
     return ChainSpectrum(
         n_spins=n_spins,
         coupling=coupling,
-        bases=tuple(bases),
-        sectors=tuple(sectors),
-        zeeman_slopes=tuple(slopes),
+        energies=np.concatenate(energies),
+        slopes=np.concatenate(slopes),
+        blocks=tuple(blocks),
     )
 
 
@@ -112,10 +116,9 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     covers exact level crossings such as B = B_c).
 
     Returns (weights, ground energies, log Z + E_ground/kT per row, 0.0 at
-    kT = 0); columns follow the sector order of `exchange_energies`.
+    kT = 0); columns follow the spectrum's flat eigenstate order.
     """
-    slopes = np.repeat(spectrum.zeeman_slopes, [sec.dim for sec in spectrum.sectors])
-    shifted = spectrum.exchange_energies() + np.multiply.outer(b_values, slopes)
+    shifted = spectrum.energies + np.multiply.outer(b_values, spectrum.slopes)
     e0 = shifted.min(axis=1)
     shifted -= e0[:, None]
     cold = kt_values == 0.0
@@ -131,43 +134,46 @@ def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEn
     """Thermal weights over all eigenstates at field B >= 0 and temperature kT >= 0."""
     ModelParams(n_spins=spectrum.n_spins, coupling=spectrum.coupling, field=b_field, kt=kt)
     w, e0, log_z = weight_rows(spectrum, np.array([b_field], float), np.array([kt], float))
-    sizes = [sec.dim for sec in spectrum.sectors]
     return GibbsEnsemble(
         spectrum=spectrum,
         field=b_field,
         kt=kt,
-        weights=tuple(np.split(w[0], np.cumsum(sizes)[:-1])),
+        weights=w[0],
         log_z_shifted=float(log_z[0]),
         energy_origin=float(e0[0]),
     )
 
 
-def pair_features(spectrum: ChainSpectrum, i: int, j: int) -> np.ndarray:
-    """X-state features of sites (i, j) in every eigenstate, (eigenstates, 5).
+def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
+    """X-state features of each site pair (i, j) in every eigenstate.
 
-    Columns are the pair populations p00, p01, p10, p11 (first slot site i,
-    |0> = spin down) and the coherence z = <01|rho|10>; rows follow the
-    sector order of `exchange_energies`. A real eigenstate of total S_z has
-    no other nonzero pair-RDM entry.
+    Returns a table of shape (eigenstates, pairs, 5), rows in the
+    spectrum's flat eigenstate order. The five features are the pair
+    populations p00, p01, p10, p11 (first slot site i, |0> = spin down) and
+    the coherence z = <01|rho|10>. A real eigenstate of total S_z has no
+    other nonzero pair-RDM entry.
     """
-    _check_pair(spectrum.n_spins, i, j)
-    out = []
-    for basis, sec in zip(spectrum.bases, spectrum.sectors):
-        v = sec.vectors
-        ab = _pair_labels(basis.states, i, j)
-        f = np.empty((sec.dim, 5))
-        f[:, :4] = ((ab == np.arange(4)[:, None]) @ (v * v)).T
-        rows01, rows10 = exchange_partners(basis.states, i, j)
-        f[:, 4] = np.einsum("sk,sk->k", v[rows01], v[rows10])
-        out.append(f)
-    return np.concatenate(out)
+    for i, j in pairs:
+        _check_pair(spectrum.n_spins, i, j)
+    out = np.empty((spectrum.energies.size, len(pairs), 5))
+    start = 0
+    for states, v in spectrum.blocks:
+        f = out[start : start + v.shape[1]]
+        start += v.shape[1]
+        probs = v * v
+        for p, (i, j) in enumerate(pairs):
+            ab = _pair_labels(states, i, j)
+            f[:, p, :4] = ((ab == np.arange(4)[:, None]) @ probs).T
+            rows01, rows10 = exchange_partners(states, i, j)
+            f[:, p, 4] = np.einsum("sk,sk->k", v[rows01], v[rows10])
+    return out
 
 
 def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:
     """Reduced density matrix of sites (i, j) in the thermal state: the
     Boltzmann-weighted sum of the eigenstates' pair features as a 4x4 X-matrix."""
     n = ensemble.spectrum.n_spins
-    p00, p01, p10, p11, z = np.concatenate(ensemble.weights) @ pair_features(ensemble.spectrum, i, j)
+    p00, p01, p10, p11, z = ensemble.weights @ pair_features(ensemble.spectrum, [(i, j)])[:, 0]
     rho = np.diag([p00, p01, p10, p11])
     rho[1, 2] = rho[2, 1] = z
     return PairDensityMatrix(sites=(i, j), matrix=rho, separation=_separation(n, i, j)).validate()
@@ -219,6 +225,8 @@ def _separation(n_spins: int, i: int, j: int) -> int:
 
 
 def _check_pair(n_spins: int, i: int, j: int):
+    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        raise ParameterError(f"sites ({i!r}, {j!r}) must be integers")
     if not (0 <= i < n_spins and 0 <= j < n_spins):
         raise ParameterError(f"sites ({i}, {j}) out of range for N={n_spins}")
     if i == j:

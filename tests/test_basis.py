@@ -73,4 +73,9 @@ def test_out_of_range_arguments_rejected():
         ModelParams(4.0, 1.0)
     with pytest.raises(ParameterError):
         diagonalize_chain(4.0, 1.0)
+    with pytest.raises(ParameterError):
+        enumerate_sector(4.0, 2)
+    with pytest.raises(ParameterError):
+        enumerate_sector(4, 2.0)
     assert ModelParams(np.int64(4), 1.0).n_spins == 4
+    assert enumerate_sector(np.int64(4), np.int64(2)).dim == 6

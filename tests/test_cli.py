@@ -86,7 +86,7 @@ class TestGridCommand:
         from spinchain import scans
 
         real = scans.pair_features
-        monkeypatch.setattr(scans, "pair_features", lambda sp, i, j: 1.5 * real(sp, i, j))
+        monkeypatch.setattr(scans, "pair_features", lambda sp, pairs: 1.5 * real(sp, pairs))
         code = run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2", "--kt-range", "0.5:1:2",
                     "--sep", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1
@@ -194,7 +194,12 @@ class TestJsonCommands:
         assert run(["critical", "--n", "6", "--j", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["B_c_closed_form"] == 4.0
 
-    def test_invalid_model_parameters_exit_2(self):
+    def test_invalid_model_parameters_exit_2(self, tmp_path):
         assert run(["staircase", "--n", "20", "--j", "1"]) == 2
         assert run(["staircase", "--n", "6", "--j", "-1"]) == 2
         assert run(["elength", "--n", "6", "--j", "1", "--b", "-1", "--kt", "0.1"]) == 2
+        out = tmp_path / "x.csv"
+        grid = ["grid", "--n", "4", "--j", "1", "--b-range", "0:1:2", "--kt-range", "1:1:1", "--out", str(out)]
+        assert run(grid + ["--pair", "0,1", "--pair", "0,1"]) == 2
+        assert run(grid + ["--sep", "1", "--sep", "1"]) == 2
+        assert not out.exists()

@@ -202,8 +202,8 @@ class TestWState:
         st = magnetization_staircase(n, 1.0)
         b = (st.b_e + st.b_c_numeric) / 2
         sp = diagonalize_chain(n, 1.0)
-        energies = sp.sectors[1].values + b * sp.zeeman_slopes[1]
-        ground = sp.sectors[1].vectors[:, np.argmin(energies)]
+        energies = (sp.energies + b * sp.slopes)[1 : n + 1]  # sector n_up = 1 follows n_up = 0
+        ground = sp.blocks[1][1][:, np.argmin(energies)]
         assert np.allclose(np.abs(ground), 1 / np.sqrt(n), atol=1e-9)
         rho = pair_rdm(gibbs_weights(sp, b, 0.0), 0, 1)
         assert concurrence(rho).concurrence == pytest.approx(2 / n, abs=1e-9)

@@ -35,6 +35,15 @@ class TestScanGrid:
             ScanGrid(4, 1.0, np.array([-1.0, 0.5]), np.array([0.1]), ((0, 1),))
         with pytest.raises(ParameterError):
             ScanGrid(4, 1.0, np.array([0.0]), np.array([-0.1, 0.1]), ((0, 1),))
+        with pytest.raises(ParameterError):
+            ScanGrid(4, 1.0, np.array([0.0]), np.array([1.0]), ((0.0, 1.0),))
+        with pytest.raises(ParameterError, match="repeated"):
+            ScanGrid(4, 1.0, np.array([0.0]), np.array([1.0]), ((0, 1), (1, 0), (0, 1)))
+        with pytest.raises(ParameterError, match="repeated"):
+            ScanGrid.from_separations(4, 1.0, [0.0], [0.1], (1, 1))
+        # (0, 1) and (1, 0) are distinct pairs; numpy integer sites pass.
+        assert ScanGrid(4, 1.0, np.array([0.0]), np.array([1.0]), ((0, 1), (1, 0))).pairs == ((0, 1), (1, 0))
+        assert ScanGrid(4, 1.0, np.array([0.0]), np.array([1.0]), ((np.int64(0), np.int64(2)),)).pairs == ((0, 2),)
 
 
 class TestScanPairMeasures:
@@ -104,7 +113,7 @@ class TestScanPairMeasures:
         real = scans.weight_rows
 
         def spy(spectrum, b, kt):
-            shapes.append((len(b), spectrum.exchange_energies().size))
+            shapes.append((len(b), spectrum.energies.size))
             return real(spectrum, b, kt)
 
         monkeypatch.setattr(scans, "weight_rows", spy)
@@ -117,9 +126,9 @@ class TestScanPairMeasures:
         grid = ScanGrid(2, 1.0, np.array([0.0, 1.0]), np.array([0.5]), ((0, 1),))
         real = scans.pair_features
 
-        def corrupted(spectrum, i, j):
-            f = real(spectrum, i, j)
-            f[:, 4] *= 3.0  # coherence too large for a positive state
+        def corrupted(spectrum, pairs):
+            f = real(spectrum, pairs)
+            f[..., 4] *= 3.0  # coherence too large for a positive state
             return f
 
         monkeypatch.setattr(scans, "pair_features", corrupted)

@@ -37,21 +37,21 @@ SWAP = np.array(
 class TestDiagonalizeChain:
     def test_two_spin_sector_energies(self):
         sp = diagonalize_chain(2, 1.0)
-        assert np.allclose(sp.sectors[0].values, [2.0])
-        assert np.allclose(sp.sectors[1].values, [-6.0, 2.0])
-        assert np.allclose(sp.sectors[2].values, [2.0])
-        assert sp.zeeman_slopes == (-2, 0, 2)
+        # Sectors n_up = 0, 1, 2 in turn: [2.0], [-6.0, 2.0], [2.0].
+        assert np.allclose(sp.energies, [2.0, -6.0, 2.0, 2.0])
+        assert sp.slopes.tolist() == [-2, 0, 0, 2]
 
     def test_three_spin_sector_dimensions(self):
         sp = diagonalize_chain(3, 1.0)
-        assert [sec.dim for sec in sp.sectors] == [1, 3, 3, 1]
-        assert sp.exchange_energies().size == 8
+        assert [vectors.shape[1] for _states, vectors in sp.blocks] == [1, 3, 3, 1]
+        assert sp.energies.size == 8
 
     def test_six_spin_ground_energy_matches_dense_oracle(self):
         sp = diagonalize_chain(6, 1.0)
         dense = np.linalg.eigvalsh(dense_gibbs_oracle_hamiltonian())
-        assert sp.sectors[3].values[0] == pytest.approx(dense[0], abs=1e-9)
-        assert sp.sectors[3].values[0] == pytest.approx(-11.211, abs=1e-3)
+        sector_3_ground = sp.energies[sp.slopes == 0][0]  # n_up = 3, ascending
+        assert sector_3_ground == pytest.approx(dense[0], abs=1e-9)
+        assert sector_3_ground == pytest.approx(-11.211, abs=1e-3)
 
 
 def dense_gibbs_oracle_hamiltonian():
@@ -65,25 +65,23 @@ class TestGibbsWeights:
     def test_ferromagnet_zero_temperature_is_triplet_mixture(self):
         sp = diagonalize_chain(2, -1.0)
         ens = gibbs_weights(sp, 0.0, 0.0)
-        flat = np.concatenate(ens.weights)
         # triplet states: all-down, symmetric one-up combo, all-up
-        assert np.allclose(sorted(flat), [0.0, 1 / 3, 1 / 3, 1 / 3])
+        assert np.allclose(sorted(ens.weights), [0.0, 1 / 3, 1 / 3, 1 / 3])
 
     def test_antiferromagnet_zero_temperature_is_pure_singlet(self):
         sp = diagonalize_chain(2, 1.0)
         ens = gibbs_weights(sp, 0.0, 0.0)
-        assert np.allclose(np.concatenate(ens.weights), [0.0, 1.0, 0.0, 0.0])
+        assert np.allclose(ens.weights, [0.0, 1.0, 0.0, 0.0])
 
     def test_singlet_weight_at_unit_temperature(self):
         sp = diagonalize_chain(2, 1.0)
         ens = gibbs_weights(sp, 0.0, 1.0)
-        assert ens.weights[1][0] == pytest.approx(np.exp(8) / (np.exp(8) + 3), abs=1e-12)
+        assert ens.weights[1] == pytest.approx(np.exp(8) / (np.exp(8) + 3), abs=1e-12)
 
     def test_crossing_point_mixes_both_ground_states(self):
         sp = diagonalize_chain(2, 1.0)
         ens = gibbs_weights(sp, 4.0, 0.0)  # B_c: singlet and |00> degenerate
-        flat = np.concatenate(ens.weights)
-        assert np.allclose(sorted(flat), [0.0, 0.0, 0.5, 0.5])
+        assert np.allclose(sorted(ens.weights), [0.0, 0.0, 0.5, 0.5])
 
     @pytest.mark.parametrize("b,kt", [(-1.0, 1.0), (1.0, -0.5), (np.nan, 1.0), (1.0, np.inf)])
     def test_rejects_point_outside_domain(self, b, kt):
@@ -101,13 +99,13 @@ class TestGibbsWeights:
         ids=["degenerate", "hot", "cold", "unit"],
     )
     def test_two_spin_weight_limits(self, coupling, kt, expected, tol):
-        flat = np.concatenate(gibbs_weights(diagonalize_chain(2, coupling), 0.0, kt).weights)
+        flat = gibbs_weights(diagonalize_chain(2, coupling), 0.0, kt).weights
         assert np.abs(flat - expected).max() <= tol
 
     def test_weights_form_simplex(self):
         sp = diagonalize_chain(5, 1.0)
         for b, kt in [(0.0, 0.3), (3.0, 2.0), (6.0, 10.0)]:
-            flat = np.concatenate(gibbs_weights(sp, b, kt).weights)
+            flat = gibbs_weights(sp, b, kt).weights
             assert flat.min() >= 0
             assert flat.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -159,21 +157,43 @@ class TestPairRdm:
                     want = dense_pair_rdm(dense_rho, n, 0, d)
                     assert np.abs(got - want).max() < 1e-9
 
+    # Ring states for the symmetry tests: odd and even N, both signs of J,
+    # and kT = 0 (where the ground manifold must be mixed as a whole).
+    SYMMETRY_CASES = [
+        (6, 1.0, 3.5, 0.4),
+        (5, 1.0, 1.0, 0.7),
+        (3, 1.0, 0.5, 0.0),
+        (4, 1.0, 0.0, 0.0),
+        (7, 1.0, 3.7, 0.0),
+        (8, 1.0, 2.0, 0.0),
+        (5, -1.0, 0.0, 0.0),
+        (8, -1.0, 0.3, 0.5),
+        (7, -1.0, 1.0, 0.0),
+    ]
+
     def test_translation_invariance(self):
-        sp = diagonalize_chain(6, 1.0)
-        ens = gibbs_weights(sp, 3.5, 0.4)
-        for d in (1, 2, 3):
-            ref = pair_rdm(ens, 0, d).matrix
-            for i in range(1, 6):
-                other = pair_rdm(ens, i, (i + d) % 6).matrix
-                assert np.abs(other - ref).max() < 1e-10
+        for n, j, b, kt in self.SYMMETRY_CASES:
+            ens = gibbs_weights(diagonalize_chain(n, j), b, kt)
+            for d in range(1, n // 2 + 1):
+                ref = pair_rdm(ens, 0, d).matrix
+                for i in range(1, n):
+                    other = pair_rdm(ens, i, (i + d) % n).matrix
+                    assert np.abs(other - ref).max() < 1e-10, (n, j, b, kt, i, d)
 
     def test_reflection_invariance(self):
-        sp = diagonalize_chain(5, 1.0)
-        ens = gibbs_weights(sp, 1.0, 0.7)
-        rho_ij = pair_rdm(ens, 1, 3).matrix
-        rho_ji = pair_rdm(ens, 3, 1).matrix
-        assert np.abs(rho_ij - SWAP @ rho_ji @ SWAP).max() < 1e-12
+        for n, j, b, kt in self.SYMMETRY_CASES:
+            ens = gibbs_weights(diagonalize_chain(n, j), b, kt)
+            for i in range(n):
+                for k in range(n):
+                    if i == k:
+                        continue
+                    rho_ik = pair_rdm(ens, i, k).matrix
+                    # Swapping the two sites swaps the tensor slots ...
+                    rho_ki = pair_rdm(ens, k, i).matrix
+                    assert np.abs(rho_ik - SWAP @ rho_ki @ SWAP).max() < 1e-12, (n, j, b, kt, i, k)
+                    # ... and mirroring the ring (site s -> -s) leaves the state unchanged.
+                    rho_mirror = pair_rdm(ens, -i % n, -k % n).matrix
+                    assert np.abs(rho_ik - rho_mirror).max() < 1e-10, (n, j, b, kt, i, k)
 
     def test_low_temperature_matches_dense_oracle(self):
         # At kT=0.05 nearly every weight underflows; the full weighted sum
@@ -196,6 +216,11 @@ class TestPairRdm:
             pair_rdm(ens, 2, 2)
         with pytest.raises(ParameterError):
             pair_rdm(ens, 0, 4)
+        with pytest.raises(ParameterError, match="integers"):
+            pair_rdm(ens, 0.0, 1.0)
+        with pytest.raises(ParameterError, match="integers"):
+            pair_rdm(ens, 0, 1.5)
+        assert pair_rdm(ens, np.int64(0), np.int64(1)).sites == (0, 1)
 
 
 class TestPureStatePairRdm:
