@@ -189,9 +189,10 @@ def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
     if coupling <= 0:
         raise ParameterError("magnetization staircase requires antiferromagnetic J > 0")
     params = ModelParams(n_spins=n_spins, coupling=coupling)
-    eps = np.array(
-        [sector_exchange_eigenvalues(params, k)[0] for k in range(n_spins + 1)]
-    )
+    # Flipping every spin maps sector k onto sector N - k, so eps is symmetric.
+    eps = np.empty(n_spins + 1)
+    for k in range(n_spins // 2 + 1):
+        eps[k] = eps[n_spins - k] = sector_exchange_eigenvalues(params, k)[0]
     # Ground sector just above B=0: smallest energy, ties broken toward
     # the smaller slope (smaller n_up), which wins for B > 0.
     near = np.flatnonzero(eps <= eps.min() + DEGENERACY_TOL * max(1.0, abs(eps.min())))

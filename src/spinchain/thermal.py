@@ -32,9 +32,18 @@ class ChainSpectrum:
 
     `energies` and `slopes` hold each eigenstate's exchange energy and its
     Zeeman slope 2*n_up - N, so its energy at field B is
-    energies + B * slopes. `blocks` holds one (basis states, eigenvector
-    columns) pair per magnetization sector, n_up = 0..N; the blocks' columns,
-    in turn, are the eigenstates of the flat table.
+    energies + B * slopes. Rows are grouped by magnetization sector,
+    n_up = 0..N, and ascend in energy within each sector. `blocks` holds one
+    entry per sector, in the same order, whose columns are the sector's rows
+    of the flat table:
+
+    * n_up < N/2: (basis states, eigenvector columns) from `eigh`;
+    * n_up > N/2: (basis states, the eigenvectors of sector N - n_up with
+      their rows reversed), a view, because flipping every spin maps sector
+      N - n_up onto this one and reverses the ascending basis;
+    * n_up = N/2 (even N): (basis states, u, parity). Flipping every spin
+      maps basis row r to row D-1-r, so eigenvector c is
+      (u[:, c], parity[c] * u[::-1, c]) / sqrt(2) over the D basis rows.
     """
 
     n_spins: int
@@ -89,15 +98,30 @@ class PairDensityMatrix:
 
 
 def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
-    """Diagonalize every magnetization sector of the exchange Hamiltonian."""
+    """Diagonalize the exchange Hamiltonian, blocked by sector and spin flip.
+
+    The exchange Hamiltonian commutes with the global spin flip, which maps
+    sector k onto sector N - k. So `eigh` runs only on the sectors
+    n_up < N/2 and, for even N, on the flip-even and flip-odd blocks
+    H+- = H[m, m] +- H[m, flip(m)] of the middle sector, where m is the
+    first half of its ascending basis and flip(m) the second half reversed.
+    Sector N - k takes sector k's energies exactly and the negated Zeeman
+    slope.
+    """
     params = ModelParams(n_spins=n_spins, coupling=coupling)
-    energies, slopes, blocks = [], [], []
-    for n_up in range(n_spins + 1):
+    energies, blocks = [None] * (n_spins + 1), [None] * (n_spins + 1)
+    # Largest sector first, while no vectors are kept yet: its `eigh`
+    # workspace sets the peak memory.
+    for n_up in reversed(range((n_spins + 1) // 2)):
         sh = build_sector_hamiltonian(params, n_up)
         values, vectors = eigh_symmetric(sh.matrix)
-        energies.append(values)
-        slopes.append(np.full(values.size, zeeman_eigenvalue(n_spins, n_up)))
-        blocks.append((sh.basis.states, vectors))
+        mirror_states = (((1 << n_spins) - 1) ^ sh.basis.states)[::-1]
+        energies[n_up] = energies[n_spins - n_up] = values
+        blocks[n_up] = (sh.basis.states, vectors)
+        blocks[n_spins - n_up] = (mirror_states, vectors[::-1])
+    if n_spins % 2 == 0:
+        energies[n_spins // 2], blocks[n_spins // 2] = _diagonalize_middle(params)
+    slopes = [np.full(e.size, zeeman_eigenvalue(n_spins, n_up)) for n_up, e in enumerate(energies)]
     return ChainSpectrum(
         n_spins=n_spins,
         coupling=coupling,
@@ -105,6 +129,28 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
         slopes=np.concatenate(slopes),
         blocks=tuple(blocks),
     )
+
+
+def _diagonalize_middle(params: ModelParams):
+    """Energies (ascending) and (states, u, parity) block of the even-N middle sector."""
+    states, plus, minus = _flip_parity_blocks(params)
+    values_p, u_p = eigh_symmetric(plus)
+    values_m, u_m = eigh_symmetric(minus)
+    # Stable, so a tie keeps the flip-even state first.
+    order = np.argsort(np.concatenate([values_p, values_m]), kind="stable")
+    parity = np.repeat([1.0, -1.0], values_p.size)[order]
+    # C order keeps the row gathers of `_middle_features` fast.
+    u = np.ascontiguousarray(np.hstack([u_p, u_m])[:, order])
+    return np.concatenate([values_p, values_m])[order], (states, u, parity)
+
+
+def _flip_parity_blocks(params: ModelParams):
+    """Middle-sector basis and its blocks H[m, m] +- H[m, flip(m)]; the dense
+    sector matrix is freed on return."""
+    sh = build_sector_hamiltonian(params, params.n_spins // 2)
+    half = sh.basis.dim // 2
+    near, far = sh.matrix[:half, :half], sh.matrix[:half, ::-1][:, :half]
+    return sh.basis.states, near + far, near - far
 
 
 def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray):
@@ -152,21 +198,64 @@ def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
     populations p00, p01, p10, p11 (first slot site i, |0> = spin down) and
     the coherence z = <01|rho|10>. A real eigenstate of total S_z has no
     other nonzero pair-RDM entry.
+
+    Features are computed from the vectors of the sectors n_up < N/2 and
+    from u and the (m, flip(m)) row map of the even-N middle sector.
+    Flipping every spin swaps the pair labels 00 <-> 11 and 01 <-> 10 and
+    keeps z, so sector N - k's rows are sector k's with p00 <-> p11 and
+    p01 <-> p10 swapped.
     """
     for i, j in pairs:
         _check_pair(spectrum.n_spins, i, j)
+    n = spectrum.n_spins
     out = np.empty((spectrum.energies.size, len(pairs), 5))
-    start = 0
-    for states, v in spectrum.blocks:
-        f = out[start : start + v.shape[1]]
-        start += v.shape[1]
-        probs = v * v
-        for p, (i, j) in enumerate(pairs):
-            ab = _pair_labels(states, i, j)
-            f[:, p, :4] = ((ab == np.arange(4)[:, None]) @ probs).T
-            rows01, rows10 = exchange_partners(states, i, j)
-            f[:, p, 4] = np.einsum("sk,sk->k", v[rows01], v[rows10])
+    starts = np.cumsum([0] + [block[1].shape[1] for block in spectrum.blocks])
+    for n_up, block in enumerate(spectrum.blocks):
+        rows = slice(starts[n_up], starts[n_up + 1])
+        if 2 * n_up < n:
+            out[rows] = _sector_features(*block, pairs)
+        elif 2 * n_up == n:
+            out[rows] = _middle_features(*block, pairs)
+        else:
+            out[rows] = out[starts[n - n_up] : starts[n - n_up + 1], :, [3, 2, 1, 0, 4]]
     return out
+
+
+def _sector_features(states: np.ndarray, v: np.ndarray, pairs) -> np.ndarray:
+    """Features (eigenstates, pairs, 5) of eigenvector columns v over a sector basis."""
+    f = np.empty((v.shape[1], len(pairs), 5))
+    probs = v * v
+    for p, (i, j) in enumerate(pairs):
+        ab = _pair_labels(states, i, j)
+        f[:, p, :4] = ((ab == np.arange(4)[:, None]) @ probs).T
+        rows01, rows10 = exchange_partners(states, i, j)
+        f[:, p, 4] = np.einsum("sk,sk->k", v[rows01], v[rows10])
+    return f
+
+
+def _middle_features(states: np.ndarray, u: np.ndarray, parity: np.ndarray, pairs) -> np.ndarray:
+    """Features of the middle-sector eigenvectors (u, parity * u[::-1]) / sqrt(2).
+
+    Basis row r < D/2 and row D-1-r both read u's row r; the latter is the
+    flipped pattern, whose pair label is 3 - ab.
+    """
+    f = np.empty((u.shape[1], len(pairs), 5))
+    half = u.shape[0]
+    probs = u * u
+    u_row = np.concatenate([np.arange(half), np.arange(half)[::-1]])
+    flipped = np.arange(2 * half) >= half
+    for p, (i, j) in enumerate(pairs):
+        ab = _pair_labels(states[:half], i, j)
+        counts = (ab == np.arange(4)[:, None]) @ probs
+        f[:, p, :4] = 0.5 * (counts + counts[::-1]).T
+        rows01, rows10 = exchange_partners(states, i, j)
+        a, b = u_row[rows01], u_row[rows10]
+        # A partner pair with one row in each half picks up the parity.
+        cross = flipped[rows01] != flipped[rows10]
+        same = np.einsum("sk,sk->k", u[a[~cross]], u[b[~cross]])
+        mixed = np.einsum("sk,sk->k", u[a[cross]], u[b[cross]])
+        f[:, p, 4] = 0.5 * (same + parity * mixed)
+    return f
 
 
 def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:

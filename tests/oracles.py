@@ -4,15 +4,28 @@ These deliberately take a different path from the package: the full
 2^N x 2^N Hamiltonian is assembled by Kronecker products of Pauli
 matrices, the Gibbs state is formed explicitly, and partial traces are
 explicit index sums. Keep N <= 6 here.
+
+`all_sector_spectrum` is the package's sector path without the spin-flip
+symmetry: one `eigh` on every magnetization sector. It is the reference
+for the flip-blocked spectrum and reaches larger N.
 """
 
 import numpy as np
+
+from spinchain.basis import ModelParams, zeeman_eigenvalue
+from spinchain.hamiltonian import build_sector_hamiltonian
+from spinchain.thermal import ChainSpectrum, _sector_features
 
 # Same basis convention as the package: |0> = down, site i = bit i.
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 ID = np.eye(2, dtype=complex)
+
+# Relative eigenvalue gap below which `dense_gibbs_state` treats levels as
+# one cluster: far wider than the 1e-9 kT = 0 window, so that roundoff
+# mixing across a wider gap stays well below the tests' 1e-10 bounds.
+CLUSTER_TOL = 1e-4
 
 
 def site_operator(op, site, n):
@@ -39,9 +52,22 @@ def dense_gibbs_state(n, j, b, kt):
     """rho = exp(-H/kT)/Z via full eigendecomposition.
 
     kT = 0 gives the uniform mixture of the eigenvectors within 1e-9
-    (relative) of the ground energy.
+    (relative) of the ground energy. Roundoff lets the dense `eigh` mix
+    S_z sectors inside a cluster of nearly equal eigenvalues (relative gaps
+    below CLUSTER_TOL), so within each cluster the eigenvectors are
+    rotated onto total S_z eigenvectors, and H is diagonalized again
+    within each S_z value, before any weight is formed.
     """
-    vals, vecs = np.linalg.eigh(dense_hamiltonian(n, j, b))
+    h = dense_hamiltonian(n, j, b)
+    sz = sum(site_operator(SZ, site, n) for site in range(n))
+    vals, vecs = np.linalg.eigh(h)
+    gaps = np.diff(vals) > CLUSTER_TOL * np.maximum(1.0, np.abs(vals[1:]))
+    for cluster in np.split(np.arange(vals.size), np.flatnonzero(gaps) + 1):
+        m, r = np.linalg.eigh(vecs[:, cluster].conj().T @ sz @ vecs[:, cluster])
+        v = vecs[:, cluster] @ r
+        for part in np.split(np.arange(cluster.size), np.flatnonzero(np.diff(m) > 1.0) + 1):
+            e, s = np.linalg.eigh(v[:, part].conj().T @ h @ v[:, part])
+            vals[cluster[part]], vecs[:, cluster[part]] = e, v[:, part] @ s
     shifted = vals - vals.min()
     if kt == 0:
         w = (shifted <= 1e-9 * max(1.0, abs(vals.min()))).astype(float)
@@ -70,3 +96,24 @@ def dense_pair_rdm(rho, n, i, j):
                         tot += rho[s, t]
                     out[2 * a + b, 2 * c + d] = tot
     return out
+
+
+def all_sector_spectrum(n, j):
+    """Reference ChainSpectrum from one dense `eigh` per magnetization
+    sector n_up = 0..N, with no spin-flip blocking; every block is
+    (basis states, eigenvector columns). Read it with `all_sector_features`."""
+    params = ModelParams(n, j)
+    energies, slopes, blocks = [], [], []
+    for n_up in range(n + 1):
+        sh = build_sector_hamiltonian(params, n_up)
+        values, vectors = np.linalg.eigh(sh.matrix)
+        energies.append(values)
+        slopes.append(np.full(values.size, zeeman_eigenvalue(n, n_up)))
+        blocks.append((sh.basis.states, vectors))
+    return ChainSpectrum(n, j, np.concatenate(energies), np.concatenate(slopes), tuple(blocks))
+
+
+def all_sector_features(spectrum, pairs):
+    """Pair features (eigenstates, pairs, 5) of an `all_sector_spectrum`,
+    each sector's straight from its own eigenvectors."""
+    return np.concatenate([_sector_features(states, v, pairs) for states, v in spectrum.blocks])

@@ -153,6 +153,14 @@ class TestStaircase:
         st = magnetization_staircase(n, 1.0)
         assert abs(st.b_c_numeric - critical_field_closed_form(n, 1.0)) < 1e-9
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_sector_ground_energies_mirror_and_match_spectrum(self, n):
+        eps = magnetization_staircase(n, 1.0).sector_ground_energies
+        assert np.array_equal(eps, eps[::-1])  # sector N - k is sector k flipped
+        sp = diagonalize_chain(n, 1.0)
+        lowest = [sp.energies[sp.slopes == 2 * k - n].min() for k in range(n + 1)]
+        assert np.abs(eps - lowest).max() < 1e-12
+
     def test_crossings_strictly_increasing_and_ordered(self):
         st = magnetization_staircase(10, 1.0)
         b_vals = [c.b_value for c in st.crossings]

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    ModelParams,
     ParameterError,
     StateValidityError,
+    build_sector_hamiltonian,
     diagonalize_chain,
     enumerate_sector,
     gibbs_weights,
+    magnetization_staircase,
     pair_rdm,
     project_remaining_down,
     pure_state_pair_rdm,
     w_state,
 )
-from oracles import dense_gibbs_state, dense_pair_rdm
+from spinchain.thermal import pair_features, weight_rows
+from oracles import all_sector_features, all_sector_spectrum, dense_gibbs_state, dense_pair_rdm
 
 SINGLET_RHO = np.array(
     [
@@ -52,6 +56,65 @@ class TestDiagonalizeChain:
         sector_3_ground = sp.energies[sp.slopes == 0][0]  # n_up = 3, ascending
         assert sector_3_ground == pytest.approx(dense[0], abs=1e-9)
         assert sector_3_ground == pytest.approx(-11.211, abs=1e-3)
+
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_flipped_sectors_mirror_exactly(self, n):
+        sp = diagonalize_chain(n, 0.7)
+        rows = sector_rows(sp)
+        pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
+        f = pair_features(sp, pairs)
+        for n_up in range(n + 1):
+            assert np.all(np.diff(sp.energies[rows[n_up]]) >= 0), n_up
+            assert np.all(sp.slopes[rows[n_up]] == 2 * n_up - n)
+        for k in range((n + 1) // 2):
+            mine, mirror = rows[k], rows[n - k]
+            assert np.array_equal(sp.energies[mirror], sp.energies[mine])
+            assert np.array_equal(sp.slopes[mirror], -sp.slopes[mine])
+            assert np.array_equal(f[mirror], f[mine][:, :, [3, 2, 1, 0, 4]])
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_blocks_hold_orthonormal_eigenvectors(self, n):
+        sp = diagonalize_chain(n, -1.3)
+        rows = sector_rows(sp)
+        for n_up, block in enumerate(sp.blocks):
+            v = block_vectors(block)
+            h = build_sector_hamiltonian(ModelParams(n, -1.3), n_up)
+            assert np.array_equal(block[0], h.basis.states)
+            assert np.abs(v.T @ v - np.eye(v.shape[1])).max() < 1e-12
+            assert np.abs(h.matrix @ v - v * sp.energies[rows[n_up]]).max() < 1e-12
+
+    @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_pair_states_match_all_sector_path(self, n, j):
+        # One eigh per sector, without the spin flip, must give the same
+        # W @ F pair states for every ordered pair, at kT = 0 too. For J > 0
+        # the B values include the staircase crossings, where the kT = 0
+        # ground manifold spans two sectors.
+        sp, ref = diagonalize_chain(n, j), all_sector_spectrum(n, j)
+        pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
+        b_values = [0.0, 0.3, 1.7, 4.5]
+        if j > 0:
+            b_values += [c.b_value for c in magnetization_staircase(n, j).crossings]
+        b = np.repeat(b_values, 3)
+        kt = np.tile([0.0, 0.05, 1.0], len(b_values))
+        got = weight_rows(sp, b, kt)[0] @ pair_features(sp, pairs).transpose(1, 0, 2)
+        want = weight_rows(ref, b, kt)[0] @ all_sector_features(ref, pairs).transpose(1, 0, 2)
+        assert np.abs(got - want).max() < 1e-12
+
+
+def sector_rows(spectrum):
+    """Slice of the flat eigen-table held by each sector n_up = 0..N."""
+    ends = np.cumsum([block[1].shape[1] for block in spectrum.blocks])
+    return [slice(end - block[1].shape[1], end) for block, end in zip(spectrum.blocks, ends)]
+
+
+def block_vectors(block):
+    """Eigenvector columns of one `blocks` entry, over its sector basis."""
+    if len(block) == 2:
+        return block[1]
+    _states, u, parity = block
+    return np.vstack([u, parity * u[::-1]]) / np.sqrt(2.0)
 
 
 def dense_gibbs_oracle_hamiltonian():
