@@ -19,7 +19,6 @@ from .hamiltonian import (
     build_sector_hamiltonian,
     critical_field_closed_form,
     critical_temperature_two_qubit,
-    full_eigenvalues,
 )
 from .measures import (
     ConcurrenceResult,
@@ -72,7 +71,6 @@ __all__ = [
     "MeasurementError",
     "SectorHamiltonian",
     "build_sector_hamiltonian",
-    "full_eigenvalues",
     "critical_field_closed_form",
     "critical_temperature_two_qubit",
     "eigh_symmetric",

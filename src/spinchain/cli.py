@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, SpinChainError
+from .errors import NumericError, ParameterError, SpinChainError
 from .hamiltonian import critical_field_closed_form
 from .scans import (
     FIGURE_IDS,
@@ -71,13 +72,27 @@ def _parse_range(spec: str, name: str):
         raise argparse.ArgumentTypeError(f"{name}: could not parse {spec!r}")
     if steps < 1:
         raise argparse.ArgumentTypeError(f"{name}: STEPS must be >= 1")
+    if geometric and lo <= 0:
+        raise argparse.ArgumentTypeError(f"{name}: geometric range requires MIN > 0")
     if steps == 1:
         return np.array([lo])
     if geometric:
-        if lo <= 0:
-            raise argparse.ArgumentTypeError(f"{name}: geometric range requires MIN > 0")
         return np.geomspace(lo, hi, steps)
     return np.linspace(lo, hi, steps)
+
+
+def check_threads_env():
+    """Reject a SPINCHAIN_THREADS value that is not a positive integer.
+
+    Kept for compatibility; the variable has no effect.
+    """
+    raw = os.environ.get("SPINCHAIN_THREADS", "1")
+    try:
+        valid = int(raw) >= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ParameterError(f"SPINCHAIN_THREADS must be a positive integer, got {raw!r}")
 
 
 def _parse_pair(spec: str):
@@ -319,6 +334,7 @@ def main(argv=None) -> int:
     if hasattr(args, "config"):
         _apply_config(args, parser)
     try:
+        check_threads_env()
         return _COMMANDS[args.command](args, parser)
     except NumericError as exc:
         print(f"spinchain: numeric error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, SectorBasis, enumerate_sector, exchange_partners, zeeman_eigenvalue
+from .basis import ModelParams, SectorBasis, enumerate_sector, exchange_partners
 from .errors import ParameterError
 
 
@@ -49,25 +49,6 @@ def build_sector_hamiltonian(params: ModelParams, n_up: int) -> SectorHamiltonia
     return SectorHamiltonian(basis=basis, matrix=h)
 
 
-def sector_exchange_eigenvalues(params: ModelParams, n_up: int) -> np.ndarray:
-    """Eigenvalues only (ascending) of one sector's exchange matrix."""
-    return np.linalg.eigvalsh(build_sector_hamiltonian(params, n_up).matrix)
-
-
-def full_eigenvalues(params: ModelParams):
-    """All 2^N eigenvalues of H with their sector labels, ascending in energy.
-
-    Assembled sector by sector as exchange eigenvalue + B*(2*n_up - N).
-    """
-    out = []
-    for n_up in range(params.n_spins + 1):
-        shift = params.field * zeeman_eigenvalue(params.n_spins, n_up)
-        for e in sector_exchange_eigenvalues(params, n_up):
-            out.append((float(e + shift), n_up))
-    out.sort()
-    return out
-
-
 def critical_field_closed_form(n_spins: int, coupling: float) -> float:
     """Field beyond which |00...0> is the T=0 ground state (antiferromagnet).
 
@@ -75,7 +56,7 @@ def critical_field_closed_form(n_spins: int, coupling: float) -> float:
     """
     if n_spins < 2:
         raise ParameterError(f"n_spins must be >= 2, got {n_spins}")
-    if coupling <= 0:
+    if not coupling > 0:
         raise ParameterError("critical field formula requires antiferromagnetic J > 0")
     if n_spins % 2 == 0:
         return 4.0 * coupling
@@ -84,6 +65,6 @@ def critical_field_closed_form(n_spins: int, coupling: float) -> float:
 
 def critical_temperature_two_qubit(coupling: float) -> float:
     """Temperature 8J/ln(3) above which the two-qubit ring is disentangled."""
-    if coupling <= 0:
+    if not coupling > 0:
         raise ParameterError("critical temperature requires antiferromagnetic J > 0")
     return 8.0 * coupling / math.log(3.0)

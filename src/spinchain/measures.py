@@ -54,6 +54,8 @@ def _as_matrix(rho) -> np.ndarray:
     m = np.asarray(rho, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ParameterError(f"expected a 4x4 pair state, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ParameterError("pair state has a non-finite entry")
     return m
 
 
@@ -80,7 +82,7 @@ def concurrence(rho) -> ConcurrenceResult:
 
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation E = h((1 + sqrt(1 - C^2))/2), in ebits."""
-    if c < -1e-12 or c > 1.0 + 1e-12:
+    if not -1e-12 <= c <= 1.0 + 1e-12:
         raise DomainError(f"concurrence {c} outside [0, 1]")
     c = min(max(c, 0.0), 1.0)
     return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
@@ -93,7 +95,7 @@ def analytic_two_qubit_concurrence(coupling: float, b_field: float, kt: float) -
     C = (e^{8J/kT} - 3) / (1 + e^{-2B/kT} + e^{2B/kT} + e^{8J/kT}).
     Evaluated with all exponents shifted non-positive to avoid overflow.
     """
-    if kt <= 0:
+    if not kt > 0:
         raise DomainError("analytic concurrence requires kT > 0; use the numeric T=0 path")
     if 8.0 * coupling / kt <= math.log(3.0):
         return 0.0
@@ -201,6 +203,6 @@ def project_remaining_down(state, i: int, j: int):
     _check_pair(n, i, j)
     amps = np.array([psi[(a << i) | (b << j)] for a in (0, 1) for b in (0, 1)])
     prob = float(np.vdot(amps, amps).real)
-    if prob <= 1e-30:
-        raise MeasurementError("all-others-down outcome has zero probability")
+    if not prob > 1e-30:
+        raise MeasurementError(f"all-others-down outcome has probability {prob}, not above 1e-30")
     return amps / math.sqrt(prob), prob

@@ -10,19 +10,18 @@ B-major, then kT, then pair.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import ModelParams
 from .errors import NumericError, ParameterError
-from .hamiltonian import sector_exchange_eigenvalues
 from .measures import x_state_eigenvalues, x_state_measures
 from .thermal import (
     DEGENERACY_TOL,
     ChainSpectrum,
     _check_pair,
+    _flip_blocks,
     _separation,
     diagonalize_chain,
     pair_features,
@@ -45,20 +44,6 @@ FIGURE_IDS = (1, 2, 3, 4, 5)
 
 _DEFAULT_B_GRID = np.linspace(0.0, 6.0, 121)  # step 0.05
 _DEFAULT_KT_GRID = np.geomspace(0.01, 10.0, 120)
-
-
-def check_threads_env():
-    """Reject a SPINCHAIN_THREADS value that is not a positive integer.
-
-    Kept for compatibility; the variable has no effect.
-    """
-    raw = os.environ.get("SPINCHAIN_THREADS", "1")
-    try:
-        valid = int(raw) >= 1
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ParameterError(f"SPINCHAIN_THREADS must be a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +99,6 @@ def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) ->
     that of the grid's (N, J). Raises NumericError naming the first (B, kT)
     point whose pair state fails the health check.
     """
-    check_threads_env()
     if spectrum is None:
         spectrum = diagonalize_chain(grid.n_spins, grid.coupling)
     elif (spectrum.n_spins, spectrum.coupling) != (grid.n_spins, grid.coupling):
@@ -184,15 +168,15 @@ def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
 
     Within a sector the ground energy is eps_k + B(2k - N), linear in B,
     so consecutive crossings are intersections of straight lines and the
-    staircase is the lower envelope of those lines.
+    staircase is the lower envelope of those lines. eps_k is the lowest
+    `eigvalsh` value on the blocks of `diagonalize_chain` (both flip halves
+    for k = N/2), and eps_{N-k} = eps_k by the global spin flip.
     """
     if coupling <= 0:
         raise ParameterError("magnetization staircase requires antiferromagnetic J > 0")
-    params = ModelParams(n_spins=n_spins, coupling=coupling)
-    # Flipping every spin maps sector k onto sector N - k, so eps is symmetric.
-    eps = np.empty(n_spins + 1)
-    for k in range(n_spins // 2 + 1):
-        eps[k] = eps[n_spins - k] = sector_exchange_eigenvalues(params, k)[0]
+    eps = np.full(n_spins + 1, np.inf)
+    for k, _, matrix in _flip_blocks(ModelParams(n_spins=n_spins, coupling=coupling)):
+        eps[k] = eps[n_spins - k] = min(eps[k], np.linalg.eigvalsh(matrix)[0])
     # Ground sector just above B=0: smallest energy, ties broken toward
     # the smaller slope (smaller n_up), which wins for B > 0.
     near = np.flatnonzero(eps <= eps.min() + DEGENERACY_TOL * max(1.0, abs(eps.min())))

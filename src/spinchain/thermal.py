@@ -87,10 +87,10 @@ class PairDensityMatrix:
         m = self.matrix
         if m.shape != (4, 4):
             raise StateValidityError(f"pair state must be 4x4, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-12:
+        if not np.abs(m - m.conj().T).max() <= 1e-12:
             raise StateValidityError("pair state is not Hermitian within 1e-12")
         tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise StateValidityError(f"pair state trace {tr} deviates from 1 beyond 1e-10")
         if np.linalg.eigvalsh(m).min() < -1e-10:
             raise StateValidityError("pair state has eigenvalue below -1e-10")
@@ -100,27 +100,25 @@ class PairDensityMatrix:
 def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     """Diagonalize the exchange Hamiltonian, blocked by sector and spin flip.
 
-    The exchange Hamiltonian commutes with the global spin flip, which maps
-    sector k onto sector N - k. So `eigh` runs only on the sectors
-    n_up < N/2 and, for even N, on the flip-even and flip-odd blocks
-    H+- = H[m, m] +- H[m, flip(m)] of the middle sector, where m is the
-    first half of its ascending basis and flip(m) the second half reversed.
-    Sector N - k takes sector k's energies exactly and the negated Zeeman
-    slope.
+    `eigh` runs on each block of `_flip_blocks`: the sectors n_up < N/2
+    and, for even N, the flip-even and flip-odd halves of the middle
+    sector. Flipping every spin maps sector k onto sector N - k, so sector
+    N - k takes sector k's energies exactly and the negated Zeeman slope.
     """
     params = ModelParams(n_spins=n_spins, coupling=coupling)
     energies, blocks = [None] * (n_spins + 1), [None] * (n_spins + 1)
-    # Largest sector first, while no vectors are kept yet: its `eigh`
-    # workspace sets the peak memory.
-    for n_up in reversed(range((n_spins + 1) // 2)):
-        sh = build_sector_hamiltonian(params, n_up)
-        values, vectors = eigh_symmetric(sh.matrix)
-        mirror_states = (((1 << n_spins) - 1) ^ sh.basis.states)[::-1]
+    middle = []
+    for n_up, states, matrix in _flip_blocks(params):
+        values, vectors = eigh_symmetric(matrix)
+        if 2 * n_up == n_spins:
+            middle.append((states, values, vectors))
+            continue
+        mirror_states = (((1 << n_spins) - 1) ^ states)[::-1]
         energies[n_up] = energies[n_spins - n_up] = values
-        blocks[n_up] = (sh.basis.states, vectors)
+        blocks[n_up] = (states, vectors)
         blocks[n_spins - n_up] = (mirror_states, vectors[::-1])
-    if n_spins % 2 == 0:
-        energies[n_spins // 2], blocks[n_spins // 2] = _diagonalize_middle(params)
+    if middle:
+        energies[n_spins // 2], blocks[n_spins // 2] = _merge_middle(*middle)
     slopes = [np.full(e.size, zeeman_eigenvalue(n_spins, n_up)) for n_up, e in enumerate(energies)]
     return ChainSpectrum(
         n_spins=n_spins,
@@ -131,11 +129,25 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     )
 
 
-def _diagonalize_middle(params: ModelParams):
-    """Energies (ascending) and (states, u, parity) block of the even-N middle sector."""
-    states, plus, minus = _flip_parity_blocks(params)
-    values_p, u_p = eigh_symmetric(plus)
-    values_m, u_m = eigh_symmetric(minus)
+def _flip_blocks(params: ModelParams):
+    """Yield (n_up, basis states, matrix) for every block a ring's eigensolves
+    need: each sector n_up < N/2, largest first (so the biggest solve runs
+    before any eigenvectors are kept), then for even N the two halves from
+    `_flip_parity_blocks`, each with the full middle-sector basis."""
+    n = params.n_spins
+    for n_up in reversed(range((n + 1) // 2)):
+        sh = build_sector_hamiltonian(params, n_up)
+        yield n_up, sh.basis.states, sh.matrix
+    if n % 2 == 0:
+        states, plus, minus = _flip_parity_blocks(params)
+        yield n // 2, states, plus
+        yield n // 2, states, minus
+
+
+def _merge_middle(even, odd):
+    """Energies (ascending) and (states, u, parity) block of the even-N middle
+    sector from the (states, values, vectors) of its flip-even and flip-odd halves."""
+    (states, values_p, u_p), (_, values_m, u_m) = even, odd
     # Stable, so a tie keeps the flip-even state first.
     order = np.argsort(np.concatenate([values_p, values_m]), kind="stable")
     parity = np.repeat([1.0, -1.0], values_p.size)[order]
@@ -145,8 +157,9 @@ def _diagonalize_middle(params: ModelParams):
 
 
 def _flip_parity_blocks(params: ModelParams):
-    """Middle-sector basis and its blocks H[m, m] +- H[m, flip(m)]; the dense
-    sector matrix is freed on return."""
+    """Middle-sector basis and its flip-even and flip-odd halves H[m, m] +-
+    H[m, flip(m)], where m is the first half of the ascending basis and flip(m)
+    the second half reversed; the dense sector matrix is freed on return."""
     sh = build_sector_hamiltonian(params, params.n_spins // 2)
     half = sh.basis.dim // 2
     near, far = sh.matrix[:half, :half], sh.matrix[:half, ::-1][:, :half]
@@ -285,7 +298,7 @@ def pure_state_pair_rdm(state, i: int, j: int, basis: SectorBasis | None = None)
         patterns = basis.states
     _check_pair(n, i, j)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise StateValidityError(f"state norm {norm} deviates from 1 beyond 1e-10")
     rest, rest_idx = np.unique(patterns & ~np.int64((1 << i) | (1 << j)), return_inverse=True)
     m = np.zeros((rest.size, 4), dtype=np.complex128)

@@ -69,18 +69,26 @@ class TestGridCommand:
         assert run(["grid", "--j", "1", "--b-range", "0:1:2", "--kt-range", "1:1:1",
                     "--sep", "1", "--out", "x.csv"]) == 2
 
-    def test_bad_range_exits_2(self):
+    def test_bad_range_exits_2(self, tmp_path):
+        out = str(tmp_path / "x.csv")
         assert run(["grid", "--n", "2", "--j", "1", "--b-range", "junk",
-                    "--kt-range", "1:1:1", "--sep", "1", "--out", "x.csv"]) == 2
+                    "--kt-range", "1:1:1", "--sep", "1", "--out", out]) == 2
+        # A geometric range needs MIN > 0 even with one step.
+        assert run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2",
+                    "--kt-range", "0:1:1:geom", "--sep", "1", "--out", out]) == 2
 
     def test_negative_field_exits_2(self, tmp_path):
         assert run(["grid", "--n", "2", "--j", "1", "--b-range=-1:1:3", "--kt-range", "1:1:1",
                     "--sep", "1", "--out", str(tmp_path / "x.csv")]) == 2
 
-    def test_invalid_threads_env_exits_2(self, tmp_path, monkeypatch):
+    def test_invalid_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SPINCHAIN_THREADS", "0")
         assert run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2", "--kt-range", "1:1:1",
                     "--sep", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        for command in ("staircase", "critical"):
+            capsys.readouterr()
+            assert run([command, "--n", "4", "--j", "1"]) == 2
+            assert capsys.readouterr().out == ""
 
     def test_unhealthy_pair_state_exits_1(self, tmp_path, monkeypatch, capsys):
         from spinchain import scans

@@ -9,7 +9,7 @@ from spinchain import (
     build_sector_hamiltonian,
     critical_field_closed_form,
     critical_temperature_two_qubit,
-    full_eigenvalues,
+    diagonalize_chain,
 )
 from oracles import dense_hamiltonian
 
@@ -44,42 +44,48 @@ class TestSectorBuild:
         assert np.array_equal(sh.matrix, sh.matrix.T)
 
 
+def levels(n, j, b=0.0):
+    """(energies at field b, n_up) of all 2^N eigenstates of the flip-blocked
+    spectrum, ascending in energy: each level is energy + B * slope, and
+    n_up = (slope + N) / 2."""
+    sp = diagonalize_chain(n, j)
+    energies = sp.energies + b * sp.slopes
+    order = np.argsort(energies, kind="stable")
+    return energies[order], ((sp.slopes[order] + n) / 2).astype(int)
+
+
 class TestFullEigenvalues:
     def test_two_spins_zero_field(self):
-        evs = [e for e, _ in full_eigenvalues(ModelParams(2, 1.0))]
+        evs, _ = levels(2, 1.0)
         assert np.allclose(evs, [-6.0, 2.0, 2.0, 2.0])
 
     def test_pure_zeeman(self):
-        evs = [e for e, _ in full_eigenvalues(ModelParams(2, 0.0, field=1.0))]
+        evs, _ = levels(2, 0.0, b=1.0)
         assert np.allclose(evs, [-2.0, 0.0, 0.0, 2.0])
 
     def test_ground_level_crossing_at_critical_field(self):
-        evs = full_eigenvalues(ModelParams(2, 1.0, field=4.0))
-        (e0, s0), (e1, s1) = evs[0], evs[1]
-        assert e0 == pytest.approx(-6.0, abs=1e-12)
-        assert e1 == pytest.approx(-6.0, abs=1e-12)
-        assert {s0, s1} == {0, 1}  # polarized |00> and the singlet cross here
+        evs, n_up = levels(2, 1.0, b=4.0)
+        assert evs[0] == pytest.approx(-6.0, abs=1e-12)
+        assert evs[1] == pytest.approx(-6.0, abs=1e-12)
+        assert set(n_up[:2]) == {0, 1}  # polarized |00> and the singlet cross here
 
     def test_count_is_full_hilbert_space(self):
-        assert len(full_eigenvalues(ModelParams(7, 0.9, field=1.1))) == 2**7
+        assert levels(7, 0.9, b=1.1)[0].size == 2**7
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_sector_assembly_matches_dense_diagonalization(self, n):
         j, b = 1.2, 0.8
-        sector_evs = sorted(e for e, _ in full_eigenvalues(ModelParams(n, j, field=b)))
+        sector_evs, _ = levels(n, j, b)
         dense = dense_hamiltonian(n, j, b)
         assert np.abs(dense.imag).max() < 1e-14
         dense_evs = np.linalg.eigvalsh(dense.real)
-        assert np.abs(np.array(sector_evs) - dense_evs).max() < 1e-9
+        assert np.abs(sector_evs - dense_evs).max() < 1e-9
 
     @pytest.mark.parametrize("n", [3, 4, 6, 7])
     def test_zero_field_sector_spectrum_symmetry(self, n):
-        evs = full_eigenvalues(ModelParams(n, 1.0))
-        by_sector = {}
-        for e, k in evs:
-            by_sector.setdefault(k, []).append(e)
+        evs, n_up = levels(n, 1.0)
         for k in range(n + 1):
-            assert np.allclose(sorted(by_sector[k]), sorted(by_sector[n - k]), atol=1e-9)
+            assert np.allclose(np.sort(evs[n_up == k]), np.sort(evs[n_up == n - k]), atol=1e-9)
 
 
 class TestCriticalValues:
@@ -107,3 +113,8 @@ class TestCriticalValues:
             critical_field_closed_form(4, -1.0)
         with pytest.raises(ParameterError):
             critical_temperature_two_qubit(0.0)
+        # NaN must fail the J > 0 check too.
+        with pytest.raises(ParameterError):
+            critical_field_closed_form(4, math.nan)
+        with pytest.raises(ParameterError):
+            critical_temperature_two_qubit(math.nan)

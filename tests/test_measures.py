@@ -4,6 +4,7 @@ import pytest
 from spinchain import (
     DomainError,
     MeasurementError,
+    ParameterError,
     analytic_two_qubit_concurrence,
     chsh_quantity,
     chsh_violated,
@@ -72,6 +73,15 @@ class TestConcurrence:
             assert chsh_quantity(rotated) == pytest.approx(m0, abs=1e-9)
 
 
+@pytest.mark.parametrize("measure", [concurrence, mutual_information, chsh_quantity])
+def test_non_finite_pair_state_rejected(measure):
+    for bad in (np.nan, np.inf):
+        rho = SINGLET.copy()
+        rho[1, 1] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            measure(rho)
+
+
 class TestEntanglementOfFormation:
     def test_endpoints(self):
         assert eof_from_concurrence(0.0) == 0.0
@@ -88,6 +98,8 @@ class TestEntanglementOfFormation:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             eof_from_concurrence(1.5)
+        with pytest.raises(DomainError):
+            eof_from_concurrence(np.nan)
 
 
 class TestAnalyticConcurrence:
@@ -123,6 +135,8 @@ class TestAnalyticConcurrence:
     def test_rejects_zero_temperature(self):
         with pytest.raises(DomainError):
             analytic_two_qubit_concurrence(1.0, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            analytic_two_qubit_concurrence(1.0, 0.0, np.nan)
 
 
 class TestMutualInformation:
@@ -228,3 +242,5 @@ class TestProjectRemainingDown:
         psi[-1] = 1.0
         with pytest.raises(MeasurementError):
             project_remaining_down(psi, 0, 1)
+        with pytest.raises(MeasurementError):
+            project_remaining_down(np.full(8, np.nan), 0, 1)

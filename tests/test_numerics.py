@@ -39,6 +39,8 @@ class TestEighSymmetric:
     def test_rejects_non_symmetric(self):
         with pytest.raises(ParameterError):
             eigh_symmetric([[0.0, 1.0], [0.5, 0.0]])
+        with pytest.raises(ParameterError):
+            eigh_symmetric([[0.0, np.nan], [np.nan, 0.0]])
 
 
 class TestBinaryEntropy:
@@ -61,6 +63,8 @@ class TestBinaryEntropy:
         assert binary_entropy(1.0 + 1e-13) == 0.0
         with pytest.raises(DomainError):
             binary_entropy(1.01)
+        with pytest.raises(DomainError):
+            binary_entropy(np.nan)
 
 
 class TestVonNeumannEntropy:
@@ -79,3 +83,5 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(np.diag([0.8, 0.3]))
         with pytest.raises(StateValidityError):
             von_neumann_entropy(np.diag([1.1, -0.1]))
+        with pytest.raises(StateValidityError):
+            von_neumann_entropy(np.full((2, 2), np.nan))

@@ -161,6 +161,37 @@ class TestStaircase:
         lowest = [sp.energies[sp.slopes == 2 * k - n].min() for k in range(n + 1)]
         assert np.abs(eps - lowest).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_solves_the_same_blocks_as_the_spectrum(self, n, monkeypatch):
+        from spinchain import thermal
+
+        solved, current = [], []
+        real_blocks = thermal._flip_blocks
+
+        def blocks(params):
+            for n_up, states, matrix in real_blocks(params):
+                current[:] = [n_up]
+                yield n_up, states, matrix
+
+        def recording(solver):
+            def solve(matrix):
+                solved.append((current[0], len(matrix)))
+                return solver(matrix)
+
+            return solve
+
+        monkeypatch.setattr(thermal, "_flip_blocks", blocks)
+        monkeypatch.setattr(scans, "_flip_blocks", blocks)
+        monkeypatch.setattr(thermal, "eigh_symmetric", recording(thermal.eigh_symmetric))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        magnetization_staircase(n, 1.0)
+        by_staircase = solved[:]
+        solved.clear()
+        diagonalize_chain(n, 1.0)
+        assert by_staircase == solved
+        if n == 8:  # the middle sector (dim 70) only as its two flip halves
+            assert solved == [(3, 56), (2, 28), (1, 8), (0, 1), (4, 35), (4, 35)]
+
     def test_crossings_strictly_increasing_and_ordered(self):
         st = magnetization_staircase(10, 1.0)
         b_vals = [c.b_value for c in st.crossings]

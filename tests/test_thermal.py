@@ -15,7 +15,7 @@ from spinchain import (
     pure_state_pair_rdm,
     w_state,
 )
-from spinchain.thermal import pair_features, weight_rows
+from spinchain.thermal import PairDensityMatrix, pair_features, weight_rows
 from oracles import all_sector_features, all_sector_spectrum, dense_gibbs_state, dense_pair_rdm
 
 SINGLET_RHO = np.array(
@@ -272,6 +272,12 @@ class TestPairRdm:
         mz = np.diag([-2.0, 0.0, 0.0, 2.0])
         assert np.abs(rho @ mz - mz @ rho).max() < 1e-10
 
+    def test_nan_pair_state_fails_validation(self):
+        rho = SINGLET_RHO.copy()
+        rho[1, 2] = rho[2, 1] = np.nan
+        with pytest.raises(StateValidityError):
+            PairDensityMatrix(sites=(0, 1), matrix=rho, separation=1).validate()
+
     def test_invalid_pairs_rejected(self):
         sp = diagonalize_chain(4, 1.0)
         ens = gibbs_weights(sp, 0.0, 1.0)
@@ -297,6 +303,8 @@ class TestPureStatePairRdm:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(StateValidityError):
             pure_state_pair_rdm(np.full(4, 0.9), 0, 1)
+        with pytest.raises(StateValidityError):
+            pure_state_pair_rdm(np.full(4, np.nan), 0, 1)
 
     @pytest.mark.parametrize("length", [0, 3, 6])
     @pytest.mark.parametrize("fn", [pure_state_pair_rdm, project_remaining_down])
