@@ -54,10 +54,10 @@ def critical_field_closed_form(n_spins: int, coupling: float) -> float:
 
     4J for even N, 2J(1 + cos(pi/N)) for odd N; never exceeds 4J.
     """
-    if n_spins < 2:
-        raise ParameterError(f"n_spins must be >= 2, got {n_spins}")
-    if not coupling > 0:
-        raise ParameterError("critical field formula requires antiferromagnetic J > 0")
+    if not isinstance(n_spins, (int, np.integer)) or n_spins < 2:
+        raise ParameterError(f"n_spins must be an integer >= 2, got {n_spins!r}")
+    if not (coupling > 0 and math.isfinite(coupling)):
+        raise ParameterError(f"critical field formula requires a finite antiferromagnetic J > 0, got {coupling}")
     if n_spins % 2 == 0:
         return 4.0 * coupling
     return 2.0 * coupling * (1.0 + math.cos(math.pi / n_spins))

@@ -97,6 +97,8 @@ def analytic_two_qubit_concurrence(coupling: float, b_field: float, kt: float) -
     """
     if not kt > 0:
         raise DomainError("analytic concurrence requires kT > 0; use the numeric T=0 path")
+    if not (math.isfinite(coupling) and math.isfinite(b_field)):
+        raise DomainError(f"analytic concurrence requires finite J and B, got J={coupling}, B={b_field}")
     if 8.0 * coupling / kt <= math.log(3.0):
         return 0.0
     shift = max(8.0 * coupling, 2.0 * abs(b_field), 0.0) / kt
@@ -183,8 +185,8 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
 
 def w_state(n_spins: int) -> np.ndarray:
     """Equal one-magnon superposition over the full 2^N basis."""
-    if n_spins < 2:
-        raise ParameterError(f"n_spins must be >= 2, got {n_spins}")
+    if not isinstance(n_spins, (int, np.integer)) or n_spins < 2:
+        raise ParameterError(f"n_spins must be an integer >= 2, got {n_spins!r}")
     psi = np.zeros(1 << n_spins)
     amp = 1.0 / math.sqrt(n_spins)
     for site in range(n_spins):

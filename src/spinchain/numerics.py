@@ -6,9 +6,6 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ParameterError, StateValidityError
 
-LOG2 = np.log(2.0)
-
-
 def eigh_symmetric(matrix: np.ndarray):
     """Full eigendecomposition of a real symmetric matrix, as `np.linalg.eigh`.
 
@@ -16,8 +13,8 @@ def eigh_symmetric(matrix: np.ndarray):
     eigenvector columns.
     """
     a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ParameterError(f"expected a non-empty square matrix, got shape {a.shape}")
     scale = max(1.0, np.abs(a).max())
     if not np.abs(a - a.T).max() <= 1e-12 * scale:
         raise ParameterError("matrix is not symmetric within 1e-12 relative tolerance")
@@ -51,8 +48,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     non-finite entry is rejected as an invalid state.
     """
     r = np.asarray(rho, dtype=np.complex128)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise StateValidityError(f"expected a square density matrix, got shape {r.shape}")
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+        raise StateValidityError(f"expected a non-empty square density matrix, got shape {r.shape}")
     if not np.abs(r - r.conj().T).max() <= 1e-10:
         raise StateValidityError("density matrix is not Hermitian within 1e-10")
     tr = np.real(np.trace(r))

@@ -2,13 +2,15 @@
 
 The full 2^N density matrix is never materialized. The chain is
 diagonalized once per (N, J) into one flat table over all 2^N eigenstates:
-each eigenstate's exchange energy and Zeeman slope, so the field only
-shifts energies and one spectrum serves every (B, kT) point of a scan.
-Every eigenstate lies in one S_z sector and is real, so its reduced state
-on a pair of sites is an X-state fixed by five numbers (p00, p01, p10,
-p11, z). A thermal pair RDM is the Boltzmann-weighted sum of those five
-numbers over the eigenstates. Only `diagonalize_chain` and `pair_features`
-know how the eigenstates are blocked.
+each eigenstate's exchange energy, its Zeeman slope, and the X-state
+features of its pairs (0, d), d = 1..N//2, so the field only shifts
+energies and one spectrum serves every (B, kT) point and every pair of a
+scan. Every eigenstate lies in one S_z sector and is real, so its reduced
+state on a pair of sites is an X-state fixed by five numbers (p00, p01,
+p10, p11, z). A thermal pair RDM is the Boltzmann-weighted sum of those
+five numbers over the eigenstates. The spectrum keeps no eigenvectors:
+only `diagonalize_chain` sees them and knows how the eigenstates are
+blocked.
 """
 
 from __future__ import annotations
@@ -33,24 +35,16 @@ class ChainSpectrum:
     `energies` and `slopes` hold each eigenstate's exchange energy and its
     Zeeman slope 2*n_up - N, so its energy at field B is
     energies + B * slopes. Rows are grouped by magnetization sector,
-    n_up = 0..N, and ascend in energy within each sector. `blocks` holds one
-    entry per sector, in the same order, whose columns are the sector's rows
-    of the flat table:
-
-    * n_up < N/2: (basis states, eigenvector columns) from `eigh`;
-    * n_up > N/2: (basis states, the eigenvectors of sector N - n_up with
-      their rows reversed), a view, because flipping every spin maps sector
-      N - n_up onto this one and reverses the ascending basis;
-    * n_up = N/2 (even N): (basis states, u, parity). Flipping every spin
-      maps basis row r to row D-1-r, so eigenvector c is
-      (u[:, c], parity[c] * u[::-1, c]) / sqrt(2) over the D basis rows.
+    n_up = 0..N, and ascend in energy within each sector. `features` is the
+    (eigenstates, N//2, 5) table of each eigenstate's X-state features of
+    the pairs (0, d), d = 1..N//2, in the same rows. No eigenvectors are kept.
     """
 
     n_spins: int
     coupling: float
     energies: np.ndarray
     slopes: np.ndarray
-    blocks: tuple
+    features: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,37 +96,41 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
 
     `eigh` runs on each block of `_flip_blocks`: the sectors n_up < N/2
     and, for even N, the flip-even and flip-odd halves of the middle
-    sector. Flipping every spin maps sector k onto sector N - k, so sector
-    N - k takes sector k's energies exactly and the negated Zeeman slope.
+    sector. Each block's pair features are formed right after its `eigh`,
+    and its eigenvectors are then dropped. Flipping every spin maps sector k
+    onto sector N - k, so sector N - k takes sector k's energies exactly,
+    the negated Zeeman slope, and sector k's features with the pair labels
+    00 <-> 11 and 01 <-> 10 swapped (z is kept).
     """
     params = ModelParams(n_spins=n_spins, coupling=coupling)
-    energies, blocks = [None] * (n_spins + 1), [None] * (n_spins + 1)
+    pairs = [(0, d) for d in range(1, n_spins // 2 + 1)]
+    energies, features = [None] * (n_spins + 1), [None] * (n_spins + 1)
     middle = []
     for n_up, states, matrix in _flip_blocks(params):
         values, vectors = eigh_symmetric(matrix)
         if 2 * n_up == n_spins:
             middle.append((states, values, vectors))
             continue
-        mirror_states = (((1 << n_spins) - 1) ^ states)[::-1]
         energies[n_up] = energies[n_spins - n_up] = values
-        blocks[n_up] = (states, vectors)
-        blocks[n_spins - n_up] = (mirror_states, vectors[::-1])
+        features[n_up] = _sector_features(states, vectors, pairs)
+        features[n_spins - n_up] = features[n_up][:, :, [3, 2, 1, 0, 4]]
     if middle:
-        energies[n_spins // 2], blocks[n_spins // 2] = _merge_middle(*middle)
+        energies[n_spins // 2], merged = _merge_middle(*middle)
+        features[n_spins // 2] = _middle_features(*merged, pairs)
     slopes = [np.full(e.size, zeeman_eigenvalue(n_spins, n_up)) for n_up, e in enumerate(energies)]
     return ChainSpectrum(
         n_spins=n_spins,
         coupling=coupling,
         energies=np.concatenate(energies),
         slopes=np.concatenate(slopes),
-        blocks=tuple(blocks),
+        features=np.concatenate(features),
     )
 
 
 def _flip_blocks(params: ModelParams):
     """Yield (n_up, basis states, matrix) for every block a ring's eigensolves
     need: each sector n_up < N/2, largest first (so the biggest solve runs
-    before any eigenvectors are kept), then for even N the two halves from
+    while nothing else is held), then for even N the two halves from
     `_flip_parity_blocks`, each with the full middle-sector basis."""
     n = params.n_spins
     for n_up in reversed(range((n + 1) // 2)):
@@ -145,8 +143,10 @@ def _flip_blocks(params: ModelParams):
 
 
 def _merge_middle(even, odd):
-    """Energies (ascending) and (states, u, parity) block of the even-N middle
-    sector from the (states, values, vectors) of its flip-even and flip-odd halves."""
+    """Energies (ascending) and (states, u, parity) of the even-N middle sector
+    from the (states, values, vectors) of its flip-even and flip-odd halves.
+    Flipping every spin maps basis row r to row D-1-r, so eigenvector c is
+    (u[:, c], parity[c] * u[::-1, c]) / sqrt(2) over the D basis rows."""
     (states, values_p, u_p), (_, values_m, u_m) = even, odd
     # Stable, so a tie keeps the flip-even state first.
     order = np.argsort(np.concatenate([values_p, values_m]), kind="stable")
@@ -204,7 +204,7 @@ def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEn
 
 
 def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
-    """X-state features of each site pair (i, j) in every eigenstate.
+    """X-state features for each site pair (i, j) in every eigenstate.
 
     Returns a table of shape (eigenstates, pairs, 5), rows in the
     spectrum's flat eigenstate order. The five features are the pair
@@ -212,26 +212,16 @@ def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
     the coherence z = <01|rho|10>. A real eigenstate of total S_z has no
     other nonzero pair-RDM entry.
 
-    Features are computed from the vectors of the sectors n_up < N/2 and
-    from u and the (m, flip(m)) row map of the even-N middle sector.
-    Flipping every spin swaps the pair labels 00 <-> 11 and 01 <-> 10 and
-    keeps z, so sector N - k's rows are sector k's with p00 <-> p11 and
-    p01 <-> p10 swapped.
+    Each pair reads the spectrum's (0, d) column for its separation d. The
+    thermal state is invariant under translation and reflection of the
+    ring, so a thermal sum of these rows equals that of the pair (i, j)
+    itself up to roundoff; in particular its p01 equals its p10, so the order
+    of i and j needs no swap. A single eigenstate's row is its (0, d)
+    pair's, not necessarily (i, j)'s.
     """
     for i, j in pairs:
         _check_pair(spectrum.n_spins, i, j)
-    n = spectrum.n_spins
-    out = np.empty((spectrum.energies.size, len(pairs), 5))
-    starts = np.cumsum([0] + [block[1].shape[1] for block in spectrum.blocks])
-    for n_up, block in enumerate(spectrum.blocks):
-        rows = slice(starts[n_up], starts[n_up + 1])
-        if 2 * n_up < n:
-            out[rows] = _sector_features(*block, pairs)
-        elif 2 * n_up == n:
-            out[rows] = _middle_features(*block, pairs)
-        else:
-            out[rows] = out[starts[n - n_up] : starts[n - n_up + 1], :, [3, 2, 1, 0, 4]]
-    return out
+    return spectrum.features[:, [_separation(spectrum.n_spins, i, j) - 1 for i, j in pairs]]
 
 
 def _sector_features(states: np.ndarray, v: np.ndarray, pairs) -> np.ndarray:

@@ -6,15 +6,18 @@ matrices, the Gibbs state is formed explicitly, and partial traces are
 explicit index sums. Keep N <= 6 here.
 
 `all_sector_spectrum` is the package's sector path without the spin-flip
-symmetry: one `eigh` on every magnetization sector. It is the reference
-for the flip-blocked spectrum and reaches larger N.
+symmetry: one `eigh` on every magnetization sector, with the eigenvectors
+kept. It is the reference for the flip-blocked spectrum and its (0, d)
+feature table, for any ordered pair, and reaches larger N.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from spinchain.basis import ModelParams, zeeman_eigenvalue
 from spinchain.hamiltonian import build_sector_hamiltonian
-from spinchain.thermal import ChainSpectrum, _sector_features
+from spinchain.thermal import _sector_features
 
 # Same basis convention as the package: |0> = down, site i = bit i.
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -98,22 +101,31 @@ def dense_pair_rdm(rho, n, i, j):
     return out
 
 
+class AllSectorSpectrum(NamedTuple):
+    """Energies and Zeeman slopes in the package's flat eigenstate order, plus
+    one (basis states, eigenvector columns) pair per sector n_up = 0..N."""
+
+    energies: np.ndarray
+    slopes: np.ndarray
+    sectors: tuple
+
+
 def all_sector_spectrum(n, j):
-    """Reference ChainSpectrum from one dense `eigh` per magnetization
-    sector n_up = 0..N, with no spin-flip blocking; every block is
-    (basis states, eigenvector columns). Read it with `all_sector_features`."""
+    """Reference spectrum from one dense `eigh` per magnetization sector
+    n_up = 0..N, with no spin-flip blocking. `weight_rows` reads its energies
+    and slopes; `all_sector_features` reads its eigenvectors."""
     params = ModelParams(n, j)
-    energies, slopes, blocks = [], [], []
+    energies, slopes, sectors = [], [], []
     for n_up in range(n + 1):
         sh = build_sector_hamiltonian(params, n_up)
         values, vectors = np.linalg.eigh(sh.matrix)
         energies.append(values)
         slopes.append(np.full(values.size, zeeman_eigenvalue(n, n_up)))
-        blocks.append((sh.basis.states, vectors))
-    return ChainSpectrum(n, j, np.concatenate(energies), np.concatenate(slopes), tuple(blocks))
+        sectors.append((sh.basis.states, vectors))
+    return AllSectorSpectrum(np.concatenate(energies), np.concatenate(slopes), tuple(sectors))
 
 
 def all_sector_features(spectrum, pairs):
-    """Pair features (eigenstates, pairs, 5) of an `all_sector_spectrum`,
-    each sector's straight from its own eigenvectors."""
-    return np.concatenate([_sector_features(states, v, pairs) for states, v in spectrum.blocks])
+    """Pair features (eigenstates, pairs, 5) of an `all_sector_spectrum` for
+    any ordered pairs, each sector's straight from its own eigenvectors."""
+    return np.concatenate([_sector_features(states, v, pairs) for states, v in spectrum.sectors])

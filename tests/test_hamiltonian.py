@@ -118,3 +118,8 @@ class TestCriticalValues:
             critical_field_closed_form(4, math.nan)
         with pytest.raises(ParameterError):
             critical_temperature_two_qubit(math.nan)
+        # So must a non-integer N and an infinite J.
+        with pytest.raises(ParameterError):
+            critical_field_closed_form(2.5, 1.0)
+        with pytest.raises(ParameterError):
+            critical_field_closed_form(5, math.inf)

@@ -138,6 +138,12 @@ class TestAnalyticConcurrence:
         with pytest.raises(DomainError):
             analytic_two_qubit_concurrence(1.0, 0.0, np.nan)
 
+    @pytest.mark.parametrize("j,b", [(np.nan, 0.0), (1.0, np.nan), (1.0, np.inf), (np.inf, 0.0)])
+    def test_rejects_non_finite_coupling_or_field(self, j, b):
+        # Bad input must not read as "not entangled" (C = 0).
+        with pytest.raises(DomainError):
+            analytic_two_qubit_concurrence(j, b, 1.0)
+
 
 class TestMutualInformation:
     def test_singlet(self):
@@ -189,6 +195,11 @@ class TestChsh:
 
 
 class TestWState:
+    @pytest.mark.parametrize("n", [1, 3.0])
+    def test_rejects_bad_spin_count(self, n):
+        with pytest.raises(ParameterError):
+            w_state(n)
+
     def test_two_spins(self):
         psi = w_state(2)
         assert np.allclose(psi, [0, 1, 1, 0] / np.sqrt(2))
@@ -211,15 +222,13 @@ class TestWState:
         # asserted), and its pair concurrence matches the W value 2/N.
         # Odd N has a degenerate +-k doublet instead, whose thermal mixture
         # falls below 2/N; see the acceptance notes.
-        from spinchain import magnetization_staircase
+        from spinchain import ModelParams, build_sector_hamiltonian, magnetization_staircase
 
         st = magnetization_staircase(n, 1.0)
         b = (st.b_e + st.b_c_numeric) / 2
-        sp = diagonalize_chain(n, 1.0)
-        energies = (sp.energies + b * sp.slopes)[1 : n + 1]  # sector n_up = 1 follows n_up = 0
-        ground = sp.blocks[1][1][:, np.argmin(energies)]
+        ground = np.linalg.eigh(build_sector_hamiltonian(ModelParams(n, 1.0), 1).matrix)[1][:, 0]
         assert np.allclose(np.abs(ground), 1 / np.sqrt(n), atol=1e-9)
-        rho = pair_rdm(gibbs_weights(sp, b, 0.0), 0, 1)
+        rho = pair_rdm(gibbs_weights(diagonalize_chain(n, 1.0), b, 0.0), 0, 1)
         assert concurrence(rho).concurrence == pytest.approx(2 / n, abs=1e-9)
 
 

@@ -41,6 +41,8 @@ class TestEighSymmetric:
             eigh_symmetric([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ParameterError):
             eigh_symmetric([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(ParameterError):
+            eigh_symmetric(np.zeros((0, 0)))
 
 
 class TestBinaryEntropy:
@@ -85,3 +87,5 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(np.diag([1.1, -0.1]))
         with pytest.raises(StateValidityError):
             von_neumann_entropy(np.full((2, 2), np.nan))
+        with pytest.raises(StateValidityError):
+            von_neumann_entropy(np.zeros((0, 0)))

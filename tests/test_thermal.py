@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from spinchain import (
-    ModelParams,
     ParameterError,
     StateValidityError,
-    build_sector_hamiltonian,
     diagonalize_chain,
     enumerate_sector,
     gibbs_weights,
@@ -15,6 +13,7 @@ from spinchain import (
     pure_state_pair_rdm,
     w_state,
 )
+from spinchain.measures import x_state_eigenvalues
 from spinchain.thermal import PairDensityMatrix, pair_features, weight_rows
 from oracles import all_sector_features, all_sector_spectrum, dense_gibbs_state, dense_pair_rdm
 
@@ -47,8 +46,9 @@ class TestDiagonalizeChain:
 
     def test_three_spin_sector_dimensions(self):
         sp = diagonalize_chain(3, 1.0)
-        assert [vectors.shape[1] for _states, vectors in sp.blocks] == [1, 3, 3, 1]
+        assert [np.count_nonzero(sp.slopes == 2 * n_up - 3) for n_up in range(4)] == [1, 3, 3, 1]
         assert sp.energies.size == 8
+        assert sp.features.shape == (8, 1, 5)
 
     def test_six_spin_ground_energy_matches_dense_oracle(self):
         sp = diagonalize_chain(6, 1.0)
@@ -74,15 +74,13 @@ class TestDiagonalizeChain:
             assert np.array_equal(f[mirror], f[mine][:, :, [3, 2, 1, 0, 4]])
 
     @pytest.mark.parametrize("n", range(2, 10))
-    def test_blocks_hold_orthonormal_eigenvectors(self, n):
-        sp = diagonalize_chain(n, -1.3)
-        rows = sector_rows(sp)
-        for n_up, block in enumerate(sp.blocks):
-            v = block_vectors(block)
-            h = build_sector_hamiltonian(ModelParams(n, -1.3), n_up)
-            assert np.array_equal(block[0], h.basis.states)
-            assert np.abs(v.T @ v - np.eye(v.shape[1])).max() < 1e-12
-            assert np.abs(h.matrix @ v - v * sp.energies[rows[n_up]]).max() < 1e-12
+    def test_features_are_pure_eigenstate_pair_states(self, n):
+        sp, ref = diagonalize_chain(n, -1.3), all_sector_spectrum(n, -1.3)
+        assert np.array_equal(sp.slopes, ref.slopes)
+        assert np.abs(sp.energies - ref.energies).max() < 1e-12
+        assert sp.features.shape == (2**n, n // 2, 5)
+        assert np.abs(sp.features[:, :, :4].sum(axis=2) - 1.0).max() < 1e-12
+        assert x_state_eigenvalues(sp.features).min() >= -1e-12
 
     @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
     @pytest.mark.parametrize("n", range(2, 13))
@@ -104,17 +102,11 @@ class TestDiagonalizeChain:
 
 
 def sector_rows(spectrum):
-    """Slice of the flat eigen-table held by each sector n_up = 0..N."""
-    ends = np.cumsum([block[1].shape[1] for block in spectrum.blocks])
-    return [slice(end - block[1].shape[1], end) for block, end in zip(spectrum.blocks, ends)]
-
-
-def block_vectors(block):
-    """Eigenvector columns of one `blocks` entry, over its sector basis."""
-    if len(block) == 2:
-        return block[1]
-    _states, u, parity = block
-    return np.vstack([u, parity * u[::-1]]) / np.sqrt(2.0)
+    """Slice of the flat eigen-table held by each sector n_up = 0..N; the
+    slopes 2 * n_up - N ascend with the sectors."""
+    n = spectrum.n_spins
+    bounds = np.searchsorted(spectrum.slopes, np.arange(-n, n + 3, 2))
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def dense_gibbs_oracle_hamiltonian():
