@@ -26,26 +26,28 @@ class SectorHamiltonian:
     matrix: np.ndarray
 
 
-def build_sector_hamiltonian(params: ModelParams, n_up: int) -> SectorHamiltonian:
-    """Build the dense exchange matrix J sum_i sigma^i . sigma^{i+1} on a sector.
+def build_sector_hamiltonian(params: ModelParams, n_up: int, bonds=None) -> SectorHamiltonian:
+    """Build the dense matrix sum_(a, b, w) w sigma^a . sigma^b on a sector.
 
-    For every bond (i, i+1 mod N), aligned z-spins add +J and anti-aligned
-    add -J on the diagonal, while sigma_x sigma_x + sigma_y sigma_y
-    connects the two exchanged configurations with amplitude 2J.
+    `bonds` is a list of (a, b, w) triples and defaults to the ring's
+    exchange part, (i, i+1 mod N, J) for every site i. For every bond,
+    aligned z-spins add +w and anti-aligned add -w on the diagonal, while
+    sigma_x sigma_x + sigma_y sigma_y connects the two exchanged
+    configurations with amplitude 2w.
     """
     n = params.n_spins
-    j = params.coupling
+    if bonds is None:
+        bonds = [(a, (a + 1) % n, params.coupling) for a in range(n)]
+    a, b, w = (np.array(column) for column in zip(*bonds))
     basis = enumerate_sector(n, n_up)
-    states = basis.states
-    diag = np.zeros(basis.dim)
-    h = np.zeros((basis.dim, basis.dim))
-    for a in range(n):
-        b = (a + 1) % n
-        diag += np.where(((states >> a) ^ (states >> b)) & 1, -j, j)
-        rows, partners = exchange_partners(states, a, b)
-        h[rows, partners] += 2.0 * j
-        h[partners, rows] += 2.0 * j
-    np.fill_diagonal(h, diag)
+    states, dim = basis.states, basis.dim
+    rows, partners = exchange_partners(states, a, b)
+    entries = np.concatenate([rows * dim + partners, partners * dim + rows], axis=None)
+    amplitudes = np.broadcast_to(2.0 * w[:, None], rows.shape)
+    weights = np.concatenate([amplitudes, amplitudes], axis=None)
+    # float even when no pattern is exchanged (bincount of nothing is int).
+    h = np.bincount(entries, weights=weights, minlength=dim * dim).astype(float, copy=False).reshape(dim, dim)
+    h[np.diag_indices(dim)] = w @ (1.0 - 2.0 * (((states >> a[:, None]) ^ (states >> b[:, None])) & 1))
     return SectorHamiltonian(basis=basis, matrix=h)
 
 
@@ -65,6 +67,6 @@ def critical_field_closed_form(n_spins: int, coupling: float) -> float:
 
 def critical_temperature_two_qubit(coupling: float) -> float:
     """Temperature 8J/ln(3) above which the two-qubit ring is disentangled."""
-    if not coupling > 0:
-        raise ParameterError("critical temperature requires antiferromagnetic J > 0")
+    if not (coupling > 0 and math.isfinite(coupling)):
+        raise ParameterError(f"critical temperature requires a finite antiferromagnetic J > 0, got {coupling}")
     return 8.0 * coupling / math.log(3.0)

@@ -21,7 +21,6 @@ from .thermal import (
     DEGENERACY_TOL,
     ChainSpectrum,
     _check_pair,
-    _flip_blocks,
     _separation,
     diagonalize_chain,
     pair_features,
@@ -169,14 +168,14 @@ def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
     Within a sector the ground energy is eps_k + B(2k - N), linear in B,
     so consecutive crossings are intersections of straight lines and the
     staircase is the lower envelope of those lines. eps_k is the lowest
-    `eigvalsh` value on the blocks of `diagonalize_chain` (both flip halves
-    for k = N/2), and eps_{N-k} = eps_k by the global spin flip.
+    energy of sector k in the `diagonalize_chain` table, so eps_{N-k} = eps_k
+    exactly by the global spin flip.
     """
+    ModelParams(n_spins=n_spins, coupling=coupling)
     if coupling <= 0:
         raise ParameterError("magnetization staircase requires antiferromagnetic J > 0")
-    eps = np.full(n_spins + 1, np.inf)
-    for k, _, matrix in _flip_blocks(ModelParams(n_spins=n_spins, coupling=coupling)):
-        eps[k] = eps[n_spins - k] = min(eps[k], np.linalg.eigvalsh(matrix)[0])
+    sp = diagonalize_chain(n_spins, coupling)
+    eps = np.array([sp.energies[sp.slopes == 2 * k - n_spins].min() for k in range(n_spins + 1)])
     # Ground sector just above B=0: smallest energy, ties broken toward
     # the smaller slope (smaller n_up), which wins for B > 0.
     near = np.flatnonzero(eps <= eps.min() + DEGENERACY_TOL * max(1.0, abs(eps.min())))

@@ -3,14 +3,18 @@
 The full 2^N density matrix is never materialized. The chain is
 diagonalized once per (N, J) into one flat table over all 2^N eigenstates:
 each eigenstate's exchange energy, its Zeeman slope, and the X-state
-features of its pairs (0, d), d = 1..N//2, so the field only shifts
+features of its pairs at separation d = 1..N//2, so the field only shifts
 energies and one spectrum serves every (B, kT) point and every pair of a
 scan. Every eigenstate lies in one S_z sector and is real, so its reduced
 state on a pair of sites is an X-state fixed by five numbers (p00, p01,
 p10, p11, z). A thermal pair RDM is the Boltzmann-weighted sum of those
-five numbers over the eigenstates. The spectrum keeps no eigenvectors:
-only `diagonalize_chain` sees them and knows how the eigenstates are
-blocked.
+five numbers over the eigenstates.
+
+Only the sector n_up = N // 2 is diagonalized: the ring conserves total
+spin, so each of its eigenvectors stands for a whole SU(2) multiplet, and
+the Wigner-Eckart theorem gives every member's energy and pair features.
+The spectrum keeps no eigenvectors: only `diagonalize_chain` sees them and
+knows how the eigenstates are blocked.
 """
 
 from __future__ import annotations
@@ -19,13 +23,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, SectorBasis, exchange_partners, zeeman_eigenvalue
-from .errors import ParameterError, StateValidityError
+from .basis import ModelParams, SectorBasis, exchange_partners
+from .errors import NumericError, ParameterError, StateValidityError
 from .hamiltonian import build_sector_hamiltonian
 from .numerics import eigh_symmetric
 
 # Relative width of the T=0 ground manifold.
 DEGENERACY_TOL = 1e-9
+
+# Weight of S^2 in the matrix H + ALPHA S^2 that `eigh` solves: small and
+# irrational, so that every eigenvector is also an S^2 eigenvector even
+# where levels of different total spin S would otherwise coincide.
+ALPHA = 1e-3 / np.pi
+
+# Largest allowed distance of an eigenvector's <S^2> from S(S+1).
+SPIN_TOL = 1e-8
+
+# Entries of the eigenvector rows gathered at once (8 MiB of float64).
+GATHER_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -36,8 +51,9 @@ class ChainSpectrum:
     Zeeman slope 2*n_up - N, so its energy at field B is
     energies + B * slopes. Rows are grouped by magnetization sector,
     n_up = 0..N, and ascend in energy within each sector. `features` is the
-    (eigenstates, N//2, 5) table of each eigenstate's X-state features of
-    the pairs (0, d), d = 1..N//2, in the same rows. No eigenvectors are kept.
+    (eigenstates, N//2, 5) table of each eigenstate's X-state features at
+    separation d = 1..N//2, in the same rows: the average of its pair states
+    (i, i+d) over the N translates i. No eigenvectors are kept.
     """
 
     n_spins: int
@@ -92,78 +108,152 @@ class PairDensityMatrix:
 
 
 def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
-    """Diagonalize the exchange Hamiltonian, blocked by sector and spin flip.
+    """Diagonalize the exchange Hamiltonian through its SU(2) multiplets.
 
-    `eigh` runs on each block of `_flip_blocks`: the sectors n_up < N/2
-    and, for even N, the flip-even and flip-odd halves of the middle
-    sector. Each block's pair features are formed right after its `eigh`,
-    and its eigenvectors are then dropped. Flipping every spin maps sector k
-    onto sector N - k, so sector N - k takes sector k's energies exactly,
-    the negated Zeeman slope, and sector k's features with the pair labels
-    00 <-> 11 and 01 <-> 10 swapped (z is kept).
+    The ring commutes with the total spin S^2, so every eigenstate is the
+    member m of a (2S+1)-fold multiplet whose members share one exchange
+    energy, and every multiplet has exactly one member in the sector
+    n_up = N // 2. `eigh` therefore runs only on H + ALPHA S^2 restricted to
+    that sector (see `_middle_blocks`). Each eigenvector gives its
+    multiplet's S, its energy E = lambda - ALPHA S(S+1) and its pair
+    correlations (see `_multiplets`), and `_member_rows` expands every
+    multiplet into the rows of its 2S + 1 members. No eigenvector is kept.
     """
     params = ModelParams(n_spins=n_spins, coupling=coupling)
-    pairs = [(0, d) for d in range(1, n_spins // 2 + 1)]
-    energies, features = [None] * (n_spins + 1), [None] * (n_spins + 1)
-    middle = []
-    for n_up, states, matrix in _flip_blocks(params):
-        values, vectors = eigh_symmetric(matrix)
-        if 2 * n_up == n_spins:
-            middle.append((states, values, vectors))
-            continue
-        energies[n_up] = energies[n_spins - n_up] = values
-        features[n_up] = _sector_features(states, vectors, pairs)
-        features[n_spins - n_up] = features[n_up][:, :, [3, 2, 1, 0, 4]]
-    if middle:
-        energies[n_spins // 2], merged = _merge_middle(*middle)
-        features[n_spins // 2] = _middle_features(*merged, pairs)
-    slopes = [np.full(e.size, zeeman_eigenvalue(n_spins, n_up)) for n_up, e in enumerate(energies)]
+    pairs = [(i, j) for i in range(n_spins) for j in range(i + 1, n_spins)]
+    solved = [_multiplets(*block, pairs) for block in _middle_blocks(params, pairs)]
+    energies, two_s, s, zz = (np.concatenate(parts) for parts in zip(*solved))
+    energies, slopes, features = _member_rows(n_spins, energies, two_s, s, zz)
     return ChainSpectrum(
-        n_spins=n_spins,
-        coupling=coupling,
-        energies=np.concatenate(energies),
-        slopes=np.concatenate(slopes),
-        features=np.concatenate(features),
+        n_spins=n_spins, coupling=coupling, energies=energies, slopes=slopes, features=features
     )
 
 
-def _flip_blocks(params: ModelParams):
-    """Yield (n_up, basis states, matrix) for every block a ring's eigensolves
-    need: each sector n_up < N/2, largest first (so the biggest solve runs
-    while nothing else is held), then for even N the two halves from
-    `_flip_parity_blocks`, each with the full middle-sector basis."""
+def _middle_blocks(params: ModelParams, pairs):
+    """Yield (basis, matrix, row, sign) for each block of H + ALPHA S^2 on
+    the sector n_up = N // 2 that `eigh` solves. An eigenvector u of a block
+    is the sector vector sign * u[row] * sqrt(len(u) / D): `row` and `sign`
+    give each of the D basis rows its block row and sign.
+
+    For odd N the block is the whole sector. For even N, flipping every spin
+    maps basis row r to row D-1-r, and the blocks are the flip-even and
+    flip-odd halves H[m, m] +- H[m, flip(m)] over the first D/2 rows, whose
+    eigenvectors are (u, +-u[::-1]) / sqrt(2). The dense sector matrix is
+    freed once both halves exist, and each half once it has been solved.
+    """
     n = params.n_spins
-    for n_up in reversed(range((n + 1) // 2)):
-        sh = build_sector_hamiltonian(params, n_up)
-        yield n_up, sh.basis.states, sh.matrix
-    if n % 2 == 0:
-        states, plus, minus = _flip_parity_blocks(params)
-        yield n // 2, states, plus
-        yield n // 2, states, minus
-
-
-def _merge_middle(even, odd):
-    """Energies (ascending) and (states, u, parity) of the even-N middle sector
-    from the (states, values, vectors) of its flip-even and flip-odd halves.
-    Flipping every spin maps basis row r to row D-1-r, so eigenvector c is
-    (u[:, c], parity[c] * u[::-1, c]) / sqrt(2) over the D basis rows."""
-    (states, values_p, u_p), (_, values_m, u_m) = even, odd
-    # Stable, so a tie keeps the flip-even state first.
-    order = np.argsort(np.concatenate([values_p, values_m]), kind="stable")
-    parity = np.repeat([1.0, -1.0], values_p.size)[order]
-    # C order keeps the row gathers of `_middle_features` fast.
-    u = np.ascontiguousarray(np.hstack([u_p, u_m])[:, order])
-    return np.concatenate([values_p, values_m])[order], (states, u, parity)
-
-
-def _flip_parity_blocks(params: ModelParams):
-    """Middle-sector basis and its flip-even and flip-odd halves H[m, m] +-
-    H[m, flip(m)], where m is the first half of the ascending basis and flip(m)
-    the second half reversed; the dense sector matrix is freed on return."""
-    sh = build_sector_hamiltonian(params, params.n_spins // 2)
-    half = sh.basis.dim // 2
+    ring = [(a, (a + 1) % n, params.coupling) for a in range(n)]
+    # S^2 = 3N/4 + (1/2) sum_{i<j} sigma^i . sigma^j.
+    spin = [(i, j, ALPHA / 2) for i, j in pairs]
+    sh = build_sector_hamiltonian(params, n // 2, ring + spin)
+    basis, dim = sh.basis, sh.basis.dim
+    sh.matrix[np.diag_indices(dim)] += 0.75 * n * ALPHA
+    if n % 2:
+        yield basis, sh.matrix, np.arange(dim), np.ones(dim)
+        return
+    half = dim // 2
     near, far = sh.matrix[:half, :half], sh.matrix[:half, ::-1][:, :half]
-    return sh.basis.states, near + far, near - far
+    blocks = [(near + far, 1.0), (near - far, -1.0)]
+    del sh, near, far
+    row = np.concatenate([np.arange(half), np.arange(half)[::-1]])
+    while blocks:
+        matrix, parity = blocks.pop(0)
+        yield basis, matrix, row, np.repeat([1.0, parity], half)
+
+
+def _multiplets(basis: SectorBasis, matrix: np.ndarray, row: np.ndarray, sign: np.ndarray, pairs):
+    """Energy, 2S and pair correlations of the multiplet that each
+    eigenvector of one `_middle_blocks` block belongs to.
+
+    Returns (E, 2S, s, zz), where s[:, d-1] and zz[:, d-1] average
+    <sigma^i . sigma^j> and <sigma^z_i sigma^z_j> over the pairs (i, j) at
+    separation d. S(S+1) = 3N/4 + (1/2) sum_{i<j} <sigma^i . sigma^j> is read
+    off the same sums, and a value more than SPIN_TOL from the nearest
+    S(S+1) raises NumericError.
+    """
+    n, states = basis.n_spins, basis.states
+    values, u = eigh_symmetric(matrix)
+    dim = u.shape[0]
+    # Sector amplitude products: v[r] v[r'] = scale sign[r] sign[r'] u[row[r]] u[row[r']].
+    scale = dim / states.size
+    i, j = np.array(pairs).T
+    sep = np.minimum(j - i, n - j + i)
+    by_sep = (sep == np.arange(1, n // 2 + 1)[:, None]).astype(float)
+    aligned = 1.0 - 2.0 * (((states >> i[:, None]) ^ (states >> j[:, None])) & 1)
+    zz_rows = scale * np.array([np.bincount(row, weights=w, minlength=dim) for w in by_sep @ aligned]).T
+    # sigma_x sigma_x + sigma_y sigma_y = 2 (sigma+ sigma- + sigma- sigma+) on
+    # every pair of basis rows that swapping sites i and j connects. Entries
+    # that read the same two block rows at one separation (for even N, a pair
+    # and its spin-flipped image) are merged before the rows are gathered.
+    rows, partners = exchange_partners(states, i, j)
+    a, b = row[rows], row[partners]
+    shape = (n // 2, dim, dim)
+    entries = np.ravel_multi_index((sep[:, None] - 1, np.minimum(a, b), np.maximum(a, b)), shape)
+    keys, merged = np.unique(entries, return_inverse=True)
+    weights = np.bincount(merged.ravel(), weights=(4.0 * scale * sign[rows] * sign[partners]).ravel())
+    at, a, b = np.unravel_index(keys, shape)
+    ex = np.zeros((n // 2, dim))
+    step = max(1, GATHER_CHUNK_ENTRIES // dim)
+    for start in range(0, keys.size, step):
+        part = slice(start, start + step)
+        products = u[a[part]]
+        products *= u[b[part]]
+        spread = np.zeros((n // 2, len(products)))
+        spread[at[part], np.arange(len(products))] = weights[part]
+        ex += spread @ products
+    ex = ex.T
+    zz = (u * u).T @ zz_rows
+    dot = zz + ex
+    x = 0.75 * n + 0.5 * dot.sum(axis=1)
+    two_s = np.rint(np.sqrt(1.0 + 4.0 * x) - 1.0)
+    s_s1 = two_s * (two_s + 2.0) / 4.0
+    miss = np.abs(x - s_s1).max()
+    if not miss <= SPIN_TOL:
+        raise NumericError(f"<S^2> of an eigenvector is {miss:.3e} from S(S+1), beyond {SPIN_TOL:g}")
+    pairs_at = by_sep.sum(axis=1)
+    return values - ALPHA * s_s1, two_s.astype(int), dot / pairs_at, zz / pairs_at
+
+
+def _member_rows(n: int, energies, two_s, s, zz):
+    """Energies, Zeeman slopes and X-state features of every member m of
+    every multiplet, grouped by sector n_up = m + N/2 = 0..N and ascending
+    in energy within each sector (ties keep the multiplets' order).
+
+    By the Wigner-Eckart theorem the averaged <sigma^z sigma^z> of member m
+    is s/3 + (zz - s/3) (3m^2 - S(S+1)) / (3 m0^2 - S(S+1)), from the member
+    m0 = -(N % 2)/2 that was solved; it is evaluated as zz plus the change
+    of the rank-2 term, so member m0 keeps zz exactly, and that change is 0
+    where the denominator is (S < 1). A row is then p01 = p10 =
+    (1 - <sigma^z sigma^z>)/4, z = (s - <sigma^z sigma^z>)/4 and p00, p11 =
+    (1 + <sigma^z sigma^z>)/4 -+ m/N. Populations that vanish in a whole
+    sector (p11 for n_up <= 1, p00 for n_up >= N - 1, and all but one for
+    n_up = 0 and N) are set to exactly 0, and roundoff below 0 is clamped.
+    """
+    order = np.argsort(energies, kind="stable")
+    energies, two_s, s, zz = energies[order], two_s[order], s[order], zz[order]
+    s_s1 = two_s * (two_s + 2.0) / 4.0
+    denom = 0.75 * (n % 2) - s_s1
+    rank2 = np.divide(zz - s / 3.0, denom[:, None], out=np.zeros_like(zz), where=(denom != 0.0)[:, None])
+    rows = []
+    for n_up in range(n + 1):
+        two_m = 2 * n_up - n
+        keep = two_s >= abs(two_m)
+        zz_m = zz[keep] + rank2[keep] * (0.75 * (two_m**2 - n % 2))
+        f = np.empty(zz_m.shape + (5,))
+        f[..., 0] = (1.0 + zz_m) / 4.0 - two_m / (2.0 * n)
+        f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
+        f[..., 3] = (1.0 + zz_m) / 4.0 + two_m / (2.0 * n)
+        f[..., 4] = (s[keep] - zz_m) / 4.0
+        if n_up <= 1:
+            f[..., 3] = 0.0
+        if n_up >= n - 1:
+            f[..., 0] = 0.0
+        if n_up in (0, n):
+            f[:] = 0.0
+            f[..., 0 if n_up == 0 else 3] = 1.0
+        np.maximum(f[..., :4], 0.0, out=f[..., :4])
+        rows.append((energies[keep], np.full(keep.sum(), two_m), f))
+    return tuple(np.concatenate(parts) for parts in zip(*rows))
 
 
 def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray):
@@ -212,53 +302,17 @@ def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
     the coherence z = <01|rho|10>. A real eigenstate of total S_z has no
     other nonzero pair-RDM entry.
 
-    Each pair reads the spectrum's (0, d) column for its separation d. The
-    thermal state is invariant under translation and reflection of the
-    ring, so a thermal sum of these rows equals that of the pair (i, j)
-    itself up to roundoff; in particular its p01 equals its p10, so the order
-    of i and j needs no swap. A single eigenstate's row is its (0, d)
-    pair's, not necessarily (i, j)'s.
+    Each pair reads the spectrum's column for its separation d. A single
+    row is the translation average of its eigenstate (member m of an SU(2)
+    multiplet) over the pair states (i, i+d), so it is a valid pair state
+    but not necessarily (i, j)'s own. The thermal state is invariant under
+    translation and reflection of the ring, so a thermal sum of these rows
+    equals that of the pair (i, j) itself up to roundoff; in particular its
+    p01 equals its p10, so the order of i and j needs no swap.
     """
     for i, j in pairs:
         _check_pair(spectrum.n_spins, i, j)
     return spectrum.features[:, [_separation(spectrum.n_spins, i, j) - 1 for i, j in pairs]]
-
-
-def _sector_features(states: np.ndarray, v: np.ndarray, pairs) -> np.ndarray:
-    """Features (eigenstates, pairs, 5) of eigenvector columns v over a sector basis."""
-    f = np.empty((v.shape[1], len(pairs), 5))
-    probs = v * v
-    for p, (i, j) in enumerate(pairs):
-        ab = _pair_labels(states, i, j)
-        f[:, p, :4] = ((ab == np.arange(4)[:, None]) @ probs).T
-        rows01, rows10 = exchange_partners(states, i, j)
-        f[:, p, 4] = np.einsum("sk,sk->k", v[rows01], v[rows10])
-    return f
-
-
-def _middle_features(states: np.ndarray, u: np.ndarray, parity: np.ndarray, pairs) -> np.ndarray:
-    """Features of the middle-sector eigenvectors (u, parity * u[::-1]) / sqrt(2).
-
-    Basis row r < D/2 and row D-1-r both read u's row r; the latter is the
-    flipped pattern, whose pair label is 3 - ab.
-    """
-    f = np.empty((u.shape[1], len(pairs), 5))
-    half = u.shape[0]
-    probs = u * u
-    u_row = np.concatenate([np.arange(half), np.arange(half)[::-1]])
-    flipped = np.arange(2 * half) >= half
-    for p, (i, j) in enumerate(pairs):
-        ab = _pair_labels(states[:half], i, j)
-        counts = (ab == np.arange(4)[:, None]) @ probs
-        f[:, p, :4] = 0.5 * (counts + counts[::-1]).T
-        rows01, rows10 = exchange_partners(states, i, j)
-        a, b = u_row[rows01], u_row[rows10]
-        # A partner pair with one row in each half picks up the parity.
-        cross = flipped[rows01] != flipped[rows10]
-        same = np.einsum("sk,sk->k", u[a[~cross]], u[b[~cross]])
-        mixed = np.einsum("sk,sk->k", u[a[cross]], u[b[cross]])
-        f[:, p, 4] = 0.5 * (same + parity * mixed)
-    return f
 
 
 def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:

@@ -5,19 +5,20 @@ These deliberately take a different path from the package: the full
 matrices, the Gibbs state is formed explicitly, and partial traces are
 explicit index sums. Keep N <= 6 here.
 
-`all_sector_spectrum` is the package's sector path without the spin-flip
-symmetry: one `eigh` on every magnetization sector, with the eigenvectors
-kept. It is the reference for the flip-blocked spectrum and its (0, d)
-feature table, for any ordered pair, and reaches larger N.
+`all_sector_spectrum` is the package's sector path without the SU(2) and
+spin-flip symmetries: one `eigh` on every magnetization sector, with the
+eigenvectors kept, and each eigenvector's pair features read straight off
+its amplitudes. It is the reference for the multiplet-expanded spectrum
+and its feature table, for any ordered pair, and reaches larger N.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from spinchain.basis import ModelParams, zeeman_eigenvalue
+from spinchain.basis import ModelParams, exchange_partners, zeeman_eigenvalue
 from spinchain.hamiltonian import build_sector_hamiltonian
-from spinchain.thermal import _sector_features
+from spinchain.thermal import _pair_labels
 
 # Same basis convention as the package: |0> = down, site i = bit i.
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -112,8 +113,8 @@ class AllSectorSpectrum(NamedTuple):
 
 def all_sector_spectrum(n, j):
     """Reference spectrum from one dense `eigh` per magnetization sector
-    n_up = 0..N, with no spin-flip blocking. `weight_rows` reads its energies
-    and slopes; `all_sector_features` reads its eigenvectors."""
+    n_up = 0..N, with no SU(2) or spin-flip blocking. `weight_rows` reads its
+    energies and slopes; `all_sector_features` reads its eigenvectors."""
     params = ModelParams(n, j)
     energies, slopes, sectors = [], [], []
     for n_up in range(n + 1):
@@ -129,3 +130,15 @@ def all_sector_features(spectrum, pairs):
     """Pair features (eigenstates, pairs, 5) of an `all_sector_spectrum` for
     any ordered pairs, each sector's straight from its own eigenvectors."""
     return np.concatenate([_sector_features(states, v, pairs) for states, v in spectrum.sectors])
+
+
+def _sector_features(states, v, pairs):
+    """Features (eigenstates, pairs, 5) of eigenvector columns v over a sector basis."""
+    f = np.empty((v.shape[1], len(pairs), 5))
+    probs = v * v
+    for p, (i, j) in enumerate(pairs):
+        ab = _pair_labels(states, i, j)
+        f[:, p, :4] = ((ab == np.arange(4)[:, None]) @ probs).T
+        rows01, rows10 = exchange_partners(states, i, j)
+        f[:, p, 4] = np.einsum("sk,sk->k", v[rows01], v[rows10])
+    return f

@@ -45,7 +45,7 @@ class TestSectorBuild:
 
 
 def levels(n, j, b=0.0):
-    """(energies at field b, n_up) of all 2^N eigenstates of the flip-blocked
+    """(energies at field b, n_up) of all 2^N eigenstates of the multiplet-expanded
     spectrum, ascending in energy: each level is energy + B * slope, and
     n_up = (slope + N) / 2."""
     sp = diagonalize_chain(n, j)
@@ -123,3 +123,8 @@ class TestCriticalValues:
             critical_field_closed_form(2.5, 1.0)
         with pytest.raises(ParameterError):
             critical_field_closed_form(5, math.inf)
+
+    @pytest.mark.parametrize("coupling", [math.inf, -math.inf, math.nan])
+    def test_critical_temperature_needs_finite_coupling(self, coupling):
+        with pytest.raises(ParameterError):
+            critical_temperature_two_qubit(coupling)

@@ -129,3 +129,14 @@ def test_x_state_measures_match_general_functions(weights, u):
     expected = (c, eof_from_concurrence(c), mutual_information(rho), chsh_quantity(rho))
     got = x_state_measures(np.array([p00, p01, p10, p11, z]))
     assert np.abs(np.array(got) - expected).max() < 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(1.0 - 2**-53, 1.0)
+@example(0.0, 2**-30)
+def test_eof_is_monotone_in_concurrence(c1, c2):
+    # E = h((1 + sqrt(1 - C^2))/2) is non-decreasing in C on [0, 1], also
+    # between neighbouring floats near the endpoints.
+    lo, hi = sorted((c1, c2))
+    assert eof_from_concurrence(lo) <= eof_from_concurrence(hi)

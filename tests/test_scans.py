@@ -163,34 +163,41 @@ class TestStaircase:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_solves_the_same_blocks_as_the_spectrum(self, n, monkeypatch):
+        # `eigh` runs only on the sector n_up = N // 2: whole for odd N, as
+        # its two flip halves for even N (dim 70 -> 35 + 35). The staircase
+        # reads the spectrum and solves nothing of its own.
         from spinchain import thermal
 
-        solved, current = [], []
-        real_blocks = thermal._flip_blocks
+        built, solved, lapack = [], [], []
+        real_build = thermal.build_sector_hamiltonian
 
-        def blocks(params):
-            for n_up, states, matrix in real_blocks(params):
-                current[:] = [n_up]
-                yield n_up, states, matrix
+        def building(params, n_up, *args):
+            built.append(n_up)
+            return real_build(params, n_up, *args)
 
-        def recording(solver):
-            def solve(matrix):
-                solved.append((current[0], len(matrix)))
-                return solver(matrix)
+        def recording(solver, log):
+            def solve(matrix, *args, **kwargs):
+                log.append((built[-1] if built else None, len(matrix)))
+                return solver(matrix, *args, **kwargs)
 
             return solve
 
-        monkeypatch.setattr(thermal, "_flip_blocks", blocks)
-        monkeypatch.setattr(scans, "_flip_blocks", blocks)
-        monkeypatch.setattr(thermal, "eigh_symmetric", recording(thermal.eigh_symmetric))
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        monkeypatch.setattr(thermal, "build_sector_hamiltonian", building)
+        monkeypatch.setattr(thermal, "eigh_symmetric", recording(thermal.eigh_symmetric, solved))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), lapack))
         magnetization_staircase(n, 1.0)
-        by_staircase = solved[:]
-        solved.clear()
+        by_staircase = (built[:], solved[:], lapack[:])
+        for log in (built, solved, lapack):
+            log.clear()
         diagonalize_chain(n, 1.0)
-        assert by_staircase == solved
-        if n == 8:  # the middle sector (dim 70) only as its two flip halves
-            assert solved == [(3, 56), (2, 28), (1, 8), (0, 1), (4, 35), (4, 35)]
+        assert solved == {7: [(3, 35)], 8: [(4, 35), (4, 35)]}[n]
+        assert lapack == solved
+        assert by_staircase == (built, solved, lapack)
+
+    def test_rejects_non_integer_spin_count(self):
+        with pytest.raises(ParameterError):
+            magnetization_staircase(4.0, 1.0)
 
     def test_crossings_strictly_increasing_and_ordered(self):
         st = magnetization_staircase(10, 1.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    NumericError,
     ParameterError,
     StateValidityError,
     diagonalize_chain,
@@ -82,13 +83,50 @@ class TestDiagonalizeChain:
         assert np.abs(sp.features[:, :, :4].sum(axis=2) - 1.0).max() < 1e-12
         assert x_state_eigenvalues(sp.features).min() >= -1e-12
 
+    @pytest.mark.parametrize("j", [1.0, -1.0, 0.5])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_feature_table_invariants(self, n, j):
+        # Pair populations that vanish in a whole sector are exact zeros in
+        # the multiplet expansion, and no population is negative.
+        sp = diagonalize_chain(n, j)
+        f, n_up = sp.features, (sp.slopes + n) // 2
+        assert np.all(f[n_up == 0] == [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.all(f[n_up == n] == [0.0, 0.0, 0.0, 1.0, 0.0])
+        assert np.all(f[n_up <= 1][..., 3] == 0.0)
+        assert np.all(f[n_up >= n - 1][..., 0] == 0.0)
+        assert f[..., :4].min() >= 0.0
+
+    @pytest.mark.parametrize("factor,raises", [(10.0, True), (0.1, False)])
+    def test_spin_check_tolerance(self, factor, raises, monkeypatch):
+        # N=3 solves one block whose vectors are, by ascending H + ALPHA S^2,
+        # the S = 1/2 doublet and then S = 3/2. Turning the first vector
+        # towards the last by theta moves its <S^2> by 3 sin^2(theta).
+        from spinchain import thermal
+
+        theta = np.arcsin(np.sqrt(factor * thermal.SPIN_TOL / 3.0))
+        real = thermal.eigh_symmetric
+
+        def tilted(matrix):
+            values, v = real(matrix)
+            turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            v = v.copy()
+            v[:, [0, 2]] = v[:, [0, 2]] @ turn
+            return values, v
+
+        monkeypatch.setattr(thermal, "eigh_symmetric", tilted)
+        if raises:
+            with pytest.raises(NumericError, match=r"S\(S\+1\)"):
+                diagonalize_chain(3, 1.0)
+        else:
+            assert diagonalize_chain(3, 1.0).energies.size == 8
+
     @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
     @pytest.mark.parametrize("n", range(2, 13))
     def test_pair_states_match_all_sector_path(self, n, j):
-        # One eigh per sector, without the spin flip, must give the same
-        # W @ F pair states for every ordered pair, at kT = 0 too. For J > 0
-        # the B values include the staircase crossings, where the kT = 0
-        # ground manifold spans two sectors.
+        # One eigh per sector, without the SU(2) and spin-flip symmetries,
+        # must give the same W @ F pair states for every ordered pair, at
+        # kT = 0 too. For J > 0 the B values include the staircase
+        # crossings, where the kT = 0 ground manifold spans two sectors.
         sp, ref = diagonalize_chain(n, j), all_sector_spectrum(n, j)
         pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
         b_values = [0.0, 0.3, 1.7, 4.5]
@@ -99,6 +137,12 @@ class TestDiagonalizeChain:
         got = weight_rows(sp, b, kt)[0] @ pair_features(sp, pairs).transpose(1, 0, 2)
         want = weight_rows(ref, b, kt)[0] @ all_sector_features(ref, pairs).transpose(1, 0, 2)
         assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_pair_states_match_all_sector_path_at_benchmark_size(self, n):
+        # The same check at the sizes `spinchain grid` is benchmarked at.
+        self.test_pair_states_match_all_sector_path(n, 1.0)
 
 
 def sector_rows(spectrum):
