@@ -5,6 +5,10 @@ conditions. Only the exchange part is materialized: the Zeeman term is
 constant within a sector (B times 2*n_up - N) and is added as a scalar
 shift wherever energies are needed. Note that for N=2 the cyclic sum
 visits the single (0,1) bond twice, which doubles the exchange energy.
+
+`build_sector_hamiltonian` is the plain dense sector matrix: the reference
+that the tests' oracles build on. `thermal.diagonalize_chain` does not use
+it; it assembles its own folded blocks of the middle sector.
 """
 
 from __future__ import annotations
@@ -26,28 +30,21 @@ class SectorHamiltonian:
     matrix: np.ndarray
 
 
-def build_sector_hamiltonian(params: ModelParams, n_up: int, bonds=None) -> SectorHamiltonian:
-    """Build the dense matrix sum_(a, b, w) w sigma^a . sigma^b on a sector.
+def build_sector_hamiltonian(params: ModelParams, n_up: int) -> SectorHamiltonian:
+    """Build the dense exchange matrix J sum_i sigma^i . sigma^{i+1} on a sector.
 
-    `bonds` is a list of (a, b, w) triples and defaults to the ring's
-    exchange part, (i, i+1 mod N, J) for every site i. For every bond,
-    aligned z-spins add +w and anti-aligned add -w on the diagonal, while
-    sigma_x sigma_x + sigma_y sigma_y connects the two exchanged
-    configurations with amplitude 2w.
+    For every bond (i, i+1 mod N), aligned z-spins add +J and anti-aligned
+    add -J on the diagonal, while sigma_x sigma_x + sigma_y sigma_y
+    connects the two exchanged configurations with amplitude 2J.
     """
-    n = params.n_spins
-    if bonds is None:
-        bonds = [(a, (a + 1) % n, params.coupling) for a in range(n)]
-    a, b, w = (np.array(column) for column in zip(*bonds))
+    n, j = params.n_spins, params.coupling
+    a, b = np.arange(n), (np.arange(n) + 1) % n
     basis = enumerate_sector(n, n_up)
     states, dim = basis.states, basis.dim
     rows, partners = exchange_partners(states, a, b)
     entries = np.concatenate([rows * dim + partners, partners * dim + rows], axis=None)
-    amplitudes = np.broadcast_to(2.0 * w[:, None], rows.shape)
-    weights = np.concatenate([amplitudes, amplitudes], axis=None)
-    # float even when no pattern is exchanged (bincount of nothing is int).
-    h = np.bincount(entries, weights=weights, minlength=dim * dim).astype(float, copy=False).reshape(dim, dim)
-    h[np.diag_indices(dim)] = w @ (1.0 - 2.0 * (((states >> a[:, None]) ^ (states >> b[:, None])) & 1))
+    h = np.bincount(entries, minlength=dim * dim).reshape(dim, dim) * (2.0 * j)
+    h[np.diag_indices(dim)] = j * (1.0 - 2.0 * (((states >> a[:, None]) ^ (states >> b[:, None])) & 1)).sum(axis=0)
     return SectorHamiltonian(basis=basis, matrix=h)
 
 

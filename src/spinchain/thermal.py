@@ -13,8 +13,9 @@ five numbers over the eigenstates.
 Only the sector n_up = N // 2 is diagonalized: the ring conserves total
 spin, so each of its eigenvectors stands for a whole SU(2) multiplet, and
 the Wigner-Eckart theorem gives every member's energy and pair features.
-The spectrum keeps no eigenvectors: only `diagonalize_chain` sees them and
-knows how the eigenstates are blocked.
+Its `eigh` blocks and those pair correlations come from the same folded
+separation operators. The spectrum keeps no eigenvectors: only
+`diagonalize_chain` sees them and knows how the eigenstates are blocked.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, SectorBasis, exchange_partners
+from .basis import ModelParams, SectorBasis, enumerate_sector, exchange_partners
 from .errors import NumericError, ParameterError, StateValidityError
-from .hamiltonian import build_sector_hamiltonian
 from .numerics import eigh_symmetric
 
 # Relative width of the T=0 ground manifold.
@@ -118,50 +118,68 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     multiplet's S, its energy E = lambda - ALPHA S(S+1) and its pair
     correlations (see `_multiplets`), and `_member_rows` expands every
     multiplet into the rows of its 2S + 1 members. No eigenvector is kept.
+    A J for which the span 4N|J| of the levels overflows raises ParameterError.
     """
-    params = ModelParams(n_spins=n_spins, coupling=coupling)
-    pairs = [(i, j) for i in range(n_spins) for j in range(i + 1, n_spins)]
-    solved = [_multiplets(*block, pairs) for block in _middle_blocks(params, pairs)]
+    ModelParams(n_spins=n_spins, coupling=coupling)
+    if not np.isfinite(4.0 * n_spins * coupling):
+        raise ParameterError(f"the N={n_spins} Hamiltonian overflows float64 at J={coupling} (levels span 4N|J|)")
+    solved = [_multiplets(n_spins, *block) for block in _middle_blocks(n_spins, coupling)]
     energies, two_s, s, zz = (np.concatenate(parts) for parts in zip(*solved))
     energies, slopes, features = _member_rows(n_spins, energies, two_s, s, zz)
-    return ChainSpectrum(
-        n_spins=n_spins, coupling=coupling, energies=energies, slopes=slopes, features=features
-    )
+    return ChainSpectrum(n_spins=n_spins, coupling=coupling, energies=energies, slopes=slopes, features=features)
 
 
-def _middle_blocks(params: ModelParams, pairs):
-    """Yield (basis, matrix, row, sign) for each block of H + ALPHA S^2 on
-    the sector n_up = N // 2 that `eigh` solves. An eigenvector u of a block
-    is the sector vector sign * u[row] * sqrt(len(u) / D): `row` and `sign`
-    give each of the D basis rows its block row and sign.
+def _middle_blocks(n: int, coupling: float):
+    """Yield (matrix, zz_rows, entries) for each block of H + ALPHA S^2 on the
+    sector n_up = N // 2 that `eigh` solves.
+
+    With O_d the sum of sigma^i . sigma^j over the pairs i < j at separation
+    d, H + ALPHA S^2 = (mJ + ALPHA/2) O_1 + (ALPHA/2) sum_{d>=2} O_d + 3N ALPHA/4,
+    where m = 2 for N = 2 (its ring visits its one bond twice), else 1. Each
+    O_d is folded once into block rows: its sigma^z sigma^z diagonal
+    zz_rows[:, d-1] and its exchange part 2 (sigma+ sigma- + sigma- sigma+)
+    as entries (d-1, a, b, w), a <= b, merged per block element. A block is
+    one bincount of the entries plus the diagonal, and `_multiplets` reads
+    the pair correlations off the same tables.
 
     For odd N the block is the whole sector. For even N, flipping every spin
     maps basis row r to row D-1-r, and the blocks are the flip-even and
-    flip-odd halves H[m, m] +- H[m, flip(m)] over the first D/2 rows, whose
-    eigenvectors are (u, +-u[::-1]) / sqrt(2). The dense sector matrix is
-    freed once both halves exist, and each half once it has been solved.
+    flip-odd halves over the first D/2 rows, whose eigenvectors are
+    (u, +-u[::-1]) / sqrt(2); only their weights w differ.
     """
-    n = params.n_spins
-    ring = [(a, (a + 1) % n, params.coupling) for a in range(n)]
-    # S^2 = 3N/4 + (1/2) sum_{i<j} sigma^i . sigma^j.
-    spin = [(i, j, ALPHA / 2) for i, j in pairs]
-    sh = build_sector_hamiltonian(params, n // 2, ring + spin)
-    basis, dim = sh.basis, sh.basis.dim
-    sh.matrix[np.diag_indices(dim)] += 0.75 * n * ALPHA
-    if n % 2:
-        yield basis, sh.matrix, np.arange(dim), np.ones(dim)
-        return
-    half = dim // 2
-    near, far = sh.matrix[:half, :half], sh.matrix[:half, ::-1][:, :half]
-    blocks = [(near + far, 1.0), (near - far, -1.0)]
-    del sh, near, far
-    row = np.concatenate([np.arange(half), np.arange(half)[::-1]])
-    while blocks:
-        matrix, parity = blocks.pop(0)
-        yield basis, matrix, row, np.repeat([1.0, parity], half)
+    states = enumerate_sector(n, n // 2).states
+    dim = states.size
+    size, parities = (dim, [1.0]) if n % 2 else (dim // 2, [1.0, -1.0])
+    mirrored = np.arange(dim) >= size
+    row = np.where(mirrored, dim - 1 - np.arange(dim), np.arange(dim))
+    # A block eigenvector u is the sector vector v[r] = sign[r] u[row[r]] sqrt(scale), with
+    # sign[r] the parity on mirrored rows and 1 elsewhere, so every weight carries scale.
+    scale = size / dim
+    i, j = np.triu_indices(n, 1)
+    sep = np.minimum(j - i, n - j + i)
+    by_sep = (sep == np.arange(1, n // 2 + 1)[:, None]).astype(float)
+    aligned = 1.0 - 2.0 * (((states >> i[:, None]) ^ (states >> j[:, None])) & 1)
+    zz_rows = scale * np.array([np.bincount(row, weights=w, minlength=size) for w in by_sep @ aligned]).T
+    rows, partners = exchange_partners(states, i, j)
+    a, b = row[rows], row[partners]
+    shape = (n // 2, size, size)
+    entries = np.ravel_multi_index((sep[:, None] - 1, np.minimum(a, b), np.maximum(a, b)), shape)
+    keys, merged = np.unique(entries, return_inverse=True)
+    at, a, b = np.unravel_index(keys, shape)
+    cross = (mirrored[rows] != mirrored[partners]).ravel()
+    coeff = np.full(n // 2, ALPHA / 2)
+    coeff[0] += (2 if n == 2 else 1) * coupling
+    diagonal = zz_rows @ coeff + 0.75 * n * ALPHA
+    # An entry adds w c_d / 2 at (a, b) and at (b, a): all of w c_d where a == b.
+    cells = np.concatenate([a * size + b, b * size + a])
+    for parity in parities:
+        w = np.bincount(merged.ravel(), weights=np.where(cross, 4.0 * scale * parity, 4.0 * scale))
+        matrix = np.bincount(cells, weights=np.tile(0.5 * coeff[at] * w, 2), minlength=size * size).reshape(size, size)
+        matrix[np.diag_indices(size)] += diagonal
+        yield matrix, zz_rows, (at, a, b, w)
 
 
-def _multiplets(basis: SectorBasis, matrix: np.ndarray, row: np.ndarray, sign: np.ndarray, pairs):
+def _multiplets(n: int, matrix: np.ndarray, zz_rows: np.ndarray, entries):
     """Energy, 2S and pair correlations of the multiplet that each
     eigenvector of one `_middle_blocks` block belongs to.
 
@@ -171,46 +189,27 @@ def _multiplets(basis: SectorBasis, matrix: np.ndarray, row: np.ndarray, sign: n
     off the same sums, and a value more than SPIN_TOL from the nearest
     S(S+1) raises NumericError.
     """
-    n, states = basis.n_spins, basis.states
     values, u = eigh_symmetric(matrix)
-    dim = u.shape[0]
-    # Sector amplitude products: v[r] v[r'] = scale sign[r] sign[r'] u[row[r]] u[row[r']].
-    scale = dim / states.size
-    i, j = np.array(pairs).T
-    sep = np.minimum(j - i, n - j + i)
-    by_sep = (sep == np.arange(1, n // 2 + 1)[:, None]).astype(float)
-    aligned = 1.0 - 2.0 * (((states >> i[:, None]) ^ (states >> j[:, None])) & 1)
-    zz_rows = scale * np.array([np.bincount(row, weights=w, minlength=dim) for w in by_sep @ aligned]).T
-    # sigma_x sigma_x + sigma_y sigma_y = 2 (sigma+ sigma- + sigma- sigma+) on
-    # every pair of basis rows that swapping sites i and j connects. Entries
-    # that read the same two block rows at one separation (for even N, a pair
-    # and its spin-flipped image) are merged before the rows are gathered.
-    rows, partners = exchange_partners(states, i, j)
-    a, b = row[rows], row[partners]
-    shape = (n // 2, dim, dim)
-    entries = np.ravel_multi_index((sep[:, None] - 1, np.minimum(a, b), np.maximum(a, b)), shape)
-    keys, merged = np.unique(entries, return_inverse=True)
-    weights = np.bincount(merged.ravel(), weights=(4.0 * scale * sign[rows] * sign[partners]).ravel())
-    at, a, b = np.unravel_index(keys, shape)
-    ex = np.zeros((n // 2, dim))
-    step = max(1, GATHER_CHUNK_ENTRIES // dim)
-    for start in range(0, keys.size, step):
+    at, a, b, w = entries
+    seps = zz_rows.shape[1]
+    ex = np.zeros((seps, u.shape[0]))
+    step = max(1, GATHER_CHUNK_ENTRIES // u.shape[0])
+    for start in range(0, at.size, step):
         part = slice(start, start + step)
         products = u[a[part]]
         products *= u[b[part]]
-        spread = np.zeros((n // 2, len(products)))
-        spread[at[part], np.arange(len(products))] = weights[part]
+        spread = np.zeros((seps, len(products)))
+        spread[at[part], np.arange(len(products))] = w[part]
         ex += spread @ products
-    ex = ex.T
     zz = (u * u).T @ zz_rows
-    dot = zz + ex
+    dot = zz + ex.T
     x = 0.75 * n + 0.5 * dot.sum(axis=1)
     two_s = np.rint(np.sqrt(1.0 + 4.0 * x) - 1.0)
     s_s1 = two_s * (two_s + 2.0) / 4.0
     miss = np.abs(x - s_s1).max()
     if not miss <= SPIN_TOL:
         raise NumericError(f"<S^2> of an eigenvector is {miss:.3e} from S(S+1), beyond {SPIN_TOL:g}")
-    pairs_at = by_sep.sum(axis=1)
+    pairs_at = np.where(2 * np.arange(1, seps + 1) == n, n / 2, n)  # N/2 pairs at d = N/2, else N
     return values - ALPHA * s_s1, two_s.astype(int), dot / pairs_at, zz / pairs_at
 
 
@@ -260,7 +259,8 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     """Thermal weights of every eigenstate, one row per (B, kT) point.
 
     Each row's energies are shifted by its ground energy before
-    exponentiation, so nothing overflows. A kT = 0 row mixes all
+    exponentiation, so no weight overflows; an exponent that overflows to
+    -inf (a gap far beyond kT) gives the weight 0. A kT = 0 row mixes all
     eigenstates within DEGENERACY_TOL of the ground energy uniformly (this
     covers exact level crossings such as B = B_c).
 
@@ -272,7 +272,8 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     shifted -= e0[:, None]
     cold = kt_values == 0.0
     w = np.empty_like(shifted)
-    w[~cold] = np.exp(-shifted[~cold] / kt_values[~cold, None])
+    with np.errstate(over="ignore"):
+        w[~cold] = np.exp(-shifted[~cold] / kt_values[~cold, None])
     w[cold] = shifted[cold] <= (DEGENERACY_TOL * np.maximum(1.0, np.abs(e0[cold])))[:, None]
     z = w.sum(axis=1)
     w /= z[:, None]

@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--slow",
         action="store_true",
         default=False,
-        help="run long checks (entanglement-length conjecture up to N=13)",
+        help="run long checks (N=11..13 entanglement length, N=13 and 14 oracle check)",
     )
 
 

@@ -6,10 +6,10 @@ matrices, the Gibbs state is formed explicitly, and partial traces are
 explicit index sums. Keep N <= 6 here.
 
 `all_sector_spectrum` is the package's sector path without the SU(2) and
-spin-flip symmetries: one `eigh` on every magnetization sector, with the
-eigenvectors kept, and each eigenvector's pair features read straight off
-its amplitudes. It is the reference for the multiplet-expanded spectrum
-and its feature table, for any ordered pair, and reaches larger N.
+spin-flip symmetries: one `eigh` on every magnetization sector, and each
+eigenvector's pair features read straight off its amplitudes. It is the
+reference for the multiplet-expanded spectrum and its feature table, for
+any ordered pair, and reaches larger N.
 """
 
 from typing import NamedTuple
@@ -103,33 +103,30 @@ def dense_pair_rdm(rho, n, i, j):
 
 
 class AllSectorSpectrum(NamedTuple):
-    """Energies and Zeeman slopes in the package's flat eigenstate order, plus
-    one (basis states, eigenvector columns) pair per sector n_up = 0..N."""
+    """Energies, Zeeman slopes and pair features (eigenstates, pairs, 5) in
+    the package's flat eigenstate order."""
 
     energies: np.ndarray
     slopes: np.ndarray
-    sectors: tuple
+    features: np.ndarray
 
 
-def all_sector_spectrum(n, j):
+def all_sector_spectrum(n, j, pairs=()):
     """Reference spectrum from one dense `eigh` per magnetization sector
     n_up = 0..N, with no SU(2) or spin-flip blocking. `weight_rows` reads its
-    energies and slopes; `all_sector_features` reads its eigenvectors."""
+    energies and slopes. The features of the ordered `pairs` are read off
+    each sector's eigenvectors right after its `eigh`, so only one sector's
+    eigenvectors are held at a time."""
     params = ModelParams(n, j)
-    energies, slopes, sectors = [], [], []
+    energies, slopes, features = [], [], []
     for n_up in range(n + 1):
         sh = build_sector_hamiltonian(params, n_up)
         values, vectors = np.linalg.eigh(sh.matrix)
         energies.append(values)
         slopes.append(np.full(values.size, zeeman_eigenvalue(n, n_up)))
-        sectors.append((sh.basis.states, vectors))
-    return AllSectorSpectrum(np.concatenate(energies), np.concatenate(slopes), tuple(sectors))
-
-
-def all_sector_features(spectrum, pairs):
-    """Pair features (eigenstates, pairs, 5) of an `all_sector_spectrum` for
-    any ordered pairs, each sector's straight from its own eigenvectors."""
-    return np.concatenate([_sector_features(states, v, pairs) for states, v in spectrum.sectors])
+        features.append(_sector_features(sh.basis.states, vectors, pairs))
+        del sh, vectors
+    return AllSectorSpectrum(np.concatenate(energies), np.concatenate(slopes), np.concatenate(features))
 
 
 def _sector_features(states, v, pairs):

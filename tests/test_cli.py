@@ -90,6 +90,13 @@ class TestGridCommand:
             assert run([command, "--n", "4", "--j", "1"]) == 2
             assert capsys.readouterr().out == ""
 
+    def test_overflowing_coupling_exits_2(self, tmp_path, capsys):
+        # Finite, but the Hamiltonian's levels overflow float64.
+        assert run(["grid", "--n", "4", "--j", "1e308", "--b-range", "0:1:2", "--kt-range", "1:1:1",
+                    "--sep", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "J=1e+308" in err and "overflows float64" in err
+
     def test_unhealthy_pair_state_exits_1(self, tmp_path, monkeypatch, capsys):
         from spinchain import scans
 

@@ -164,16 +164,21 @@ class TestStaircase:
     @pytest.mark.parametrize("n", [7, 8])
     def test_solves_the_same_blocks_as_the_spectrum(self, n, monkeypatch):
         # `eigh` runs only on the sector n_up = N // 2: whole for odd N, as
-        # its two flip halves for even N (dim 70 -> 35 + 35). The staircase
-        # reads the spectrum and solves nothing of its own.
+        # its two flip halves for even N (dim 70 -> 35 + 35), and the
+        # exchange partners of that sector are found once for both. The
+        # staircase reads the spectrum and solves nothing of its own.
         from spinchain import thermal
 
-        built, solved, lapack = [], [], []
-        real_build = thermal.build_sector_hamiltonian
+        built, solved, lapack, paired = [], [], [], []
+        real_enumerate, real_partners = thermal.enumerate_sector, thermal.exchange_partners
 
-        def building(params, n_up, *args):
+        def enumerating(n_spins, n_up):
             built.append(n_up)
-            return real_build(params, n_up, *args)
+            return real_enumerate(n_spins, n_up)
+
+        def pairing(states, *args):
+            paired.append(states.size)
+            return real_partners(states, *args)
 
         def recording(solver, log):
             def solve(matrix, *args, **kwargs):
@@ -182,18 +187,21 @@ class TestStaircase:
 
             return solve
 
-        monkeypatch.setattr(thermal, "build_sector_hamiltonian", building)
+        monkeypatch.setattr(thermal, "enumerate_sector", enumerating)
+        monkeypatch.setattr(thermal, "exchange_partners", pairing)
         monkeypatch.setattr(thermal, "eigh_symmetric", recording(thermal.eigh_symmetric, solved))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), lapack))
         magnetization_staircase(n, 1.0)
-        by_staircase = (built[:], solved[:], lapack[:])
-        for log in (built, solved, lapack):
+        by_staircase = (built[:], solved[:], lapack[:], paired[:])
+        for log in (built, solved, lapack, paired):
             log.clear()
         diagonalize_chain(n, 1.0)
+        assert built == [n // 2]
         assert solved == {7: [(3, 35)], 8: [(4, 35), (4, 35)]}[n]
         assert lapack == solved
-        assert by_staircase == (built, solved, lapack)
+        assert paired == [{7: 35, 8: 70}[n]]
+        assert by_staircase == (built, solved, lapack, paired)
 
     def test_rejects_non_integer_spin_count(self):
         with pytest.raises(ParameterError):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    ModelParams,
     NumericError,
     ParameterError,
     StateValidityError,
+    build_sector_hamiltonian,
     diagonalize_chain,
     enumerate_sector,
     gibbs_weights,
@@ -16,7 +18,7 @@ from spinchain import (
 )
 from spinchain.measures import x_state_eigenvalues
 from spinchain.thermal import PairDensityMatrix, pair_features, weight_rows
-from oracles import all_sector_features, all_sector_spectrum, dense_gibbs_state, dense_pair_rdm
+from oracles import SX, SY, SZ, all_sector_spectrum, dense_gibbs_state, dense_pair_rdm, site_operator
 
 SINGLET_RHO = np.array(
     [
@@ -96,6 +98,30 @@ class TestDiagonalizeChain:
         assert np.all(f[n_up >= n - 1][..., 0] == 0.0)
         assert f[..., :4].min() >= 0.0
 
+    @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_blocks_fold_the_dense_sector_matrix(self, n, j):
+        # Each block assembled from the folded separation operators equals
+        # the flip fold of the plain middle-sector matrix H + ALPHA S^2, with
+        # S^2 built from Kronecker products of Pauli matrices.
+        from spinchain import thermal
+
+        sh = build_sector_hamiltonian(ModelParams(n, j), n // 2)
+        total = [sum(site_operator(op, site, n) for site in range(n)) for op in (SX, SY, SZ)]
+        s2 = sum(op @ op for op in total) / 4.0
+        assert np.abs(s2.imag).max() == 0.0
+        dense = sh.matrix + thermal.ALPHA * s2.real[np.ix_(sh.basis.states, sh.basis.states)]
+        if n % 2:
+            want = [dense]
+        else:
+            half = dense.shape[0] // 2
+            near, far = dense[:half, :half], dense[:half, ::-1][:, :half]
+            want = [near + far, near - far]
+        got = [matrix for matrix, *_ in thermal._middle_blocks(n, j)]
+        assert [m.shape for m in got] == [m.shape for m in want]
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-13
+
     @pytest.mark.parametrize("factor,raises", [(10.0, True), (0.1, False)])
     def test_spin_check_tolerance(self, factor, raises, monkeypatch):
         # N=3 solves one block whose vectors are, by ascending H + ALPHA S^2,
@@ -127,15 +153,15 @@ class TestDiagonalizeChain:
         # must give the same W @ F pair states for every ordered pair, at
         # kT = 0 too. For J > 0 the B values include the staircase
         # crossings, where the kT = 0 ground manifold spans two sectors.
-        sp, ref = diagonalize_chain(n, j), all_sector_spectrum(n, j)
         pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
+        sp, ref = diagonalize_chain(n, j), all_sector_spectrum(n, j, pairs)
         b_values = [0.0, 0.3, 1.7, 4.5]
         if j > 0:
             b_values += [c.b_value for c in magnetization_staircase(n, j).crossings]
         b = np.repeat(b_values, 3)
         kt = np.tile([0.0, 0.05, 1.0], len(b_values))
         got = weight_rows(sp, b, kt)[0] @ pair_features(sp, pairs).transpose(1, 0, 2)
-        want = weight_rows(ref, b, kt)[0] @ all_sector_features(ref, pairs).transpose(1, 0, 2)
+        want = weight_rows(ref, b, kt)[0] @ ref.features.transpose(1, 0, 2)
         assert np.abs(got - want).max() < 1e-12
 
     @pytest.mark.slow
@@ -200,6 +226,14 @@ class TestGibbsWeights:
     def test_two_spin_weight_limits(self, coupling, kt, expected, tol):
         flat = gibbs_weights(diagonalize_chain(2, coupling), 0.0, kt).weights
         assert np.abs(flat - expected).max() <= tol
+
+    def test_tiny_temperature_is_the_ground_state_silently(self):
+        # kT = 1e-320 sends every excited exponent to -inf: weight 0, with no
+        # overflow warning (the suite turns RuntimeWarning into an error).
+        sp = diagonalize_chain(2, 1.0)
+        w = weight_rows(sp, np.zeros(2), np.array([1e-320, 0.0]))[0]
+        assert np.array_equal(w[0], w[1])
+        assert w[1].tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_weights_form_simplex(self):
         sp = diagonalize_chain(5, 1.0)
