@@ -27,13 +27,7 @@ from .scans import (
     scan_pair_measures,
     scan_table,
 )
-from .svgplot import render_line_plot, render_plot_payload
-
-
-def _num(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return f"{float(v):.12g}"
+from .svgplot import render_plot_payload
 
 
 def _rows(table):
@@ -42,17 +36,11 @@ def _rows(table):
 
 
 def _write_csv(path: Path, table):
+    """Write a header and one line per row: integer columns as %d, all others as %.12g."""
+    fmt = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.12g" for col in table.values())
     lines = [",".join(table)]
-    lines.extend(",".join(_num(v) for v in row) for row in _rows(table))
+    lines.extend(fmt % row for row in _rows(table))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, payload):
-    path.write_text(_json_text(payload))
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _parse_range(spec: str, name: str):
@@ -161,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--svg", help="also render a plot to this path")
 
     fig = sub.add_parser("figure", help="emit a reference figure dataset")
-    fig.add_argument("--id", type=int, required=True, help="figure id 1..5")
+    fig.add_argument("--id", type=int, required=True, choices=FIGURE_IDS, help="figure id 1..5")
     fig.add_argument("--outdir", required=True, help="directory for figN.csv (and figN.svg)")
     fig.add_argument("--svg", action="store_true", help="also write figN.svg")
 
@@ -204,15 +192,15 @@ def _grid_from_args(args, parser) -> ScanGrid:
     return ScanGrid.from_separations(args.n, args.j, args.b_range, args.kt_range, tuple(args.sep))
 
 
-def _grid_svg(grid: ScanGrid, e) -> str:
-    """Plot E, a (B, kT, pair) array: a heatmap of the first pair on a 2-D grid, else one line per pair."""
+def _grid_plot(grid: ScanGrid, e) -> dict:
+    """Plot payload of E, a (B, kT, pair) array: a heatmap of the first pair
+    on a 2-D grid, else one line per pair."""
     if len(grid.b_values) > 1 and len(grid.kt_values) > 1:
-        from .svgplot import render_heatmap
-
-        return render_heatmap(
-            grid.b_values.tolist(),
-            grid.kt_values.tolist(),
-            e[:, :, 0].T.tolist(),
+        return dict(
+            kind="heatmap",
+            x=grid.b_values.tolist(),
+            y=grid.kt_values.tolist(),
+            z=e[:, :, 0].T.tolist(),
             xlabel="B",
             ylabel="kT",
             title=f"E(B, kT), N={grid.n_spins}, J={grid.coupling:g}, pair {grid.pairs[0]}",
@@ -222,8 +210,9 @@ def _grid_svg(grid: ScanGrid, e) -> str:
     x = (grid.b_values if along_b else grid.kt_values).tolist()
     lines = e.reshape(len(x), len(grid.pairs)).T.tolist()
     series = [{"label": f"pair {pair}", "x": x, "y": y} for pair, y in zip(grid.pairs, lines)]
-    return render_line_plot(
-        series,
+    return dict(
+        kind="lines",
+        series=series,
         xlabel="B" if along_b else "kT",
         ylabel="E",
         title=f"Entanglement, N={grid.n_spins}, J={grid.coupling:g}",
@@ -238,15 +227,13 @@ def _cmd_grid(args, parser) -> int:
     if (args.format or "csv") == "csv":
         _write_csv(out, table)
     else:
-        _write_json(out, {"columns": list(table), "rows": [list(row) for row in _rows(table)]})
+        _emit_json({"columns": list(table), "rows": [list(row) for row in _rows(table)]}, out)
     if args.svg:
-        Path(args.svg).write_text(_grid_svg(grid, measures["E"]))
+        Path(args.svg).write_text(render_plot_payload(_grid_plot(grid, measures["E"])))
     return 0
 
 
-def _cmd_figure(args, parser) -> int:
-    if args.id not in FIGURE_IDS:
-        parser.error(f"--id must be in {list(FIGURE_IDS)}, got {args.id}")
+def _cmd_figure(args, _parser) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ds = figure_dataset(args.id)
@@ -257,7 +244,7 @@ def _cmd_figure(args, parser) -> int:
 
 
 def _emit_json(payload, out_path):
-    text = _json_text(payload)
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
         Path(out_path).write_text(text)
     else:

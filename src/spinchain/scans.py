@@ -265,12 +265,14 @@ class FigureDataset:
 
     `table` maps each of FIGURE_COLUMNS to a 1-D array, one entry per row:
     the rows of `scan_table` for each of the figure's scans, in turn, with
-    that scan's N and J prepended.
+    that scan's N and J prepended. `plot` is the payload that
+    `svgplot.render_plot_payload` draws: its `kind`, "heatmap" or "lines",
+    plus the keyword arguments of that kind's renderer.
     """
 
     figure_id: int
     table: dict
-    plot: dict  # kind "heatmap" or "lines" plus the prepared series/arrays
+    plot: dict
 
 
 FIGURE_COLUMNS = ("N", "J") + SCAN_COLUMNS

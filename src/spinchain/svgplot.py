@@ -23,6 +23,10 @@ _HEAT_STOPS = (
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 36, 52
 
+# Canvas sizes in pixels (width, height).
+_LINE_SIZE = (720, 480)
+_HEAT_SIZE = (720, 520)
+
 
 def _tick_label(v: float) -> str:
     return f"{v:.6g}"
@@ -124,16 +128,9 @@ def _axes_frame(parts, xaxis: _Axis, yaxis: _Axis, xlabel: str, ylabel: str, wid
     )
 
 
-def render_line_plot(
-    series,
-    xlabel: str = "",
-    ylabel: str = "",
-    title: str = "",
-    width: int = 720,
-    height: int = 480,
-    logx: bool = False,
-) -> str:
+def render_line_plot(series, xlabel: str = "", ylabel: str = "", title: str = "", logx: bool = False) -> str:
     """Render polyline series [{label, x, y}, ...] with axes and a legend."""
+    width, height = _LINE_SIZE
     if not series:
         raise ParameterError("line plot needs at least one series")
     xs = [v for s in series for v in s["x"]]
@@ -180,18 +177,9 @@ def _cell_edges(values, axis: _Axis):
     return edges
 
 
-def render_heatmap(
-    x,
-    y,
-    z,
-    xlabel: str = "",
-    ylabel: str = "",
-    title: str = "",
-    width: int = 720,
-    height: int = 520,
-    logy: bool = False,
-) -> str:
+def render_heatmap(x, y, z, xlabel: str = "", ylabel: str = "", title: str = "", logy: bool = False) -> str:
     """Render z[row][col] (row per y sample, col per x sample) as colored cells."""
+    width, height = _HEAT_SIZE
     if not x or not y or len(z) != len(y) or any(len(r) != len(x) for r in z):
         raise ParameterError("heatmap needs z shaped (len(y), len(x))")
     xaxis = _Axis(min(x), max(x), _MARGIN_L, width - _MARGIN_R, False)
@@ -221,23 +209,11 @@ def render_heatmap(
 
 
 def render_plot_payload(plot: dict) -> str:
-    """Render a figure plot payload produced by scans.figure_dataset."""
-    if plot.get("kind") == "heatmap":
-        return render_heatmap(
-            plot["x"],
-            plot["y"],
-            plot["z"],
-            xlabel=plot.get("xlabel", ""),
-            ylabel=plot.get("ylabel", ""),
-            title=plot.get("title", ""),
-            logy=plot.get("logy", False),
-        )
-    if plot.get("kind") == "lines":
-        return render_line_plot(
-            plot["series"],
-            xlabel=plot.get("xlabel", ""),
-            ylabel=plot.get("ylabel", ""),
-            title=plot.get("title", ""),
-            logx=plot.get("logx", False),
-        )
-    raise ParameterError(f"unknown plot kind {plot.get('kind')!r}")
+    """Render a plot payload: its `kind` ("heatmap" or "lines") plus the
+    keyword arguments of that kind's renderer."""
+    renderers = {"heatmap": render_heatmap, "lines": render_line_plot}
+    kwargs = dict(plot)
+    kind = kwargs.pop("kind", None)
+    if kind not in renderers:
+        raise ParameterError(f"unknown plot kind {kind!r}")
+    return renderers[kind](**kwargs)

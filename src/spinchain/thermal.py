@@ -31,9 +31,10 @@ from .numerics import eigh_symmetric
 # Relative width of the T=0 ground manifold.
 DEGENERACY_TOL = 1e-9
 
-# Weight of S^2 in the matrix H + ALPHA S^2 that `eigh` solves: small and
-# irrational, so that every eigenvector is also an S^2 eigenvector even
-# where levels of different total spin S would otherwise coincide.
+# Weight of S^2 in the matrix H_1 + ALPHA S^2 that `eigh` solves, H_1 the
+# ring at J = 1: small and irrational, so that every eigenvector is also an
+# S^2 eigenvector even where levels of different total spin S would
+# otherwise coincide.
 ALPHA = 1e-3 / np.pi
 
 # Largest allowed distance of an eigenvector's <S^2> from S(S+1).
@@ -113,28 +114,30 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     The ring commutes with the total spin S^2, so every eigenstate is the
     member m of a (2S+1)-fold multiplet whose members share one exchange
     energy, and every multiplet has exactly one member in the sector
-    n_up = N // 2. `eigh` therefore runs only on H + ALPHA S^2 restricted to
-    that sector (see `_middle_blocks`). Each eigenvector gives its
-    multiplet's S, its energy E = lambda - ALPHA S(S+1) and its pair
-    correlations (see `_multiplets`), and `_member_rows` expands every
+    n_up = N // 2. `eigh` therefore runs only on H_1 + ALPHA S^2 restricted
+    to that sector, H_1 the ring at J = 1 (see `_middle_blocks`). Its
+    eigenvectors are eigenvectors of H = J H_1 for every J, so each gives
+    its multiplet's S, its energy E = J (lambda - ALPHA S(S+1)) and its pair
+    correlations (see `_multiplets`), and the splitting ALPHA S(S+1) never
+    sinks under the roundoff of a large |J|. `_member_rows` expands every
     multiplet into the rows of its 2S + 1 members. No eigenvector is kept.
     A J for which the span 4N|J| of the levels overflows raises ParameterError.
     """
     ModelParams(n_spins=n_spins, coupling=coupling)
     if not np.isfinite(4.0 * n_spins * coupling):
         raise ParameterError(f"the N={n_spins} Hamiltonian overflows float64 at J={coupling} (levels span 4N|J|)")
-    solved = [_multiplets(n_spins, *block) for block in _middle_blocks(n_spins, coupling)]
+    solved = [_multiplets(n_spins, *block) for block in _middle_blocks(n_spins)]
     energies, two_s, s, zz = (np.concatenate(parts) for parts in zip(*solved))
-    energies, slopes, features = _member_rows(n_spins, energies, two_s, s, zz)
+    energies, slopes, features = _member_rows(n_spins, coupling * energies, two_s, s, zz)
     return ChainSpectrum(n_spins=n_spins, coupling=coupling, energies=energies, slopes=slopes, features=features)
 
 
-def _middle_blocks(n: int, coupling: float):
-    """Yield (matrix, zz_rows, entries) for each block of H + ALPHA S^2 on the
-    sector n_up = N // 2 that `eigh` solves.
+def _middle_blocks(n: int):
+    """Yield (matrix, zz_rows, entries) for each block of H_1 + ALPHA S^2 on
+    the sector n_up = N // 2 that `eigh` solves, H_1 the ring at J = 1.
 
     With O_d the sum of sigma^i . sigma^j over the pairs i < j at separation
-    d, H + ALPHA S^2 = (mJ + ALPHA/2) O_1 + (ALPHA/2) sum_{d>=2} O_d + 3N ALPHA/4,
+    d, H_1 + ALPHA S^2 = (m + ALPHA/2) O_1 + (ALPHA/2) sum_{d>=2} O_d + 3N ALPHA/4,
     where m = 2 for N = 2 (its ring visits its one bond twice), else 1. Each
     O_d is folded once into block rows: its sigma^z sigma^z diagonal
     zz_rows[:, d-1] and its exchange part 2 (sigma+ sigma- + sigma- sigma+)
@@ -168,7 +171,7 @@ def _middle_blocks(n: int, coupling: float):
     at, a, b = np.unravel_index(keys, shape)
     cross = (mirrored[rows] != mirrored[partners]).ravel()
     coeff = np.full(n // 2, ALPHA / 2)
-    coeff[0] += (2 if n == 2 else 1) * coupling
+    coeff[0] += 2 if n == 2 else 1
     diagonal = zz_rows @ coeff + 0.75 * n * ALPHA
     # An entry adds w c_d / 2 at (a, b) and at (b, a): all of w c_d where a == b.
     cells = np.concatenate([a * size + b, b * size + a])
@@ -183,11 +186,12 @@ def _multiplets(n: int, matrix: np.ndarray, zz_rows: np.ndarray, entries):
     """Energy, 2S and pair correlations of the multiplet that each
     eigenvector of one `_middle_blocks` block belongs to.
 
-    Returns (E, 2S, s, zz), where s[:, d-1] and zz[:, d-1] average
-    <sigma^i . sigma^j> and <sigma^z_i sigma^z_j> over the pairs (i, j) at
-    separation d. S(S+1) = 3N/4 + (1/2) sum_{i<j} <sigma^i . sigma^j> is read
-    off the same sums, and a value more than SPIN_TOL from the nearest
-    S(S+1) raises NumericError.
+    Returns (E_1, 2S, s, zz), where E_1 is the energy at J = 1 and
+    s[:, d-1] and zz[:, d-1] average <sigma^i . sigma^j> and
+    <sigma^z_i sigma^z_j> over the pairs (i, j) at separation d.
+    S(S+1) = 3N/4 + (1/2) sum_{i<j} <sigma^i . sigma^j> is read off the
+    same sums, and a value more than SPIN_TOL from the nearest S(S+1)
+    raises NumericError.
     """
     values, u = eigh_symmetric(matrix)
     at, a, b, w = entries
@@ -262,11 +266,16 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     exponentiation, so no weight overflows; an exponent that overflows to
     -inf (a gap far beyond kT) gives the weight 0. A kT = 0 row mixes all
     eigenstates within DEGENERACY_TOL of the ground energy uniformly (this
-    covers exact level crossings such as B = B_c).
+    covers exact level crossings such as B = B_c). A field for which the
+    span 2 (max|E| + N B) of the levels overflows raises ParameterError.
 
     Returns (weights, ground energies, log Z + E_ground/kT per row, 0.0 at
     kT = 0); columns follow the spectrum's flat eigenstate order.
     """
+    b_max = float(np.abs(b_values).max(initial=0.0))
+    span = 2.0 * (float(np.abs(spectrum.energies).max()) + float(np.abs(spectrum.slopes).max()) * b_max)
+    if not np.isfinite(span):
+        raise ParameterError(f"the levels overflow float64 at B={b_max:g} (they span 2(max|E| + N B))")
     shifted = spectrum.energies + np.multiply.outer(b_values, spectrum.slopes)
     e0 = shifted.min(axis=1)
     shifted -= e0[:, None]

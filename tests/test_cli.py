@@ -1,8 +1,10 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
-from spinchain.cli import main
+from spinchain.cli import _write_csv, main
 
 
 def run(argv, capsys=None):
@@ -97,6 +99,16 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert "J=1e+308" in err and "overflows float64" in err
 
+    def test_overflowing_field_exits_2(self, tmp_path, capsys):
+        # Finite, but the levels' span 2(max|E| + N B) overflows float64.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["grid", "--n", "4", "--j", "1", "--sep", "1", "--b-range", "0:1e308:2",
+                        "--kt-range", "0:1:2", "--out", str(tmp_path / "x.csv")]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("spinchain: ") and "B=1e+308" in err and "overflow float64" in err
+
     def test_unhealthy_pair_state_exits_1(self, tmp_path, monkeypatch, capsys):
         from spinchain import scans
 
@@ -112,18 +124,31 @@ class TestGridCommand:
                     "--kt-range", "1:1:1", "--pair", "0,1", "--sep", "1", "--out", "x.csv"]) == 2
 
     def test_svg_written_and_self_contained(self, tmp_path):
+        # A 2-D grid draws a heatmap of its first pair, a 1-D grid one line per pair.
         out, svg = tmp_path / "scan.csv", tmp_path / "scan.svg"
-        code = run(
-            ["grid", "--n", "2", "--j", "1", "--b-range", "0:6:13",
-             "--kt-range", "0.1:5:6:geom", "--pair", "0,1",
-             "--out", str(out), "--svg", str(svg)]
-        )
-        assert code == 0
-        text = svg.read_text()
-        assert text.startswith("<?xml")
-        assert text.rstrip().endswith("</svg>")
-        assert "http://" not in text.replace("http://www.w3.org/2000/svg", "")
-        assert "<rect" in text  # heatmap cells for the 2D grid
+        for n, grid, pairs in [
+            ("2", ["--b-range", "0:6:13", "--kt-range", "0.1:5:6:geom"], ["0,1"]),
+            ("4", ["--b-range", "1:1:1", "--kt-range", "0.1:5:6:geom"], ["0,1", "0,2"]),
+        ]:
+            pair_args = [arg for pair in pairs for arg in ("--pair", pair)]
+            code = run(["grid", "--n", n, "--j", "1", *grid, *pair_args, "--out", str(out), "--svg", str(svg)])
+            assert code == 0
+            text = svg.read_text()
+            assert text.startswith("<?xml")
+            assert text.rstrip().endswith("</svg>")
+            assert "http://" not in text.replace("http://www.w3.org/2000/svg", "")
+            if len(pairs) == 1:
+                assert "<rect" in text and "<polyline" not in text  # heatmap cells
+            else:
+                assert text.count("<polyline") == len(pairs)
+                assert "pair (0, 1)" in text and "pair (0, 2)" in text
+
+    def test_csv_number_format(self, tmp_path):
+        # One format per table: %d for integer columns, %.12g for all others.
+        out = tmp_path / "t.csv"
+        table = {"d": np.array([1, -2, 3, 40]), "x": np.array([-0.0, 1 / 3, 1e-300, 2.0])}
+        _write_csv(out, table)
+        assert out.read_text() == "d,x\n1,-0\n-2,0.333333333333\n3,1e-300\n40,2\n"
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -150,8 +175,9 @@ class TestGridCommand:
 
 
 class TestFigureCommand:
-    def test_unknown_id_exits_2(self):
-        assert run(["figure", "--id", "9", "--outdir", "/tmp/nope"]) == 2
+    def test_unknown_id_exits_2(self, tmp_path):
+        assert run(["figure", "--id", "9", "--outdir", str(tmp_path / "nope")]) == 2
+        assert not (tmp_path / "nope").exists()
 
     def test_figure2_csv_and_svg(self, tmp_path):
         code = run(["figure", "--id", "2", "--outdir", str(tmp_path), "--svg"])

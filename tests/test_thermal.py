@@ -101,26 +101,39 @@ class TestDiagonalizeChain:
     @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_blocks_fold_the_dense_sector_matrix(self, n, j):
-        # Each block assembled from the folded separation operators equals
-        # the flip fold of the plain middle-sector matrix H + ALPHA S^2, with
-        # S^2 built from Kronecker products of Pauli matrices.
+        # Each block assembled from the folded separation operators is the
+        # flip fold of the plain middle-sector matrix H_1 + ALPHA S^2 of the
+        # ring at J = 1, with S^2 built from Kronecker products of Pauli
+        # matrices; J times it is that of H + J ALPHA S^2, which shares its
+        # eigenvectors.
         from spinchain import thermal
 
         sh = build_sector_hamiltonian(ModelParams(n, j), n // 2)
         total = [sum(site_operator(op, site, n) for site in range(n)) for op in (SX, SY, SZ)]
         s2 = sum(op @ op for op in total) / 4.0
         assert np.abs(s2.imag).max() == 0.0
-        dense = sh.matrix + thermal.ALPHA * s2.real[np.ix_(sh.basis.states, sh.basis.states)]
+        dense = sh.matrix + j * thermal.ALPHA * s2.real[np.ix_(sh.basis.states, sh.basis.states)]
         if n % 2:
             want = [dense]
         else:
             half = dense.shape[0] // 2
             near, far = dense[:half, :half], dense[:half, ::-1][:, :half]
             want = [near + far, near - far]
-        got = [matrix for matrix, *_ in thermal._middle_blocks(n, j)]
+        got = [j * matrix for matrix, *_ in thermal._middle_blocks(n)]
         assert [m.shape for m in got] == [m.shape for m in want]
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-13
+
+    @pytest.mark.parametrize("j", [0.5, 1e9])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_energies_scale_with_coupling(self, n, j):
+        # The unit ring is solved for every J: energies are exactly J times
+        # those at J = 1 and the pair features do not depend on J, so the
+        # S^2 splitting never sinks under the roundoff of a large |J|.
+        unit, sp = diagonalize_chain(n, 1.0), diagonalize_chain(n, j)
+        assert np.array_equal(sp.energies, j * unit.energies)
+        assert np.array_equal(sp.slopes, unit.slopes)
+        assert np.array_equal(sp.features, unit.features)
 
     @pytest.mark.parametrize("factor,raises", [(10.0, True), (0.1, False)])
     def test_spin_check_tolerance(self, factor, raises, monkeypatch):
@@ -208,7 +221,8 @@ class TestGibbsWeights:
         ens = gibbs_weights(sp, 4.0, 0.0)  # B_c: singlet and |00> degenerate
         assert np.allclose(sorted(ens.weights), [0.0, 0.0, 0.5, 0.5])
 
-    @pytest.mark.parametrize("b,kt", [(-1.0, 1.0), (1.0, -0.5), (np.nan, 1.0), (1.0, np.inf)])
+    # B = 1e308 is finite, but the levels' span 2(max|E| + N B) overflows float64.
+    @pytest.mark.parametrize("b,kt", [(-1.0, 1.0), (1.0, -0.5), (np.nan, 1.0), (1.0, np.inf), (1e308, 1.0)])
     def test_rejects_point_outside_domain(self, b, kt):
         with pytest.raises(ParameterError):
             gibbs_weights(diagonalize_chain(2, 1.0), b, kt)
