@@ -7,17 +7,19 @@ import numpy as np
 from .errors import DomainError, NumericError, ParameterError, StateValidityError
 
 def eigh_symmetric(matrix: np.ndarray):
-    """Full eigendecomposition of a real symmetric matrix, as `np.linalg.eigh`.
+    """Full eigendecomposition of a real symmetric or complex Hermitian
+    matrix, as `np.linalg.eigh`.
 
     Returns (values, vectors): ascending eigenvalues and the orthonormal
-    eigenvector columns.
+    eigenvector columns, complex for a complex input.
     """
-    a = np.asarray(matrix, dtype=np.float64)
+    a = np.asarray(matrix)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ParameterError(f"expected a non-empty square matrix, got shape {a.shape}")
     scale = max(1.0, np.abs(a).max())
-    if not np.abs(a - a.T).max() <= 1e-12 * scale:
-        raise ParameterError("matrix is not symmetric within 1e-12 relative tolerance")
+    if not np.abs(a - a.conj().T).max() <= 1e-12 * scale:
+        raise ParameterError("matrix is not Hermitian within 1e-12 relative tolerance")
     try:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -5,15 +5,15 @@ diagonalized once per (N, J) into one flat table over all 2^N eigenstates:
 each eigenstate's exchange energy, its Zeeman slope, and the X-state
 features of its pairs at separation d = 1..N//2, so the field only shifts
 energies and one spectrum serves every (B, kT) point and every pair of a
-scan. Every eigenstate lies in one S_z sector and is real, so its reduced
-state on a pair of sites is an X-state fixed by five numbers (p00, p01,
-p10, p11, z). A thermal pair RDM is the Boltzmann-weighted sum of those
-five numbers over the eigenstates.
+scan. Every eigenstate lies in one S_z sector, so the average of its pair
+states (i, i+d) and (i+d, i) over the translates i is an X-state fixed by
+five real numbers (p00, p01, p10, p11, z). A thermal pair RDM is the
+Boltzmann-weighted sum of those five numbers over the eigenstates.
 
-Only the sector n_up = N // 2 is diagonalized: the ring conserves total
-spin, so each of its eigenvectors stands for a whole SU(2) multiplet, and
-the Wigner-Eckart theorem gives every member's energy and pair features.
-Its `eigh` blocks and those pair correlations come from the same folded
+Only the sector n_up = N // 2 is diagonalized, in momentum blocks: the ring
+conserves total spin, so each of its eigenvectors stands for a whole SU(2)
+multiplet, and the Wigner-Eckart theorem gives every member's energy and
+pair features. The blocks and those pair correlations come from the same
 separation operators. The spectrum keeps no eigenvectors: only
 `diagonalize_chain` sees them and knows how the eigenstates are blocked.
 """
@@ -39,9 +39,6 @@ ALPHA = 1e-3 / np.pi
 
 # Largest allowed distance of an eigenvector's <S^2> from S(S+1).
 SPIN_TOL = 1e-8
-
-# Entries of the eigenvector rows gathered at once (8 MiB of float64).
-GATHER_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -114,99 +111,98 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     The ring commutes with the total spin S^2, so every eigenstate is the
     member m of a (2S+1)-fold multiplet whose members share one exchange
     energy, and every multiplet has exactly one member in the sector
-    n_up = N // 2. `eigh` therefore runs only on H_1 + ALPHA S^2 restricted
-    to that sector, H_1 the ring at J = 1 (see `_middle_blocks`). Its
-    eigenvectors are eigenvectors of H = J H_1 for every J, so each gives
-    its multiplet's S, its energy E = J (lambda - ALPHA S(S+1)) and its pair
-    correlations (see `_multiplets`), and the splitting ALPHA S(S+1) never
-    sinks under the roundoff of a large |J|. `_member_rows` expands every
-    multiplet into the rows of its 2S + 1 members. No eigenvector is kept.
+    n_up = N // 2. `eigh` therefore runs only on the momentum blocks
+    q = 0..N//2 of H_1 + ALPHA S^2 restricted to that sector, H_1 the ring
+    at J = 1 (see `_middle_blocks`); block N - q is the conjugate of block
+    q, so its multiplets are copies of q's. The block eigenvectors are
+    eigenvectors of H = J H_1 for every J, so each gives its multiplet's S,
+    its energy E = J (lambda - ALPHA S(S+1)) and its pair correlations (see
+    `_multiplets`), and the splitting ALPHA S(S+1) never sinks under the
+    roundoff of a large |J|. `_member_rows` expands every multiplet into the
+    rows of its 2S + 1 members. No eigenvector is kept.
     A J for which the span 4N|J| of the levels overflows raises ParameterError.
     """
     ModelParams(n_spins=n_spins, coupling=coupling)
     if not np.isfinite(4.0 * n_spins * coupling):
         raise ParameterError(f"the N={n_spins} Hamiltonian overflows float64 at J={coupling} (levels span 4N|J|)")
-    solved = [_multiplets(n_spins, *block) for block in _middle_blocks(n_spins)]
+    solved = []
+    for matrix, operators, zz_rows, copies in _middle_blocks(n_spins):
+        solved += [_multiplets(n_spins, matrix, operators, zz_rows)] * copies
     energies, two_s, s, zz = (np.concatenate(parts) for parts in zip(*solved))
     energies, slopes, features = _member_rows(n_spins, coupling * energies, two_s, s, zz)
     return ChainSpectrum(n_spins=n_spins, coupling=coupling, energies=energies, slopes=slopes, features=features)
 
 
 def _middle_blocks(n: int):
-    """Yield (matrix, zz_rows, entries) for each block of H_1 + ALPHA S^2 on
-    the sector n_up = N // 2 that `eigh` solves, H_1 the ring at J = 1.
+    """Yield (matrix, operators, zz_rows, copies) for each momentum block of
+    H_1 + ALPHA S^2 on the sector n_up = N // 2 that `eigh` solves, H_1 the
+    ring at J = 1.
 
     With O_d the sum of sigma^i . sigma^j over the pairs i < j at separation
     d, H_1 + ALPHA S^2 = (m + ALPHA/2) O_1 + (ALPHA/2) sum_{d>=2} O_d + 3N ALPHA/4,
-    where m = 2 for N = 2 (its ring visits its one bond twice), else 1. Each
-    O_d is folded once into block rows: its sigma^z sigma^z diagonal
-    zz_rows[:, d-1] and its exchange part 2 (sigma+ sigma- + sigma- sigma+)
-    as entries (d-1, a, b, w), a <= b, merged per block element. A block is
-    one bincount of the entries plus the diagonal, and `_multiplets` reads
-    the pair correlations off the same tables.
+    where m = 2 for N = 2 (its ring visits its one bond twice), else 1.
 
-    For odd N the block is the whole sector. For even N, flipping every spin
-    maps basis row r to row D-1-r, and the blocks are the flip-even and
-    flip-odd halves over the first D/2 rows, whose eigenvectors are
-    (u, +-u[::-1]) / sqrt(2); only their weights w differ.
+    The translation T moves site i to site i+1. Each orbit of the sector's
+    patterns under T is labelled by its smallest pattern a, the
+    representative, and its period R_a. Block k = 2 pi q / N (q = 0..N//2)
+    is spanned by the orbits with q R_a = 0 mod N, as the states
+    |a,k> = R_a^(-1/2) sum_{r < R_a} e^(-ikr) T^r |a>, in ascending order of
+    a. A pattern s = T^l b met by applying O_d to |a> adds its weight
+    times e^(ikl) sqrt(R_a / R_b) to the element <b,k|O_d|a,k>. Each O_d
+    block is kept dense in `operators`, its sigma^z sigma^z diagonal also
+    as zz_rows[:, d-1], and `_multiplets` reads the pair correlations off
+    them. Block N - q is the complex conjugate of block q, with the same
+    spectrum and correlations, so `copies` is 2 for 0 < q < N/2, else 1.
     """
     states = enumerate_sector(n, n // 2).states
-    dim = states.size
-    size, parities = (dim, [1.0]) if n % 2 else (dim // 2, [1.0, -1.0])
-    mirrored = np.arange(dim) >= size
-    row = np.where(mirrored, dim - 1 - np.arange(dim), np.arange(dim))
-    # A block eigenvector u is the sector vector v[r] = sign[r] u[row[r]] sqrt(scale), with
-    # sign[r] the parity on mirrored rows and 1 elsewhere, so every weight carries scale.
-    scale = size / dim
+    shifts = np.arange(n)[:, None]
+    translates = ((states << shifts) | (states >> (n - shifts))) & ((1 << n) - 1)
+    least = translates.min(axis=0)
+    reps = np.flatnonzero(least == states)
+    period = n // np.count_nonzero(translates[:, reps] == states[reps], axis=0)
+    # Pattern s is T^shift[s] applied to representative number orbit[s].
+    orbit, shift = np.searchsorted(states[reps], least), -translates.argmin(axis=0) % n
     i, j = np.triu_indices(n, 1)
     sep = np.minimum(j - i, n - j + i)
     by_sep = (sep == np.arange(1, n // 2 + 1)[:, None]).astype(float)
-    aligned = 1.0 - 2.0 * (((states >> i[:, None]) ^ (states >> j[:, None])) & 1)
-    zz_rows = scale * np.array([np.bincount(row, weights=w, minlength=size) for w in by_sep @ aligned]).T
+    aligned = 1.0 - 2.0 * (((states[reps] >> i[:, None]) ^ (states[reps] >> j[:, None])) & 1)
+    zz_rows = (by_sep @ aligned).T
     rows, partners = exchange_partners(states, i, j)
-    a, b = row[rows], row[partners]
-    shape = (n // 2, size, size)
-    entries = np.ravel_multi_index((sep[:, None] - 1, np.minimum(a, b), np.maximum(a, b)), shape)
-    keys, merged = np.unique(entries, return_inverse=True)
-    at, a, b = np.unravel_index(keys, shape)
-    cross = (mirrored[rows] != mirrored[partners]).ravel()
+    # Each exchange sends a pattern to its partner and back, with weight 2.
+    source, target = np.hstack([rows, partners]), np.hstack([partners, rows])
+    keep = (least == states)[source]
+    at = np.broadcast_to(sep[:, None] - 1, source.shape)[keep]
+    a, b, l = orbit[source[keep]], orbit[target[keep]], shift[target[keep]]
     coeff = np.full(n // 2, ALPHA / 2)
     coeff[0] += 2 if n == 2 else 1
-    diagonal = zz_rows @ coeff + 0.75 * n * ALPHA
-    # An entry adds w c_d / 2 at (a, b) and at (b, a): all of w c_d where a == b.
-    cells = np.concatenate([a * size + b, b * size + a])
-    for parity in parities:
-        w = np.bincount(merged.ravel(), weights=np.where(cross, 4.0 * scale * parity, 4.0 * scale))
-        matrix = np.bincount(cells, weights=np.tile(0.5 * coeff[at] * w, 2), minlength=size * size).reshape(size, size)
-        matrix[np.diag_indices(size)] += diagonal
-        yield matrix, zz_rows, (at, a, b, w)
+    for q in range(n // 2 + 1):
+        inside = q * period % n == 0
+        pos, size, use = np.cumsum(inside) - 1, np.count_nonzero(inside), inside[a] & inside[b]
+        operators = np.zeros((n // 2, size, size), dtype=complex)
+        w = 2.0 * np.exp(2j * np.pi * (q * l[use] % n) / n) * np.sqrt(period[a[use]] / period[b[use]])
+        np.add.at(operators, (at[use], pos[b[use]], pos[a[use]]), w)
+        operators[:, np.arange(size), np.arange(size)] += zz_rows[inside].T
+        matrix = np.tensordot(coeff, operators, 1) + 0.75 * n * ALPHA * np.eye(size)
+        yield matrix, operators, zz_rows[inside], 1 if 2 * q % n == 0 else 2
 
 
-def _multiplets(n: int, matrix: np.ndarray, zz_rows: np.ndarray, entries):
+def _multiplets(n: int, matrix: np.ndarray, operators: np.ndarray, zz_rows: np.ndarray):
     """Energy, 2S and pair correlations of the multiplet that each
     eigenvector of one `_middle_blocks` block belongs to.
 
     Returns (E_1, 2S, s, zz), where E_1 is the energy at J = 1 and
     s[:, d-1] and zz[:, d-1] average <sigma^i . sigma^j> and
-    <sigma^z_i sigma^z_j> over the pairs (i, j) at separation d.
-    S(S+1) = 3N/4 + (1/2) sum_{i<j} <sigma^i . sigma^j> is read off the
-    same sums, and a value more than SPIN_TOL from the nearest S(S+1)
-    raises NumericError.
+    <sigma^z_i sigma^z_j> over the pairs (i, j) at separation d. A momentum
+    eigenvector is invariant under translation, so these are its
+    expectations of O_d and of O_d's sigma^z sigma^z part divided by the
+    number of pairs. S(S+1) = 3N/4 + (1/2) sum_{i<j} <sigma^i . sigma^j> is
+    read off the same sums, and a value more than SPIN_TOL from the nearest
+    S(S+1) raises NumericError.
     """
     values, u = eigh_symmetric(matrix)
-    at, a, b, w = entries
+    dot = (u.conj() * (operators @ u)).real.sum(axis=1).T
+    zz = (u.real**2 + u.imag**2).T @ zz_rows
     seps = zz_rows.shape[1]
-    ex = np.zeros((seps, u.shape[0]))
-    step = max(1, GATHER_CHUNK_ENTRIES // u.shape[0])
-    for start in range(0, at.size, step):
-        part = slice(start, start + step)
-        products = u[a[part]]
-        products *= u[b[part]]
-        spread = np.zeros((seps, len(products)))
-        spread[at[part], np.arange(len(products))] = w[part]
-        ex += spread @ products
-    zz = (u * u).T @ zz_rows
-    dot = zz + ex.T
     x = 0.75 * n + 0.5 * dot.sum(axis=1)
     two_s = np.rint(np.sqrt(1.0 + 4.0 * x) - 1.0)
     s_s1 = two_s * (two_s + 2.0) / 4.0
@@ -309,13 +305,13 @@ def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
     Returns a table of shape (eigenstates, pairs, 5), rows in the
     spectrum's flat eigenstate order. The five features are the pair
     populations p00, p01, p10, p11 (first slot site i, |0> = spin down) and
-    the coherence z = <01|rho|10>. A real eigenstate of total S_z has no
-    other nonzero pair-RDM entry.
+    the coherence z = <01|rho|10>. No other pair-RDM entry of an eigenstate
+    of total S_z is nonzero.
 
     Each pair reads the spectrum's column for its separation d. A single
-    row is the translation average of its eigenstate (member m of an SU(2)
-    multiplet) over the pair states (i, i+d), so it is a valid pair state
-    but not necessarily (i, j)'s own. The thermal state is invariant under
+    row is the average of its eigenstate's (member m of an SU(2) multiplet)
+    pair states (i, i+d) and (i+d, i) over the translates i, so it is a
+    valid pair state but not necessarily (i, j)'s own. The thermal state is invariant under
     translation and reflection of the ring, so a thermal sum of these rows
     equals that of the pair (i, j) itself up to roundoff; in particular its
     p01 equals its p10, so the order of i and j needs no swap.

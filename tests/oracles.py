@@ -6,7 +6,7 @@ matrices, the Gibbs state is formed explicitly, and partial traces are
 explicit index sums. Keep N <= 6 here.
 
 `all_sector_spectrum` is the package's sector path without the SU(2) and
-spin-flip symmetries: one `eigh` on every magnetization sector, and each
+translation symmetries: one `eigh` on every magnetization sector, and each
 eigenvector's pair features read straight off its amplitudes. It is the
 reference for the multiplet-expanded spectrum and its feature table, for
 any ordered pair, and reaches larger N.
@@ -31,6 +31,10 @@ ID = np.eye(2, dtype=complex)
 # mixing across a wider gap stays well below the tests' 1e-10 bounds.
 CLUSTER_TOL = 1e-4
 
+# Relative distance from the kT = 0 window edge within which a level counts
+# as on the edge: roundoff decides on which side either path puts it.
+EDGE_TOL = 1e-12
+
 
 def site_operator(op, site, n):
     """Embed a single-qubit operator at `site` (bit position, LSB = site 0)."""
@@ -53,14 +57,25 @@ def dense_hamiltonian(n, j, b):
 
 
 def dense_gibbs_state(n, j, b, kt):
-    """rho = exp(-H/kT)/Z via full eigendecomposition.
+    """rho = exp(-H/kT)/Z via full eigendecomposition: the first of
+    `dense_gibbs_states`."""
+    return dense_gibbs_states(n, j, b, kt)[0]
+
+
+def dense_gibbs_states(n, j, b, kt):
+    """rho = exp(-H/kT)/Z via full eigendecomposition, plus, at kT = 0, the
+    other readings of a window edge that roundoff leaves open.
 
     kT = 0 gives the uniform mixture of the eigenvectors within 1e-9
-    (relative) of the ground energy. Roundoff lets the dense `eigh` mix
-    S_z sectors inside a cluster of nearly equal eigenvalues (relative gaps
-    below CLUSTER_TOL), so within each cluster the eigenvectors are
-    rotated onto total S_z eigenvectors, and H is diagonalized again
-    within each S_z value, before any weight is formed.
+    (relative) of the ground energy. A level whose shifted energy is within
+    EDGE_TOL (relative) of that edge may fall on either side of it, so the
+    mixtures with every such level inside and with every such level outside
+    follow the plain one in the returned list, where they differ from it.
+    Roundoff lets the dense `eigh` mix S_z sectors inside a cluster of
+    nearly equal eigenvalues (relative gaps below CLUSTER_TOL), so within
+    each cluster the eigenvectors are rotated onto total S_z eigenvectors,
+    and H is diagonalized again within each S_z value, before any weight is
+    formed.
     """
     h = dense_hamiltonian(n, j, b)
     sz = sum(site_operator(SZ, site, n) for site in range(n))
@@ -74,11 +89,16 @@ def dense_gibbs_state(n, j, b, kt):
             vals[cluster[part]], vecs[:, cluster[part]] = e, v[:, part] @ s
     shifted = vals - vals.min()
     if kt == 0:
-        w = (shifted <= 1e-9 * max(1.0, abs(vals.min()))).astype(float)
+        scale = max(1.0, abs(vals.min()))
+        inside = shifted <= 1e-9 * scale
+        edge = np.abs(shifted - 1e-9 * scale) <= EDGE_TOL * scale
+        weights = [inside]
+        for w in (inside | edge, inside & ~edge):
+            if not any(np.array_equal(w, seen) for seen in weights):
+                weights.append(w)
     else:
-        w = np.exp(-shifted / kt)
-    w /= w.sum()
-    return (vecs * w) @ vecs.conj().T
+        weights = [np.exp(-shifted / kt)]
+    return [(vecs * (w / w.sum())) @ vecs.conj().T for w in weights]
 
 
 def dense_pair_rdm(rho, n, i, j):
@@ -113,7 +133,7 @@ class AllSectorSpectrum(NamedTuple):
 
 def all_sector_spectrum(n, j, pairs=()):
     """Reference spectrum from one dense `eigh` per magnetization sector
-    n_up = 0..N, with no SU(2) or spin-flip blocking. `weight_rows` reads its
+    n_up = 0..N, with no SU(2) or momentum blocking. `weight_rows` reads its
     energies and slopes. The features of the ordered `pairs` are read off
     each sector's eigenvectors right after its `eigh`, so only one sector's
     eigenvectors are held at a time."""

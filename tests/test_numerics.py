@@ -36,6 +36,17 @@ class TestEighSymmetric:
         assert np.abs(vectors.T @ vectors - np.eye(dim)).max() <= 1e-10
         assert np.all(np.diff(values) >= 0)
 
+    def test_complex_hermitian_input(self):
+        # Pauli Y: a cast to float64 would drop its imaginary part.
+        pauli_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        values, vectors = eigh_symmetric(pauli_y)
+        assert np.allclose(values, [-1.0, 1.0])
+        assert np.abs(pauli_y @ vectors - vectors * values).max() <= 1e-15
+
+    def test_rejects_non_hermitian_complex(self):
+        with pytest.raises(ParameterError, match="Hermitian"):
+            eigh_symmetric([[0.0, 1.0j], [1.0j, 0.0]])
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(ParameterError):
             eigh_symmetric([[0.0, 1.0], [0.5, 0.0]])

@@ -163,9 +163,10 @@ class TestStaircase:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_solves_the_same_blocks_as_the_spectrum(self, n, monkeypatch):
-        # `eigh` runs only on the sector n_up = N // 2: whole for odd N, as
-        # its two flip halves for even N (dim 70 -> 35 + 35), and the
-        # exchange partners of that sector are found once for both. The
+        # `eigh` runs only on the sector n_up = N // 2, as its momentum
+        # blocks q = 0..N//2 (N=7: dim 35 -> 5 orbits in each block; N=8:
+        # dim 70 -> 10, 8, 9, 8, 10 of its 10 orbits), and the exchange
+        # partners of that sector are found once for all blocks. The
         # staircase reads the spectrum and solves nothing of its own.
         from spinchain import thermal
 
@@ -198,7 +199,7 @@ class TestStaircase:
             log.clear()
         diagonalize_chain(n, 1.0)
         assert built == [n // 2]
-        assert solved == {7: [(3, 35)], 8: [(4, 35), (4, 35)]}[n]
+        assert solved == {7: [(3, 5)] * 4, 8: [(4, 10), (4, 8), (4, 9), (4, 8), (4, 10)]}[n]
         assert lapack == solved
         assert paired == [{7: 35, 8: 70}[n]]
         assert by_staircase == (built, solved, lapack, paired)

@@ -101,11 +101,12 @@ class TestDiagonalizeChain:
     @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_blocks_fold_the_dense_sector_matrix(self, n, j):
-        # Each block assembled from the folded separation operators is the
-        # flip fold of the plain middle-sector matrix H_1 + ALPHA S^2 of the
-        # ring at J = 1, with S^2 built from Kronecker products of Pauli
-        # matrices; J times it is that of H + J ALPHA S^2, which shares its
-        # eigenvectors.
+        # Each momentum block assembled from the separation operators is
+        # U_k^H (H + J ALPHA S^2) U_k for the momentum basis U_k of the
+        # plain middle-sector matrix of the ring, with S^2 built from
+        # Kronecker products of Pauli matrices; J times the J = 1 block is
+        # that of the J ring, which shares its eigenvectors. The blocks
+        # q = 0..N//2 and their conjugates N - q cover the sector once.
         from spinchain import thermal
 
         sh = build_sector_hamiltonian(ModelParams(n, j), n // 2)
@@ -113,16 +114,16 @@ class TestDiagonalizeChain:
         s2 = sum(op @ op for op in total) / 4.0
         assert np.abs(s2.imag).max() == 0.0
         dense = sh.matrix + j * thermal.ALPHA * s2.real[np.ix_(sh.basis.states, sh.basis.states)]
-        if n % 2:
-            want = [dense]
-        else:
-            half = dense.shape[0] // 2
-            near, far = dense[:half, :half], dense[:half, ::-1][:, :half]
-            want = [near + far, near - far]
-        got = [j * matrix for matrix, *_ in thermal._middle_blocks(n)]
-        assert [m.shape for m in got] == [m.shape for m in want]
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max() <= 1e-13
+        bases = [momentum_basis(sh.basis.states, n, q) for q in range(n)]
+        assert sum(u.shape[1] for u in bases) == dense.shape[0]
+        blocks = list(thermal._middle_blocks(n))
+        assert len(blocks) == n // 2 + 1
+        for q, (matrix, _operators, _zz_rows, copies) in enumerate(blocks):
+            assert copies == (1 if 2 * q % n == 0 else 2)
+            want, mirror = (u.conj().T @ dense @ u for u in (bases[q], bases[-q % n]))
+            assert matrix.shape == want.shape
+            assert np.abs(j * matrix - want).max() <= 1e-13
+            assert np.abs(j * matrix.conj() - mirror).max() <= 1e-13
 
     @pytest.mark.parametrize("j", [0.5, 1e9])
     @pytest.mark.parametrize("n", range(2, 13))
@@ -137,27 +138,49 @@ class TestDiagonalizeChain:
 
     @pytest.mark.parametrize("factor,raises", [(10.0, True), (0.1, False)])
     def test_spin_check_tolerance(self, factor, raises, monkeypatch):
-        # N=3 solves one block whose vectors are, by ascending H + ALPHA S^2,
-        # the S = 1/2 doublet and then S = 3/2. Turning the first vector
-        # towards the last by theta moves its <S^2> by 3 sin^2(theta).
+        # N=4 solves the block q = 0 first; its vectors are, by ascending
+        # H + ALPHA S^2, the S = 0 ground singlet and an S = 2 member.
+        # Turning the first vector towards the second by theta moves its
+        # <S^2> by 6 sin^2(theta).
         from spinchain import thermal
 
-        theta = np.arcsin(np.sqrt(factor * thermal.SPIN_TOL / 3.0))
+        theta = np.arcsin(np.sqrt(factor * thermal.SPIN_TOL / 6.0))
         real = thermal.eigh_symmetric
+        solved = []
 
         def tilted(matrix):
             values, v = real(matrix)
-            turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-            v = v.copy()
-            v[:, [0, 2]] = v[:, [0, 2]] @ turn
+            solved.append(len(matrix))
+            if len(solved) == 1:
+                turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+                v = v @ turn
             return values, v
 
         monkeypatch.setattr(thermal, "eigh_symmetric", tilted)
         if raises:
             with pytest.raises(NumericError, match=r"S\(S\+1\)"):
-                diagonalize_chain(3, 1.0)
+                diagonalize_chain(4, 1.0)
         else:
-            assert diagonalize_chain(3, 1.0).energies.size == 8
+            assert diagonalize_chain(4, 1.0).energies.size == 16
+        assert solved[0] == 2
+
+    @pytest.mark.parametrize("n", range(3, 14, 2))
+    def test_odd_ground_level_is_a_momentum_doublet(self, n):
+        # The odd-N antiferromagnet's ground level is two S = 1/2 doublets
+        # at momenta +-k. Block N - q is not solved but copied from block q,
+        # so in each of the sectors S_z = -+1/2 its two rows are bit-identical,
+        # and the kT = 0 window mixes all four members equally.
+        sp = diagonalize_chain(n, 1.0)
+        ground = []
+        for slope in (-1, 1):
+            rows = np.flatnonzero(sp.slopes == slope)
+            rows = rows[sp.energies[rows] == sp.energies[rows].min()]
+            assert rows.size == 2
+            assert np.array_equal(sp.features[rows[0]], sp.features[rows[1]])
+            ground += rows.tolist()
+        w = weight_rows(sp, np.zeros(1), np.zeros(1))[0][0]
+        assert np.flatnonzero(w).tolist() == ground
+        assert np.all(w[ground] == 0.25)
 
     @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
     @pytest.mark.parametrize("n", range(2, 13))
@@ -182,6 +205,25 @@ class TestDiagonalizeChain:
     def test_pair_states_match_all_sector_path_at_benchmark_size(self, n):
         # The same check at the sizes `spinchain grid` is benchmarked at.
         self.test_pair_states_match_all_sector_path(n, 1.0)
+
+
+def momentum_basis(states, n, q):
+    """Columns |a,k> = R_a^(-1/2) sum_{r < R_a} e^(-ikr) T^r |a>, k = 2 pi q / N,
+    over the ascending sector `states`, for every orbit of the translation T
+    (site i to site i+1) with q R_a = 0 mod N, in ascending order of its
+    smallest pattern a; R_a is the orbit's length."""
+    index = {s: r for r, s in enumerate(states.tolist())}
+    columns = []
+    for a in states.tolist():
+        orbit = [a]
+        while (t := ((orbit[-1] << 1) | (orbit[-1] >> (n - 1))) & ((1 << n) - 1)) != a:
+            orbit.append(t)
+        if min(orbit) == a and q * len(orbit) % n == 0:
+            column = np.zeros(len(states), dtype=complex)
+            for r, s in enumerate(orbit):
+                column[index[s]] = np.exp(-2j * np.pi * q * r / n) / np.sqrt(len(orbit))
+            columns.append(column)
+    return np.array(columns).reshape(-1, len(states)).T
 
 
 def sector_rows(spectrum):
