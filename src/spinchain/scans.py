@@ -169,7 +169,9 @@ def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
     so consecutive crossings are intersections of straight lines and the
     staircase is the lower envelope of those lines. eps_k is the lowest
     energy of sector k in the `diagonalize_chain` table, so eps_{N-k} = eps_k
-    exactly by the global spin flip.
+    exactly by the global spin flip. Ties are judged relative to the level
+    scale (DEGENERACY_TOL |min eps| and 1e-12 J), so the staircase at lambda J
+    is lambda times the one at J.
     """
     ModelParams(n_spins=n_spins, coupling=coupling)
     if coupling <= 0:
@@ -178,7 +180,7 @@ def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
     eps = np.array([sp.energies[sp.slopes == 2 * k - n_spins].min() for k in range(n_spins + 1)])
     # Ground sector just above B=0: smallest energy, ties broken toward
     # the smaller slope (smaller n_up), which wins for B > 0.
-    near = np.flatnonzero(eps <= eps.min() + DEGENERACY_TOL * max(1.0, abs(eps.min())))
+    near = np.flatnonzero(eps <= eps.min() + DEGENERACY_TOL * abs(eps.min()))
     k = int(near.min())
     crossings = []
     b_cur = 0.0
@@ -186,7 +188,7 @@ def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
         best_b, best_k = np.inf, -1
         for kp in range(k):
             b_cross = (eps[kp] - eps[k]) / (2.0 * (k - kp))
-            if b_cross < best_b - 1e-12:
+            if b_cross < best_b - 1e-12 * coupling:
                 best_b, best_k = b_cross, kp
         b_cur = max(b_cur, float(best_b))
         crossings.append(Crossing(b_value=b_cur, from_n_up=k, to_n_up=best_k))

@@ -10,11 +10,13 @@ states (i, i+d) and (i+d, i) over the translates i is an X-state fixed by
 five real numbers (p00, p01, p10, p11, z). A thermal pair RDM is the
 Boltzmann-weighted sum of those five numbers over the eigenstates.
 
-Only the sector n_up = N // 2 is diagonalized, in momentum blocks: the ring
-conserves total spin, so each of its eigenvectors stands for a whole SU(2)
-multiplet, and the Wigner-Eckart theorem gives every member's energy and
-pair features. The blocks and those pair correlations come from the same
-separation operators. The spectrum keeps no eigenvectors: only
+Only the sector n_up = N // 2 is diagonalized, in momentum blocks that the
+ring's reflection makes real symmetric (the reflection-adapted momentum
+basis of Sandvik, arXiv:1101.3281, sec. 4.1): the ring conserves total
+spin, so each of its eigenvectors stands for a whole SU(2) multiplet, and
+the Wigner-Eckart theorem gives every member's energy and pair features.
+The blocks and those pair correlations come from the same separation
+operators. The spectrum keeps no eigenvectors: only
 `diagonalize_chain` sees them and knows how the eigenstates are blocked.
 """
 
@@ -28,7 +30,7 @@ from .basis import ModelParams, SectorBasis, enumerate_sector, exchange_partners
 from .errors import NumericError, ParameterError, StateValidityError
 from .numerics import eigh_symmetric
 
-# Relative width of the T=0 ground manifold.
+# Width of the T=0 ground manifold, relative to |E_ground|.
 DEGENERACY_TOL = 1e-9
 
 # Weight of S^2 in the matrix H_1 + ALPHA S^2 that `eigh` solves, H_1 the
@@ -111,14 +113,14 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     The ring commutes with the total spin S^2, so every eigenstate is the
     member m of a (2S+1)-fold multiplet whose members share one exchange
     energy, and every multiplet has exactly one member in the sector
-    n_up = N // 2. `eigh` therefore runs only on the momentum blocks
-    q = 0..N//2 of H_1 + ALPHA S^2 restricted to that sector, H_1 the ring
-    at J = 1 (see `_middle_blocks`); block N - q is the conjugate of block
-    q, so its multiplets are copies of q's. The block eigenvectors are
-    eigenvectors of H = J H_1 for every J, so each gives its multiplet's S,
-    its energy E = J (lambda - ALPHA S(S+1)) and its pair correlations (see
-    `_multiplets`), and the splitting ALPHA S(S+1) never sinks under the
-    roundoff of a large |J|. `_member_rows` expands every multiplet into the
+    n_up = N // 2. `eigh` therefore runs only on the real symmetric
+    momentum blocks q = 0..N//2 of H_1 + ALPHA S^2 restricted to that
+    sector, H_1 the ring at J = 1 (see `_middle_blocks`); block N - q is the
+    conjugate of block q, so its multiplets are copies of q's. The block
+    eigenvectors are eigenvectors of H = J H_1 for every J, so each gives its
+    multiplet's S, its energy E = J (lambda - ALPHA S(S+1)) and its pair
+    correlations (see `_multiplets`), and the splitting ALPHA S(S+1) never
+    sinks under the roundoff of a large |J|. `_member_rows` expands every multiplet into the
     rows of its 2S + 1 members. No eigenvector is kept.
     A J for which the span 4N|J| of the levels overflows raises ParameterError.
     """
@@ -136,7 +138,7 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
 def _middle_blocks(n: int):
     """Yield (matrix, operators, zz_rows, copies) for each momentum block of
     H_1 + ALPHA S^2 on the sector n_up = N // 2 that `eigh` solves, H_1 the
-    ring at J = 1.
+    ring at J = 1. Every block is a real symmetric float64 matrix.
 
     With O_d the sum of sigma^i . sigma^j over the pairs i < j at separation
     d, H_1 + ALPHA S^2 = (m + ALPHA/2) O_1 + (ALPHA/2) sum_{d>=2} O_d + 3N ALPHA/4,
@@ -146,13 +148,27 @@ def _middle_blocks(n: int):
     patterns under T is labelled by its smallest pattern a, the
     representative, and its period R_a. Block k = 2 pi q / N (q = 0..N//2)
     is spanned by the orbits with q R_a = 0 mod N, as the states
-    |a,k> = R_a^(-1/2) sum_{r < R_a} e^(-ikr) T^r |a>, in ascending order of
-    a. A pattern s = T^l b met by applying O_d to |a> adds its weight
-    times e^(ikl) sqrt(R_a / R_b) to the element <b,k|O_d|a,k>. Each O_d
-    block is kept dense in `operators`, its sigma^z sigma^z diagonal also
-    as zz_rows[:, d-1], and `_multiplets` reads the pair correlations off
-    them. Block N - q is the complex conjugate of block q, with the same
-    spectrum and correlations, so `copies` is 2 for 0 < q < N/2, else 1.
+    |a,k> = R_a^(-1/2) sum_{r < R_a} e^(-ikr) T^r |a>. A pattern s = T^l b
+    met by applying O_d to |a> adds its weight times e^(ikl) sqrt(R_a / R_b)
+    to the element <b,k|O_d|a,k>.
+
+    The reflection P (site i to site N-1-i) obeys PT = T^-1 P; write
+    P|a> = T^(m_a)|a'>, a' a representative and 0 <= m_a < R_a. Then
+    theta = P K, K the complex conjugation, maps the coefficient c of |a,k>
+    to e^(ik m_a) conj(c) at a', commutes with every O_d and squares to 1, so
+    the block is real in a theta-invariant basis (Sandvik, arXiv:1101.3281,
+    sec. 4.1). That basis has one vector per representative, in ascending
+    order of a; the one at a's position is e^(ik m_a/2)|a,k> if a' = a,
+    (|a,k> + e^(ik m_a)|a',k>)/sqrt(2) if a < a', and
+    i(|a',k> - e^(ik m_a)|a,k>)/sqrt(2) if a > a'. The element of O_d
+    between the basis vectors v_i and v_j is the sum of
+    Re(conj(v_i,b) <b,k|O_d|a,k> v_j,a) over the momentum elements, so each
+    of those adds to at most 4 real cells. Each O_d block is kept dense in
+    `operators`, its sigma^z sigma^z diagonal, equal at a and a', also as
+    zz_rows[:, d-1], and `_multiplets` reads the pair correlations off
+    them. Block N - q is the complex conjugate of block q in the momentum
+    basis, so it has the same real block, spectrum and correlations, and
+    `copies` is 2 for 0 < q < N/2, else 1.
     """
     states = enumerate_sector(n, n // 2).states
     shifts = np.arange(n)[:, None]
@@ -162,6 +178,9 @@ def _middle_blocks(n: int):
     period = n // np.count_nonzero(translates[:, reps] == states[reps], axis=0)
     # Pattern s is T^shift[s] applied to representative number orbit[s].
     orbit, shift = np.searchsorted(states[reps], least), -translates.argmin(axis=0) % n
+    # P|a> = T^m[a] |a'>, a' = partner[a]: found at the bit reversal of a.
+    mirrored = np.searchsorted(states, ((states[reps, None] >> np.arange(n)) & 1) @ (1 << np.arange(n)[::-1]))
+    partner, m = orbit[mirrored], shift[mirrored] % period
     i, j = np.triu_indices(n, 1)
     sep = np.minimum(j - i, n - j + i)
     by_sep = (sep == np.arange(1, n // 2 + 1)[:, None]).astype(float)
@@ -175,14 +194,30 @@ def _middle_blocks(n: int):
     a, b, l = orbit[source[keep]], orbit[target[keep]], shift[target[keep]]
     coeff = np.full(n // 2, ALPHA / 2)
     coeff[0] += 2 if n == 2 else 1
+    own, count = np.arange(reps.size), reps.size
+    lower, mirror = (own < partner)[:, None], (own == partner)[:, None]
+    # Representative r enters the basis vectors at the positions of
+    # min(r, r') and max(r, r'), with the coefficients v[r, 0] and v[r, 1].
+    slots = np.stack([np.minimum(own, partner), np.maximum(own, partner)], axis=1)
+    cells = ((at[:, None, None] * count + slots[b][:, :, None]) * count + slots[a][:, None, :]).ravel()
+    # Each v[r, s] is |v| e^(i pi t / 2N), t = t0 + q t1 an integer, and so is
+    # each fold term conj(v[b, i]) e^(ikl) v[a, j]: its real part is read off
+    # a table of the 4N cosines.
+    v_abs = np.where(mirror, [1.0, 0.0], np.sqrt(0.5))
+    v_t0 = np.where(mirror, 0, np.where(lower, [0, n], [0, -n]))
+    v_t1 = np.where(mirror, [2, 0], np.where(lower, 0, 4)) * m[:, None]
+    magnitude = 2.0 * np.sqrt(period[a] / period[b])[:, None, None] * v_abs[b][:, :, None] * v_abs[a][:, None, :]
+    t0 = v_t0[a][:, None, :] - v_t0[b][:, :, None]
+    t1 = 4 * l[:, None, None] + v_t1[a][:, None, :] - v_t1[b][:, :, None]
+    cosines = np.cos(np.pi * np.arange(4 * n) / (2 * n))
     for q in range(n // 2 + 1):
-        inside = q * period % n == 0
-        pos, size, use = np.cumsum(inside) - 1, np.count_nonzero(inside), inside[a] & inside[b]
-        operators = np.zeros((n // 2, size, size), dtype=complex)
-        w = 2.0 * np.exp(2j * np.pi * (q * l[use] % n) / n) * np.sqrt(period[a[use]] / period[b[use]])
-        np.add.at(operators, (at[use], pos[b[use]], pos[a[use]]), w)
-        operators[:, np.arange(size), np.arange(size)] += zz_rows[inside].T
-        matrix = np.tensordot(coeff, operators, 1) + 0.75 * n * ALPHA * np.eye(size)
+        # The fold runs over every orbit; those outside the block are cut away.
+        inside = np.flatnonzero(q * period % n == 0)
+        values = magnitude * cosines[(t0 + q * t1) % (4 * n)]
+        folded = np.bincount(cells, values.ravel(), n // 2 * count * count).reshape(n // 2, count, count)
+        operators = folded[:, inside[:, None], inside]
+        operators[:, np.arange(inside.size), np.arange(inside.size)] += zz_rows[inside].T
+        matrix = np.tensordot(coeff, operators, 1) + 0.75 * n * ALPHA * np.eye(inside.size)
         yield matrix, operators, zz_rows[inside], 1 if 2 * q % n == 0 else 2
 
 
@@ -192,16 +227,17 @@ def _multiplets(n: int, matrix: np.ndarray, operators: np.ndarray, zz_rows: np.n
 
     Returns (E_1, 2S, s, zz), where E_1 is the energy at J = 1 and
     s[:, d-1] and zz[:, d-1] average <sigma^i . sigma^j> and
-    <sigma^z_i sigma^z_j> over the pairs (i, j) at separation d. A momentum
-    eigenvector is invariant under translation, so these are its
+    <sigma^z_i sigma^z_j> over the pairs (i, j) at separation d. The block
+    is real, so are its eigenvectors, and each is a momentum eigenvector,
+    invariant under translation up to a phase, so these are its
     expectations of O_d and of O_d's sigma^z sigma^z part divided by the
     number of pairs. S(S+1) = 3N/4 + (1/2) sum_{i<j} <sigma^i . sigma^j> is
     read off the same sums, and a value more than SPIN_TOL from the nearest
     S(S+1) raises NumericError.
     """
     values, u = eigh_symmetric(matrix)
-    dot = (u.conj() * (operators @ u)).real.sum(axis=1).T
-    zz = (u.real**2 + u.imag**2).T @ zz_rows
+    dot = (u * (operators @ u)).sum(axis=1).T
+    zz = (u * u).T @ zz_rows
     seps = zz_rows.shape[1]
     x = 0.75 * n + 0.5 * dot.sum(axis=1)
     two_s = np.rint(np.sqrt(1.0 + 4.0 * x) - 1.0)
@@ -261,9 +297,11 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     Each row's energies are shifted by its ground energy before
     exponentiation, so no weight overflows; an exponent that overflows to
     -inf (a gap far beyond kT) gives the weight 0. A kT = 0 row mixes all
-    eigenstates within DEGENERACY_TOL of the ground energy uniformly (this
-    covers exact level crossings such as B = B_c). A field for which the
-    span 2 (max|E| + N B) of the levels overflows raises ParameterError.
+    eigenstates within DEGENERACY_TOL |E_ground| of the ground energy
+    uniformly (this covers exact level crossings such as B = B_c). The
+    window scales with the levels, so it is the same for every J; the ground
+    energy is 0 only at J = B = 0, where every level is 0. A field for which
+    the span 2 (max|E| + N B) of the levels overflows raises ParameterError.
 
     Returns (weights, ground energies, log Z + E_ground/kT per row, 0.0 at
     kT = 0); columns follow the spectrum's flat eigenstate order.
@@ -279,7 +317,7 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     w = np.empty_like(shifted)
     with np.errstate(over="ignore"):
         w[~cold] = np.exp(-shifted[~cold] / kt_values[~cold, None])
-    w[cold] = shifted[cold] <= (DEGENERACY_TOL * np.maximum(1.0, np.abs(e0[cold])))[:, None]
+    w[cold] = shifted[cold] <= (DEGENERACY_TOL * np.abs(e0[cold]))[:, None]
     z = w.sum(axis=1)
     w /= z[:, None]
     return w, e0, np.where(cold, 0.0, np.log(z))

@@ -66,8 +66,8 @@ def dense_gibbs_states(n, j, b, kt):
     """rho = exp(-H/kT)/Z via full eigendecomposition, plus, at kT = 0, the
     other readings of a window edge that roundoff leaves open.
 
-    kT = 0 gives the uniform mixture of the eigenvectors within 1e-9
-    (relative) of the ground energy. A level whose shifted energy is within
+    kT = 0 gives the uniform mixture of the eigenvectors within 1e-9 |E0|
+    of the ground energy E0. A level whose shifted energy is within
     EDGE_TOL (relative) of that edge may fall on either side of it, so the
     mixtures with every such level inside and with every such level outside
     follow the plain one in the returned list, where they differ from it.
@@ -89,12 +89,12 @@ def dense_gibbs_states(n, j, b, kt):
             vals[cluster[part]], vecs[:, cluster[part]] = e, v[:, part] @ s
     shifted = vals - vals.min()
     if kt == 0:
-        scale = max(1.0, abs(vals.min()))
+        scale = abs(vals.min())
         inside = shifted <= 1e-9 * scale
         edge = np.abs(shifted - 1e-9 * scale) <= EDGE_TOL * scale
         weights = [inside]
         for w in (inside | edge, inside & ~edge):
-            if not any(np.array_equal(w, seen) for seen in weights):
+            if w.any() and not any(np.array_equal(w, seen) for seen in weights):
                 weights.append(w)
     else:
         weights = [np.exp(-shifted / kt)]

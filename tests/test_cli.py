@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinchain
 from spinchain.cli import _write_csv, main
 
 
@@ -244,3 +249,18 @@ class TestJsonCommands:
         assert run(grid + ["--pair", "0,1", "--pair", "0,1"]) == 2
         assert run(grid + ["--sep", "1", "--sep", "1"]) == 2
         assert not out.exists()
+
+
+def test_cli_import_loads_only_stdlib_and_numpy():
+    # Every module that loading the command line pulls in counts against
+    # each command's start-up time, so a fresh interpreter that imports
+    # spinchain.cli may load nothing beyond the standard library and numpy.
+    code = (
+        "import sys; before = set(sys.modules); import spinchain.cli; "
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+    )
+    src = str(Path(spinchain.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split())
+    assert "spinchain" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"numpy", "spinchain"} == set()

@@ -2,15 +2,16 @@
 
 The closed-form X-state measures must agree with the general 4x4 functions,
 on arbitrary X-states and on the scan's thermal ring states, `pair_rdm`
-must agree with the dense oracle, and the kT = 0 rule must be the kT -> 0+
-limit away from level crossings.
+must agree with the dense oracle, the kT = 0 rule must be the kT -> 0+
+limit away from level crossings, and scaling J, B and kT by one factor must
+leave every measure unchanged.
 """
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinchain import (
@@ -27,7 +28,7 @@ from spinchain import (
 )
 from spinchain.measures import x_state_measures
 from spinchain.thermal import DEGENERACY_TOL
-from oracles import dense_gibbs_states, dense_pair_rdm
+from oracles import EDGE_TOL, dense_gibbs_states, dense_pair_rdm
 
 # Bounds hold exactly in real arithmetic; this is room for float roundoff.
 ROUNDOFF = 1e-12
@@ -95,6 +96,46 @@ def test_pair_rdm_matches_dense_oracle(point):
     assert min(errors) < 1e-10
 
 
+# Factors that put every level far below 1 or far above it.
+ENERGY_SCALES = [1e-12, 1e-6, 1e9]
+
+
+def on_window_edge(sp, b):
+    """Whether a level at field B lies on the kT = 0 window edge within
+    roundoff (EDGE_TOL relative), so that roundoff picks its side."""
+    e = sp.energies + b * sp.slopes
+    e0 = e.min()
+    return bool(np.any(np.abs(e - e0 - DEGENERACY_TOL * abs(e0)) <= EDGE_TOL * abs(e0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_points(8), st.sampled_from(ENERGY_SCALES))
+def test_measures_are_covariant_under_energy_scale(point, scale):
+    # Scaling J, B and kT by one factor scales every level and kT alike, so
+    # the Gibbs state, the kT = 0 window included, and every measure stay.
+    # A level on the window edge may fall on either side at either scale;
+    # the dense-oracle test accepts both readings of such points.
+    n, j, b, kt, pairs = point
+    assume(kt > 0.0 or not on_window_edge(spectrum(n, j), b))
+    want = scan_pair_measures(ScanGrid(n, j, [b], [kt], tuple(pairs)), spectrum=spectrum(n, j))
+    scaled = ScanGrid(n, scale * j, [scale * b], [scale * kt], tuple(pairs))
+    got = scan_pair_measures(scaled, spectrum=spectrum(n, scale * j))
+    for name in "CEIM":
+        assert np.abs(got[name] - want[name]).max() <= 1e-12, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.sampled_from([1.0, 0.5, 2.0]), st.sampled_from(ENERGY_SCALES))
+def test_staircase_is_covariant_under_energy_scale(n, j, scale):
+    # The crossings of the lambda J ring are lambda times those of the J
+    # ring, between the same sectors.
+    ref, got = magnetization_staircase(n, j), magnetization_staircase(n, scale * j)
+    assert [(c.from_n_up, c.to_n_up) for c in got.crossings] == [(c.from_n_up, c.to_n_up) for c in ref.crossings]
+    b_ref = np.array([c.b_value for c in ref.crossings])
+    b_got = np.array([c.b_value for c in got.crossings])
+    assert np.abs(b_got - scale * b_ref).max() <= 1e-12 * scale * j
+
+
 @pytest.mark.parametrize("j", [1.0, -1.0, 0.5])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_cold_limit_matches_kt_zero(n, j):
@@ -110,7 +151,7 @@ def test_cold_limit_matches_kt_zero(n, j):
         b_values = [0.0, 0.7, 3.0]
     for b in b_values:
         e = np.sort(sp.energies + b * sp.slopes)
-        gap = e[e > e[0] + DEGENERACY_TOL * max(1.0, abs(e[0]))][0] - e[0]
+        gap = e[e > e[0] + DEGENERACY_TOL * abs(e[0])][0] - e[0]
         grid = ScanGrid.from_separations(n, j, [b], [0.0, gap / 60], range(1, n // 2 + 1))
         m = scan_pair_measures(grid, spectrum=sp)
         for name in "CEIM":

@@ -102,11 +102,13 @@ class TestDiagonalizeChain:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_blocks_fold_the_dense_sector_matrix(self, n, j):
         # Each momentum block assembled from the separation operators is
-        # U_k^H (H + J ALPHA S^2) U_k for the momentum basis U_k of the
-        # plain middle-sector matrix of the ring, with S^2 built from
-        # Kronecker products of Pauli matrices; J times the J = 1 block is
-        # that of the J ring, which shares its eigenvectors. The blocks
-        # q = 0..N//2 and their conjugates N - q cover the sector once.
+        # W^H (H + J ALPHA S^2) W for W = U_k V_k: U_k the momentum basis of
+        # the plain middle-sector matrix of the ring, V_k its reflection-
+        # adapted real basis, and S^2 built from Kronecker products of Pauli
+        # matrices; J times the J = 1 block is that of the J ring, which
+        # shares its eigenvectors. The blocks q = 0..N//2 and their
+        # conjugates N - q cover the sector once, and the conjugate basis
+        # conj(W) of block N - q gives the same real block.
         from spinchain import thermal
 
         sh = build_sector_hamiltonian(ModelParams(n, j), n // 2)
@@ -118,12 +120,21 @@ class TestDiagonalizeChain:
         assert sum(u.shape[1] for u in bases) == dense.shape[0]
         blocks = list(thermal._middle_blocks(n))
         assert len(blocks) == n // 2 + 1
-        for q, (matrix, _operators, _zz_rows, copies) in enumerate(blocks):
+        for q, (matrix, operators, _zz_rows, copies) in enumerate(blocks):
             assert copies == (1 if 2 * q % n == 0 else 2)
-            want, mirror = (u.conj().T @ dense @ u for u in (bases[q], bases[-q % n]))
-            assert matrix.shape == want.shape
-            assert np.abs(j * matrix - want).max() <= 1e-13
-            assert np.abs(j * matrix.conj() - mirror).max() <= 1e-13
+            for m in (matrix, *operators):
+                assert m.dtype == np.float64
+                assert np.abs(m - m.T).max() <= 1e-13
+            v = reflection_basis(sh.basis.states, n, q)
+            assert np.abs(v.conj().T @ v - np.eye(len(v))).max() <= 1e-13
+            w = bases[q] @ v
+            mirror = bases[-q % n].conj().T @ w.conj()
+            assert np.abs(mirror.conj().T @ mirror - np.eye(len(v))).max() <= 1e-13
+            for basis in (w, w.conj()):
+                want = basis.conj().T @ dense @ basis
+                assert matrix.shape == want.shape
+                assert np.abs(want.imag).max() <= 1e-13
+                assert np.abs(j * matrix - want.real).max() <= 1e-13
 
     @pytest.mark.parametrize("j", [0.5, 1e9])
     @pytest.mark.parametrize("n", range(2, 13))
@@ -224,6 +235,39 @@ def momentum_basis(states, n, q):
                 column[index[s]] = np.exp(-2j * np.pi * q * r / n) / np.sqrt(len(orbit))
             columns.append(column)
     return np.array(columns).reshape(-1, len(states)).T
+
+
+def reflection_basis(states, n, q):
+    """Real basis V_k of block k = 2 pi q / N, as columns over the
+    `momentum_basis` columns |a,k> of the same block.
+
+    The reflection P (site i to site N-1-i) sends each representative a to
+    T^m |a'> for a representative a' and the least m >= 0. The column at
+    a's position is e^(ik m/2)|a,k> if a' = a, (|a,k> + e^(ik m)|a',k>)/sqrt(2)
+    if a < a', and i(|a',k> - e^(ik m)|a,k>)/sqrt(2) if a > a'."""
+    mask, k = (1 << n) - 1, 2 * np.pi * q / n
+
+    def orbit(s):
+        out = [s]
+        while (t := ((out[-1] << 1) | (out[-1] >> (n - 1))) & mask) != s:
+            out.append(t)
+        return out
+
+    reps = [a for a in states.tolist() if min(orbit(a)) == a and q * len(orbit(a)) % n == 0]
+    column = {a: c for c, a in enumerate(reps)}
+    v = np.zeros((len(reps), len(reps)), dtype=complex)
+    for a in reps:
+        mirrored = int(format(a, f"0{n}b")[::-1], 2)
+        partner = min(orbit(mirrored))
+        m = orbit(partner).index(mirrored)
+        own, other = column[a], column[partner]
+        if partner == a:
+            v[own, own] = np.exp(0.5j * k * m)
+        elif a < partner:
+            v[own, own], v[other, own] = np.sqrt(0.5), np.exp(1j * k * m) * np.sqrt(0.5)
+        else:
+            v[other, own], v[own, own] = 1j * np.sqrt(0.5), -1j * np.exp(1j * k * m) * np.sqrt(0.5)
+    return v
 
 
 def sector_rows(spectrum):
