@@ -5,7 +5,7 @@ reduced density matrices, and pairwise entanglement/correlation measures,
 plus parameter scans, critical-point detection, and figure datasets.
 """
 
-from .basis import MAX_SPINS, ModelParams, SectorBasis, enumerate_sector, zeeman_eigenvalue
+from .basis import MAX_SPINS, ModelParams, SectorBasis, enumerate_sector
 from .errors import (
     DomainError,
     MeasurementError,
@@ -14,12 +14,7 @@ from .errors import (
     SpinChainError,
     StateValidityError,
 )
-from .hamiltonian import (
-    SectorHamiltonian,
-    build_sector_hamiltonian,
-    critical_field_closed_form,
-    critical_temperature_two_qubit,
-)
+from .hamiltonian import critical_field_closed_form, critical_temperature_two_qubit
 from .measures import (
     ConcurrenceResult,
     analytic_two_qubit_concurrence,
@@ -62,15 +57,12 @@ __all__ = [
     "ModelParams",
     "SectorBasis",
     "enumerate_sector",
-    "zeeman_eigenvalue",
     "SpinChainError",
     "ParameterError",
     "DomainError",
     "StateValidityError",
     "NumericError",
     "MeasurementError",
-    "SectorHamiltonian",
-    "build_sector_hamiltonian",
     "critical_field_closed_form",
     "critical_temperature_two_qubit",
     "eigh_symmetric",

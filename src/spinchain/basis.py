@@ -66,7 +66,11 @@ def enumerate_sector(n_spins: int, n_up: int) -> SectorBasis:
 
     Returns the basis states in ascending numeric order.
     """
-    _check_sector_args(n_spins, n_up)
+    ModelParams(n_spins=n_spins, coupling=0.0)
+    if not isinstance(n_up, (int, np.integer)):
+        raise ParameterError(f"n_up must be an integer, got {n_up!r}")
+    if not (0 <= n_up <= n_spins):
+        raise ParameterError(f"n_up must be in [0, {n_spins}], got {n_up}")
     patterns = np.arange(1 << n_spins, dtype=np.int64)
     ups = sum((patterns >> site) & 1 for site in range(n_spins))
     return SectorBasis(n_spins=n_spins, n_up=n_up, states=patterns[ups == n_up])
@@ -87,19 +91,3 @@ def exchange_partners(states: np.ndarray, a, b):
     rows = np.nonzero(mask)[-1].reshape(flip.shape + (np.count_nonzero(mask, axis=-1).max(initial=0),))
     return rows, np.searchsorted(states, states[rows] ^ flip[..., None])
 
-
-def zeeman_eigenvalue(n_spins: int, n_up: int) -> int:
-    """Eigenvalue of the total sigma_z operator on the sector: 2*n_up - N.
-
-    The Zeeman energy of every state in the sector is B times this value.
-    """
-    _check_sector_args(n_spins, n_up)
-    return 2 * n_up - n_spins
-
-
-def _check_sector_args(n_spins: int, n_up: int):
-    ModelParams(n_spins=n_spins, coupling=0.0)
-    if not isinstance(n_up, (int, np.integer)):
-        raise ParameterError(f"n_up must be an integer, got {n_up!r}")
-    if not (0 <= n_up <= n_spins):
-        raise ParameterError(f"n_up must be in [0, {n_spins}], got {n_up}")

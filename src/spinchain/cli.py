@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -60,8 +61,11 @@ def _parse_range(spec: str, name: str):
         raise argparse.ArgumentTypeError(f"{name}: could not parse {spec!r}")
     if steps < 1:
         raise argparse.ArgumentTypeError(f"{name}: STEPS must be >= 1")
-    if geometric and lo <= 0:
-        raise argparse.ArgumentTypeError(f"{name}: geometric range requires MIN > 0")
+    # inf or nan in MIN or MAX makes the span non-finite too.
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"{name}: MIN, MAX and MAX - MIN must be finite")
+    if geometric and (lo <= 0 or hi <= 0):
+        raise argparse.ArgumentTypeError(f"{name}: geometric range requires MIN > 0 and MAX > 0")
     if steps == 1:
         return np.array([lo])
     if geometric:

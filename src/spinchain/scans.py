@@ -57,9 +57,12 @@ class ScanGrid:
 
     def __post_init__(self):
         for name, axis in (("b_values", self.b_values), ("kt_values", self.kt_values)):
-            arr = np.asarray(axis, dtype=np.float64)
-            if arr.size == 0 or not np.all(np.isfinite(arr)):
-                raise ParameterError(f"{name} must be a nonempty finite sequence")
+            try:
+                arr = np.asarray(axis, dtype=np.float64)
+            except (TypeError, ValueError):  # ragged, or not real numbers
+                arr = None
+            if arr is None or arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+                raise ParameterError(f"{name} must be a nonempty finite 1-D sequence of real numbers")
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ParameterError(f"{name} must be strictly ascending")
             object.__setattr__(self, name, arr)

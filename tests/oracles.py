@@ -5,19 +5,19 @@ These deliberately take a different path from the package: the full
 matrices, the Gibbs state is formed explicitly, and partial traces are
 explicit index sums. Keep N <= 6 here.
 
-`all_sector_spectrum` is the package's sector path without the SU(2) and
-translation symmetries: one `eigh` on every magnetization sector, and each
-eigenvector's pair features read straight off its amplitudes. It is the
-reference for the multiplet-expanded spectrum and its feature table, for
-any ordered pair, and reaches larger N.
+`build_sector_hamiltonian` is the plain dense exchange matrix of one
+magnetization sector. `all_sector_spectrum` is the package's sector path
+without the SU(2) and translation symmetries: one `eigh` on every such
+matrix, and each eigenvector's pair features read straight off its
+amplitudes. It is the reference for the multiplet-expanded spectrum and its
+feature table, for any ordered pair, and reaches larger N.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from spinchain.basis import ModelParams, exchange_partners, zeeman_eigenvalue
-from spinchain.hamiltonian import build_sector_hamiltonian
+from spinchain.basis import ModelParams, SectorBasis, enumerate_sector, exchange_partners
 from spinchain.thermal import _pair_labels
 
 # Same basis convention as the package: |0> = down, site i = bit i.
@@ -54,6 +54,32 @@ def dense_hamiltonian(n, j, b):
         for op in (SX, SY, SZ):
             h += j * site_operator(op, i, n) @ site_operator(op, nb, n)
     return h
+
+
+class SectorHamiltonian(NamedTuple):
+    """Exchange part of the ring Hamiltonian restricted to one sector."""
+
+    basis: SectorBasis
+    matrix: np.ndarray
+
+
+def build_sector_hamiltonian(params: ModelParams, n_up: int) -> SectorHamiltonian:
+    """Build the dense exchange matrix J sum_i sigma^i . sigma^{i+1} on a sector.
+
+    For every bond (i, i+1 mod N), aligned z-spins add +J and anti-aligned
+    add -J on the diagonal, while sigma_x sigma_x + sigma_y sigma_y
+    connects the two exchanged configurations with amplitude 2J. For N=2
+    the cyclic sum visits the single (0, 1) bond twice.
+    """
+    n, j = params.n_spins, params.coupling
+    a, b = np.arange(n), (np.arange(n) + 1) % n
+    basis = enumerate_sector(n, n_up)
+    states, dim = basis.states, basis.dim
+    rows, partners = exchange_partners(states, a, b)
+    entries = np.concatenate([rows * dim + partners, partners * dim + rows], axis=None)
+    h = np.bincount(entries, minlength=dim * dim).reshape(dim, dim) * (2.0 * j)
+    h[np.diag_indices(dim)] = j * (1.0 - 2.0 * (((states >> a[:, None]) ^ (states >> b[:, None])) & 1)).sum(axis=0)
+    return SectorHamiltonian(basis=basis, matrix=h)
 
 
 def dense_gibbs_state(n, j, b, kt):
@@ -143,7 +169,7 @@ def all_sector_spectrum(n, j, pairs=()):
         sh = build_sector_hamiltonian(params, n_up)
         values, vectors = np.linalg.eigh(sh.matrix)
         energies.append(values)
-        slopes.append(np.full(values.size, zeeman_eigenvalue(n, n_up)))
+        slopes.append(np.full(values.size, 2 * n_up - n))
         features.append(_sector_features(sh.basis.states, vectors, pairs))
         del sh, vectors
     return AllSectorSpectrum(np.concatenate(energies), np.concatenate(slopes), np.concatenate(features))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinchain import ModelParams, ParameterError, diagonalize_chain, enumerate_sector, zeeman_eigenvalue
+from spinchain import ModelParams, ParameterError, diagonalize_chain, enumerate_sector
 from spinchain.basis import exchange_partners
 
 
@@ -51,13 +51,19 @@ def test_exchange_partners_swap_the_two_bits(n, n_up):
     "n,k,expected", [(2, 0, -2), (2, 1, 0), (6, 1, -4), (6, 6, 6)]
 )
 def test_zeeman_eigenvalue(n, k, expected):
-    assert zeeman_eigenvalue(n, k) == expected
+    # Every state of the sector n_up = k has Zeeman slope 2k - N.
+    slopes = diagonalize_chain(n, 1.0).slopes
+    assert np.count_nonzero(slopes == expected) == binomial(n, k)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 14])
 def test_zeeman_antisymmetry_under_spin_flip(n):
-    for k in range(n + 1):
-        assert zeeman_eigenvalue(n, k) == -zeeman_eigenvalue(n, n - k)
+    # Rows are grouped by sector n_up = 0..N, and the sectors k and N - k
+    # have opposite slopes and equal sizes.
+    slopes = diagonalize_chain(n, 1.0).slopes
+    sizes = [binomial(n, k) for k in range(n + 1)]
+    assert np.array_equal(slopes, np.repeat(2 * np.arange(n + 1) - n, sizes))
+    assert np.array_equal(slopes, -slopes[::-1])
 
 
 def test_out_of_range_arguments_rejected():
@@ -67,8 +73,6 @@ def test_out_of_range_arguments_rejected():
         enumerate_sector(6, 7)
     with pytest.raises(ParameterError):
         enumerate_sector(6, -1)
-    with pytest.raises(ParameterError):
-        zeeman_eigenvalue(4, 5)
     with pytest.raises(ParameterError):
         ModelParams(4.0, 1.0)
     with pytest.raises(ParameterError):

@@ -76,13 +76,28 @@ class TestGridCommand:
         assert run(["grid", "--j", "1", "--b-range", "0:1:2", "--kt-range", "1:1:1",
                     "--sep", "1", "--out", "x.csv"]) == 2
 
-    def test_bad_range_exits_2(self, tmp_path):
+    def test_bad_range_exits_2(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert run(["grid", "--n", "2", "--j", "1", "--b-range", "junk",
                     "--kt-range", "1:1:1", "--sep", "1", "--out", out]) == 2
         # A geometric range needs MIN > 0 even with one step.
         assert run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2",
                     "--kt-range", "0:1:1:geom", "--sep", "1", "--out", out]) == 2
+        # A non-finite end or span, or a geometric MAX <= 0, is rejected
+        # before numpy samples the range, so numpy never warns.
+        for b_range, kt_range in (
+            ("0:inf:3", "1:1:1"),
+            ("nan:1:3", "1:1:1"),
+            ("-1.7e308:1.7e308:3", "1:1:1"),
+            ("0:1:2", "0.1:-1:3:geom"),
+        ):
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(["grid", "--n", "2", "--j", "1", f"--b-range={b_range}",
+                            f"--kt-range={kt_range}", "--sep", "1", "--out", out]) == 2
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert "RuntimeWarning" not in capsys.readouterr().err
 
     def test_negative_field_exits_2(self, tmp_path):
         assert run(["grid", "--n", "2", "--j", "1", "--b-range=-1:1:3", "--kt-range", "1:1:1",
@@ -264,3 +279,13 @@ def test_cli_import_loads_only_stdlib_and_numpy():
     loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split())
     assert "spinchain" in loaded
     assert loaded - set(sys.stdlib_module_names) - {"numpy", "spinchain"} == set()
+
+
+def test_star_import_binds_exactly_all():
+    # A name left in __all__ after its object is gone fails here rather
+    # than in a user's `from spinchain import *`.
+    namespace = {}
+    exec("from spinchain import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(spinchain.__all__)
+    assert len(set(spinchain.__all__)) == len(spinchain.__all__)

@@ -6,12 +6,11 @@ import pytest
 from spinchain import (
     ModelParams,
     ParameterError,
-    build_sector_hamiltonian,
     critical_field_closed_form,
     critical_temperature_two_qubit,
     diagonalize_chain,
 )
-from oracles import dense_hamiltonian
+from oracles import build_sector_hamiltonian, dense_hamiltonian
 
 
 class TestSectorBuild:

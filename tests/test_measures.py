@@ -4,6 +4,7 @@ import pytest
 from spinchain import (
     DomainError,
     MeasurementError,
+    ModelParams,
     ParameterError,
     analytic_two_qubit_concurrence,
     chsh_quantity,
@@ -13,12 +14,14 @@ from spinchain import (
     diagonalize_chain,
     eof_from_concurrence,
     gibbs_weights,
+    magnetization_staircase,
     mutual_information,
     pair_rdm,
     project_remaining_down,
     pure_state_pair_rdm,
     w_state,
 )
+from oracles import build_sector_hamiltonian
 
 
 def projector(psi):
@@ -222,8 +225,6 @@ class TestWState:
         # asserted), and its pair concurrence matches the W value 2/N.
         # Odd N has a degenerate +-k doublet instead, whose thermal mixture
         # falls below 2/N; see the acceptance notes.
-        from spinchain import ModelParams, build_sector_hamiltonian, magnetization_staircase
-
         st = magnetization_staircase(n, 1.0)
         b = (st.b_e + st.b_c_numeric) / 2
         ground = np.linalg.eigh(build_sector_hamiltonian(ModelParams(n, 1.0), 1).matrix)[1][:, 0]

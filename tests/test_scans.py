@@ -27,6 +27,17 @@ class TestScanGrid:
             ScanGrid(4, 1.0, np.array([1.0, 0.5]), np.array([0.1]), ((0, 1),))
         with pytest.raises(ParameterError):
             ScanGrid(4, 1.0, np.array([0.0]), np.array([]), ((0, 1),))
+        # An axis must be 1-D: a scalar or a 2-D array is rejected.
+        with pytest.raises(ParameterError):
+            ScanGrid(4, 1.0, 0.5, [0.1, 0.2], ((0, 1),))
+        with pytest.raises(ParameterError):
+            ScanGrid(4, 1.0, [[0.0, 0.5]], [0.1, 0.2], ((0, 1),))
+        with pytest.raises(ParameterError):
+            ScanGrid(4, 1.0, [0.0, 0.5], np.full((2, 2), 0.1), ((0, 1),))
+        # So must a ragged axis and one that does not hold real numbers.
+        for axis in ([[0.0], [0.5, 1.0]], "abc", [1.0 + 1.0j]):
+            with pytest.raises(ParameterError):
+                ScanGrid(4, 1.0, axis, [0.1], ((0, 1),))
         with pytest.raises(ParameterError):
             ScanGrid(4, 1.0, np.array([0.0]), np.array([0.1]), ((0, 4),))
         with pytest.raises(ParameterError):

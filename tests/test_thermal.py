@@ -6,7 +6,6 @@ from spinchain import (
     NumericError,
     ParameterError,
     StateValidityError,
-    build_sector_hamiltonian,
     diagonalize_chain,
     enumerate_sector,
     gibbs_weights,
@@ -18,7 +17,7 @@ from spinchain import (
 )
 from spinchain.measures import x_state_eigenvalues
 from spinchain.thermal import PairDensityMatrix, pair_features, weight_rows
-from oracles import SX, SY, SZ, all_sector_spectrum, dense_gibbs_state, dense_pair_rdm, site_operator
+from oracles import SX, SY, SZ, all_sector_spectrum, build_sector_hamiltonian, dense_gibbs_state, dense_pair_rdm, site_operator
 
 SINGLET_RHO = np.array(
     [
