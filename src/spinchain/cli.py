@@ -157,30 +157,23 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--outdir", required=True, help="directory for figN.csv (and figN.svg)")
     fig.add_argument("--svg", action="store_true", help="also write figN.svg")
 
-    stair = sub.add_parser("staircase", help="magnetization staircase (JSON)")
-    stair.add_argument("--n", type=int, required=True)
-    stair.add_argument("--j", type=float, required=True)
-    stair.add_argument("--out", help="write JSON here instead of stdout")
+    # The flags of every command that prints its result as JSON.
+    json_cmd = argparse.ArgumentParser(add_help=False)
+    json_cmd.add_argument("--n", type=int, required=True)
+    json_cmd.add_argument("--j", type=float, required=True)
+    json_cmd.add_argument("--out", help="write JSON here instead of stdout")
 
-    crit = sub.add_parser("critical", help="closed-form vs numeric critical field (JSON)")
-    crit.add_argument("--n", type=int, required=True)
-    crit.add_argument("--j", type=float, required=True)
-    crit.add_argument("--out", help="write JSON here instead of stdout")
+    sub.add_parser("staircase", parents=[json_cmd], help="magnetization staircase (JSON)")
+    sub.add_parser("critical", parents=[json_cmd], help="closed-form vs numeric critical field (JSON)")
 
-    el = sub.add_parser("elength", help="entanglement length at one (B, kT) point (JSON)")
-    el.add_argument("--n", type=int, required=True)
-    el.add_argument("--j", type=float, required=True)
+    el = sub.add_parser("elength", parents=[json_cmd], help="entanglement length at one (B, kT) point (JSON)")
     el.add_argument("--b", type=float, required=True)
     el.add_argument("--kt", type=float, required=True)
-    el.add_argument("--out", help="write JSON here instead of stdout")
 
-    lip = sub.add_parser("lipschitz", help="max kT |dE|/|dB| over a grid (JSON)")
-    lip.add_argument("--n", type=int, required=True)
-    lip.add_argument("--j", type=float, required=True)
+    lip = sub.add_parser("lipschitz", parents=[json_cmd], help="max kT |dE|/|dB| over a grid (JSON)")
     lip.add_argument("--b-range", type=lambda s: _parse_range(s, "--b-range"), required=True)
     lip.add_argument("--kt-range", type=lambda s: _parse_range(s, "--kt-range"), required=True)
     lip.add_argument("--pair", type=_parse_pair, default=(0, 1))
-    lip.add_argument("--out", help="write JSON here instead of stdout")
 
     return parser
 
@@ -223,7 +216,7 @@ def _grid_plot(grid: ScanGrid, e) -> dict:
     )
 
 
-def _cmd_grid(args, parser) -> int:
+def _cmd_grid(args, parser):
     grid = _grid_from_args(args, parser)
     measures = scan_pair_measures(grid)
     table = scan_table(grid, measures)
@@ -234,17 +227,15 @@ def _cmd_grid(args, parser) -> int:
         _emit_json({"columns": list(table), "rows": [list(row) for row in _rows(table)]}, out)
     if args.svg:
         Path(args.svg).write_text(render_plot_payload(_grid_plot(grid, measures["E"])))
-    return 0
 
 
-def _cmd_figure(args, _parser) -> int:
+def _cmd_figure(args, _parser):
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     ds = figure_dataset(args.id)
     _write_csv(outdir / f"fig{args.id}.csv", ds.table)
     if args.svg:
         (outdir / f"fig{args.id}.svg").write_text(render_plot_payload(ds.plot))
-    return 0
 
 
 def _emit_json(payload, out_path):
@@ -255,9 +246,9 @@ def _emit_json(payload, out_path):
         sys.stdout.write(text)
 
 
-def _cmd_staircase(args, _parser) -> int:
+def _cmd_staircase(args, _parser) -> dict:
     res = magnetization_staircase(args.n, args.j)
-    payload = {
+    return {
         "N": res.n_spins,
         "J": res.coupling,
         "B_E": res.b_e,
@@ -267,24 +258,20 @@ def _cmd_staircase(args, _parser) -> int:
         ],
         "sector_ground_energies": res.sector_ground_energies.tolist(),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_critical(args, _parser) -> int:
-    payload = {
+def _cmd_critical(args, _parser) -> dict:
+    return {
         "N": args.n,
         "J": args.j,
         "B_c_closed_form": critical_field_closed_form(args.n, args.j),
         "B_c_numeric": magnetization_staircase(args.n, args.j).b_c_numeric,
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_elength(args, _parser) -> int:
+def _cmd_elength(args, _parser) -> dict:
     res = entanglement_length(args.n, args.j, args.b, args.kt)
-    payload = {
+    return {
         "N": args.n,
         "J": args.j,
         "B": args.b,
@@ -292,21 +279,17 @@ def _cmd_elength(args, _parser) -> int:
         "l_E": res.l_e,
         "C": res.c_by_separation.tolist(),
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
-def _cmd_lipschitz(args, _parser) -> int:
+def _cmd_lipschitz(args, _parser) -> dict:
     grid = ScanGrid(args.n, args.j, args.b_range, args.kt_range, (tuple(args.pair),))
     rep = lipschitz_check(grid)
-    payload = {
+    return {
         "max_ratio": rep.max_ratio,
         "worst_point": {"B_left": rep.worst_point[0], "B_right": rep.worst_point[1], "kT": rep.worst_point[2]},
         "bound": 1.0,
         "satisfied": rep.satisfied,
     }
-    _emit_json(payload, args.out)
-    return 0
 
 
 _COMMANDS = {
@@ -326,7 +309,10 @@ def main(argv=None) -> int:
         _apply_config(args, parser)
     try:
         check_threads_env()
-        return _COMMANDS[args.command](args, parser)
+        payload = _COMMANDS[args.command](args, parser)
+        if payload is not None:
+            _emit_json(payload, args.out)
+        return 0
     except NumericError as exc:
         print(f"spinchain: numeric error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MeasurementError, NumericError, ParameterError
-from .numerics import binary_entropy, von_neumann_entropy
+from .numerics import _entropy_bits, binary_entropy, von_neumann_entropy
 from .thermal import PairDensityMatrix, _check_pair, _full_basis_spins
 
 # Concurrence below this is reported as exactly 0 (keeps the
@@ -175,12 +175,6 @@ def x_state_measures(features):
     t_xx = 4.0 * z * z
     m = t_xx + np.maximum(t_xx, (p00 - p01 - p10 + p11) ** 2)
     return c, e, i, m
-
-
-def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits along the last axis, counting p <= 0 as 0."""
-    positive = p > 0.0
-    return 0.0 - np.sum(np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0), axis=-1)
 
 
 def w_state(n_spins: int) -> np.ndarray:

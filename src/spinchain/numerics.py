@@ -34,12 +34,7 @@ def binary_entropy(x: float) -> float:
     if not -1e-12 <= x <= 1.0 + 1e-12:
         raise DomainError(f"binary_entropy argument {x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
-    out = 0.0
-    if x > 0.0:
-        out -= x * np.log2(x)
-    if x < 1.0:
-        out -= (1.0 - x) * np.log2(1.0 - x)
-    return float(out)
+    return float(_entropy_bits(np.array([x, 1.0 - x])))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -60,6 +55,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(r)
     if lam.min() < -1e-10:
         raise StateValidityError(f"density matrix has eigenvalue {lam.min()} below -1e-10")
-    lam = np.clip(lam, 0.0, None)
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log2(lam)))
+    return float(_entropy_bits(lam))
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis, counting p <= 0 as 0."""
+    positive = p > 0.0
+    return 0.0 - np.sum(np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0), axis=-1)

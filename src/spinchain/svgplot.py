@@ -44,18 +44,16 @@ def _nice_ticks(lo: float, hi: float, count: int = 6):
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * step:
+    # Count the ticks first: at large |lo| the step may not move t at all.
+    for _ in range(math.floor((hi - first) / step + 1e-9) + 1):
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
 
 
 def _log_ticks(lo: float, hi: float):
-    ticks = []
-    for dec in range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1):
-        t = 10.0 ** dec
-        if lo <= t <= hi:
-            ticks.append(t)
+    decades = range(math.ceil(math.log10(lo)), math.floor(math.log10(hi)) + 1)
+    ticks = [t for t in (10.0 ** dec for dec in decades) if lo <= t <= hi]
     return ticks or [lo, hi]
 
 
@@ -168,13 +166,10 @@ def _heat_color(frac: float) -> str:
 
 
 def _cell_edges(values, axis: _Axis):
-    """Pixel boundaries between samples (midpoints in axis coordinates)."""
-    edges = [axis.px_lo]
-    for a, b in zip(values, values[1:]):
-        mid = math.sqrt(a * b) if axis.log else (a + b) / 2.0
-        edges.append(axis.to_px(mid))
-    edges.append(axis.px_hi)
-    return edges
+    """Pixel boundaries between samples: the midpoints of their pixels."""
+    px = [axis.to_px(v) for v in values]
+    mids = [(a + b) / 2.0 for a, b in zip(px, px[1:])]
+    return [axis.px_lo, *mids, axis.px_hi]
 
 
 def render_heatmap(x, y, z, xlabel: str = "", ylabel: str = "", title: str = "", logy: bool = False) -> str:

@@ -163,6 +163,42 @@ class TestGridCommand:
                 assert text.count("<polyline") == len(pairs)
                 assert "pair (0, 1)" in text and "pair (0, 2)" in text
 
+    # A log-kT heatmap whose kT values reach the largest floats.
+    NEAR_FLOAT_MAX = ["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2", "--kt-range", "1e300:1.5e308:3:geom",
+                      "--pair", "0,1"]
+
+    def test_svg_of_a_kt_range_up_to_the_largest_float_exits_0(self, tmp_path):
+        # The decades of a log axis must stop at 1e308: 10.0 ** 309 overflows.
+        svg = tmp_path / "scan.svg"
+        assert run([*self.NEAR_FLOAT_MAX, "--out", str(tmp_path / "scan.csv"), "--svg", str(svg)]) == 0
+        assert svg.read_text().rstrip().endswith("</svg>")
+
+    def test_svg_of_a_kt_range_up_to_the_largest_float_is_finite(self, tmp_path):
+        # The geometric midpoint sqrt(a * b) of two kT values near 1e308
+        # overflows; the midpoint of their pixels does not.
+        svg = tmp_path / "scan.svg"
+        run([*self.NEAR_FLOAT_MAX, "--out", str(tmp_path / "scan.csv"), "--svg", str(svg)])
+        text = svg.read_text()
+        assert "inf" not in text and "nan" not in text
+
+    def test_axis_ticks_end_where_the_step_is_below_the_float_spacing(self):
+        # At 1e16 adding the 0.5 tick step leaves the tick unchanged, so ticks
+        # made until one passes the axis end never end. The child gets 1 GiB
+        # of address space and a time limit so that such a loop fails fast.
+        import resource
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        code = "from spinchain.svgplot import _nice_ticks; print(len(_nice_ticks(1e16, 1.0000000000000002e16)))"
+        src = str(Path(spinchain.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=60, preexec_fn=cap_memory)
+        assert res.returncode == 0, res.stderr[-500:]
+        assert 1 <= int(res.stdout) <= 6
+
     def test_csv_number_format(self, tmp_path):
         # One format per table: %d for integer columns, %.12g for all others.
         out = tmp_path / "t.csv"
