@@ -75,19 +75,3 @@ def enumerate_sector(n_spins: int, n_up: int) -> SectorBasis:
     ups = sum((patterns >> site) & 1 for site in range(n_spins))
     return SectorBasis(n_spins=n_spins, n_up=n_up, states=patterns[ups == n_up])
 
-
-def exchange_partners(states: np.ndarray, a, b):
-    """Pair up the patterns that swapping the spins of sites a and b connects.
-
-    Returns (rows, partners): the positions in the ascending `states` of
-    every pattern with bit a = 0 and bit b = 1, and of the same patterns
-    with those two bits swapped, found by bisection. `a` and `b` may also be
-    equal-length arrays of distinct site pairs (bonds); in a sector every
-    bond connects the same number of patterns, so rows and partners are
-    then (bonds, patterns) arrays.
-    """
-    flip = (1 << np.asarray(a)) | (1 << np.asarray(b))
-    mask = (states & flip[..., None]) == (1 << np.asarray(b))[..., None]
-    rows = np.nonzero(mask)[-1].reshape(flip.shape + (np.count_nonzero(mask, axis=-1).max(initial=0),))
-    return rows, np.searchsorted(states, states[rows] ^ flip[..., None])
-

@@ -25,6 +25,7 @@ from .scans import (
     figure_dataset,
     lipschitz_check,
     magnetization_staircase,
+    plot_payload,
     scan_pair_measures,
     scan_table,
 )
@@ -117,13 +118,15 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
             parser.error(f"unknown config key {key!r}")
         tokens += [f"--{attr.replace('_', '-')}={item}" for item in _listed(value)]
     parsed = parser.parse_args([args.command, *tokens])
+    # --pair and --sep are one choice: a flag for either one drops both config keys.
+    flagged = {"pair", "sep"} if args.pair or args.sep else set()
     for key, value in cfg.items():
         attr = key.replace("-", "_")
         want, got = _listed(value), _listed(getattr(parsed, attr))
         mistyped = any(isinstance(w, str) == isinstance(g, (int, float)) for w, g in zip(want, got))
         if len(want) != len(got) or mistyped:
             parser.error(f"config key {key!r} has the wrong JSON type or count: {value!r}")
-        if getattr(args, attr) is None:
+        if getattr(args, attr) is None and attr not in flagged:
             setattr(args, attr, getattr(parsed, attr))
 
 
@@ -190,30 +193,12 @@ def _grid_from_args(args, parser) -> ScanGrid:
 
 
 def _grid_plot(grid: ScanGrid, e) -> dict:
-    """Plot payload of E, a (B, kT, pair) array: a heatmap of the first pair
-    on a 2-D grid, else one line per pair."""
+    """Plot payload (see `plot_payload`) of E, a (B, kT, pair) array, one curve per pair."""
     if len(grid.b_values) > 1 and len(grid.kt_values) > 1:
-        return dict(
-            kind="heatmap",
-            x=grid.b_values.tolist(),
-            y=grid.kt_values.tolist(),
-            z=e[:, :, 0].T.tolist(),
-            xlabel="B",
-            ylabel="kT",
-            title=f"E(B, kT), N={grid.n_spins}, J={grid.coupling:g}, pair {grid.pairs[0]}",
-            logy=bool(np.all(grid.kt_values > 0)) and len(grid.kt_values) > 2,
-        )
-    along_b = len(grid.b_values) > 1
-    x = (grid.b_values if along_b else grid.kt_values).tolist()
-    lines = e.reshape(len(x), len(grid.pairs)).T.tolist()
-    series = [{"label": f"pair {pair}", "x": x, "y": y} for pair, y in zip(grid.pairs, lines)]
-    return dict(
-        kind="lines",
-        series=series,
-        xlabel="B" if along_b else "kT",
-        ylabel="E",
-        title=f"Entanglement, N={grid.n_spins}, J={grid.coupling:g}",
-    )
+        title = f"E(B, kT), N={grid.n_spins}, J={grid.coupling:g}, pair {grid.pairs[0]}"
+    else:
+        title = f"Entanglement, N={grid.n_spins}, J={grid.coupling:g}"
+    return plot_payload(title, [(grid, e[..., p], f"pair {pair}") for p, pair in enumerate(grid.pairs)])
 
 
 def _cmd_grid(args, parser):

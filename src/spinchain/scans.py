@@ -264,15 +264,33 @@ def lipschitz_check(grid: ScanGrid, spectrum: ChainSpectrum | None = None) -> Li
     )
 
 
+def plot_payload(title: str, curves, ylabel: str = "E") -> dict:
+    """Plot payload of `curves`, each (grid, values over (B, kT), label), which
+    share the first curve's grid axes. On a grid with more than one B and more
+    than one kT value it is a heatmap of the first curve; otherwise one line per
+    curve along the grid's varying axis (kT if neither varies), with `ylabel` as
+    the value label. A kT axis, of either kind, is logarithmic when every kT is
+    above 0 and there are more than two kT values."""
+    grid, values, _ = curves[0]
+    b, kt = grid.b_values, grid.kt_values
+    log_kt = bool(np.all(kt > 0)) and len(kt) > 2
+    if len(b) > 1 and len(kt) > 1:
+        return dict(kind="heatmap", x=b.tolist(), y=kt.tolist(), z=values.T.tolist(),  # one z row per kT
+                    xlabel="B", ylabel="kT", logy=log_kt, title=title)
+    x, xlabel, logx = (b, "B", False) if len(b) > 1 else (kt, "kT", log_kt)
+    series = [{"label": label, "x": x.tolist(), "y": v.ravel().tolist()} for _, v, label in curves]
+    return dict(kind="lines", series=series, xlabel=xlabel, ylabel=ylabel, logx=logx, title=title)
+
+
 @dataclass(frozen=True)
 class FigureDataset:
     """Table plus plot payload reproducing one of the reference figures.
 
     `table` maps each of FIGURE_COLUMNS to a 1-D array, one entry per row:
     the rows of `scan_table` for each of the figure's scans, in turn, with
-    that scan's N and J prepended. `plot` is the payload that
-    `svgplot.render_plot_payload` draws: its `kind`, "heatmap" or "lines",
-    plus the keyword arguments of that kind's renderer.
+    that scan's N and J prepended. `plot` is the `plot_payload` of the
+    figure's curves, which `svgplot.render_plot_payload` draws: its `kind`,
+    "heatmap" or "lines", plus the keyword arguments of that kind's renderer.
     """
 
     figure_id: int
@@ -311,53 +329,34 @@ def figure_dataset(figure_id: int) -> FigureDataset:
 def _figure1():
     grid = ScanGrid(2, 1.0, _DEFAULT_B_GRID, _DEFAULT_KT_GRID, ((0, 1),))
     m = scan_pair_measures(grid)
-    x, y = grid.b_values.tolist(), grid.kt_values.tolist()
-    z = m["E"][:, :, 0].T.tolist()  # one row per kT value
-    title = "Entanglement E(B, kT), N=2, J=1"
-    plot = dict(kind="heatmap", x=x, y=y, z=z, xlabel="B", ylabel="kT", logy=True, title=title)
-    return [(grid, m)], plot
+    return [(grid, m)], plot_payload("Entanglement E(B, kT), N=2, J=1", [(grid, m["E"][..., 0], "")])
 
 
 def _figure2():
     grid = ScanGrid.from_separations(6, 1.0, _DEFAULT_B_GRID, [0.1], (1, 2, 3))
     m = scan_pair_measures(grid)
-    b = grid.b_values.tolist()
-    series = [{"label": f"d={d}", "x": b, "y": m["E"][:, 0, p].tolist()} for p, d in enumerate((1, 2, 3))]
-    title = "Entanglement vs field, N=6, kT=0.1, J=1"
-    plot = dict(kind="lines", series=series, xlabel="B", ylabel="E", title=title)
-    return [(grid, m)], plot
+    curves = [(grid, m["E"][..., p], f"d={d}") for p, d in enumerate((1, 2, 3))]
+    return [(grid, m)], plot_payload("Entanglement vs field, N=6, kT=0.1, J=1", curves)
 
 
 def _figure3():
     grids = [ScanGrid.from_separations(n, 1.0, _DEFAULT_B_GRID, [0.1], (2,)) for n in (6, 8, 10)]
     results = [(grid, scan_pair_measures(grid)) for grid in grids]
-    b = _DEFAULT_B_GRID.tolist()
-    series = [{"label": f"N={g.n_spins}", "x": b, "y": m["E"][:, 0, 0].tolist()} for g, m in results]
-    title = "Next-nearest entanglement vs field, kT=0.1, J=1"
-    plot = dict(kind="lines", series=series, xlabel="B", ylabel="E", title=title)
-    return results, plot
+    curves = [(g, m["E"][..., 0], f"N={g.n_spins}") for g, m in results]
+    return results, plot_payload("Next-nearest entanglement vs field, kT=0.1, J=1", curves)
 
 
 def _figure4():
     grids = [ScanGrid.from_separations(n, 1.0, [4.2], _DEFAULT_KT_GRID, (1,)) for n in (5, 6, 7, 8, 9, 10)]
     results = [(grid, scan_pair_measures(grid)) for grid in grids]
-    kt = _DEFAULT_KT_GRID.tolist()
-    series = [{"label": f"N={g.n_spins}", "x": kt, "y": m["E"][0, :, 0].tolist()} for g, m in results]
-    title = "Nearest-neighbor entanglement vs temperature, B=4.2, J=1"
-    plot = dict(kind="lines", series=series, xlabel="kT", ylabel="E", logx=True, title=title)
-    return results, plot
+    curves = [(g, m["E"][..., 0], f"N={g.n_spins}") for g, m in results]
+    return results, plot_payload("Nearest-neighbor entanglement vs temperature, B=4.2, J=1", curves)
 
 
 def _figure5():
     grids = [ScanGrid.from_separations(10, j, [4.2], _DEFAULT_KT_GRID, (1,)) for j in (1.0, -1.0)]
     results = [(grid, scan_pair_measures(grid)) for grid in grids]
-    (_, af), (_, fm) = results
-    kt = _DEFAULT_KT_GRID.tolist()
-    series = [
-        {"label": "AF, I", "x": kt, "y": af["I"][0, :, 0].tolist()},
-        {"label": "F, I", "x": kt, "y": fm["I"][0, :, 0].tolist()},
-        {"label": "AF, E", "x": kt, "y": af["E"][0, :, 0].tolist()},
-    ]
-    title = "Mutual information and entanglement vs temperature, N=10, B=4.2"
-    plot = dict(kind="lines", series=series, xlabel="kT", ylabel="I, E", logx=True, title=title)
-    return results, plot
+    (af_grid, af), (fm_grid, fm) = results
+    af_i, fm_i, af_e = af["I"][..., 0], fm["I"][..., 0], af["E"][..., 0]
+    curves = [(af_grid, af_i, "AF, I"), (fm_grid, fm_i, "F, I"), (af_grid, af_e, "AF, E")]
+    return results, plot_payload("Mutual information and entanglement vs temperature, N=10, B=4.2", curves, "I, E")

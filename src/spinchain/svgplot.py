@@ -32,15 +32,18 @@ def _tick_label(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, count: int = 6):
-    if hi <= lo:
+def _nice_ticks(lo: float, hi: float, whole: bool = False):
+    """About six ticks from lo to hi, 1, 2, 2.5 or 5 times a power of ten apart (a whole number if `whole`)."""
+    raw = (hi - lo) / 5
+    if not raw > 0:
         return [lo]
-    raw = (hi - lo) / max(1, count - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
+    if whole:
+        step = math.ceil(step)
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
@@ -51,18 +54,12 @@ def _nice_ticks(lo: float, hi: float, count: int = 6):
     return ticks
 
 
-def _log_ticks(lo: float, hi: float):
-    decades = range(math.ceil(math.log10(lo)), math.floor(math.log10(hi)) + 1)
-    ticks = [t for t in (10.0 ** dec for dec in decades) if lo <= t <= hi]
-    return ticks or [lo, hi]
-
-
 class _Axis:
     def __init__(self, lo: float, hi: float, px_lo: float, px_hi: float, log: bool):
         if log and lo <= 0:
             raise ParameterError("log axis requires positive data")
-        if hi <= lo:
-            hi = lo + 1.0
+        if hi <= lo:  # one value: widen by 1, or by one float spacing where 1 is below it
+            hi = max(lo + 1.0, math.nextafter(lo, math.inf))
         self.lo, self.hi, self.px_lo, self.px_hi, self.log = lo, hi, px_lo, px_hi, log
 
     def to_px(self, v: float) -> float:
@@ -73,7 +70,11 @@ class _Axis:
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
     def ticks(self):
-        return _log_ticks(self.lo, self.hi) if self.log else _nice_ticks(self.lo, self.hi)
+        """Round values; on a log axis, whole decades by the same rule on log10, else its two ends."""
+        if not self.log:
+            return _nice_ticks(self.lo, self.hi)
+        decades = _nice_ticks(math.log10(self.lo), math.log10(self.hi), whole=True)
+        return [10.0 ** t for t in decades] or [self.lo, self.hi]
 
 
 def _header(width: int, height: int, title: str) -> list:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, SectorBasis, enumerate_sector, exchange_partners
+from .basis import ModelParams, SectorBasis, enumerate_sector
 from .errors import NumericError, ParameterError, StateValidityError
 from .numerics import eigh_symmetric
 
@@ -186,12 +186,12 @@ def _middle_blocks(n: int):
     by_sep = (sep == np.arange(1, n // 2 + 1)[:, None]).astype(float)
     aligned = 1.0 - 2.0 * (((states[reps] >> i[:, None]) ^ (states[reps] >> j[:, None])) & 1)
     zz_rows = (by_sep @ aligned).T
-    rows, partners = exchange_partners(states, i, j)
-    # Each exchange sends a pattern to its partner and back, with weight 2.
-    source, target = np.hstack([rows, partners]), np.hstack([partners, rows])
-    keep = (least == states)[source]
-    at = np.broadcast_to(sep[:, None] - 1, source.shape)[keep]
-    a, b, l = orbit[source[keep]], orbit[target[keep]], shift[target[keep]]
+    # Each exchange (weight 2) swaps the unlike spins of a pair, sending representative
+    # a to T^l |b>: per pair, first the a with spin j up, then those with spin i up.
+    up = (states[reps] >> np.stack([j, i], axis=1)[..., None]) & 1
+    bond, _, a = np.nonzero(up & (aligned < 0)[:, None])
+    target = np.searchsorted(states, states[reps[a]] ^ ((1 << i) | (1 << j))[bond])
+    at, b, l = sep[bond] - 1, orbit[target], shift[target]
     coeff = np.full(n // 2, ALPHA / 2)
     coeff[0] += 2 if n == 2 else 1
     own, count = np.arange(reps.size), reps.size

@@ -6,7 +6,8 @@ matrices, the Gibbs state is formed explicitly, and partial traces are
 explicit index sums. Keep N <= 6 here.
 
 `build_sector_hamiltonian` is the plain dense exchange matrix of one
-magnetization sector. `all_sector_spectrum` is the package's sector path
+magnetization sector, its off-diagonal entries found by
+`exchange_partners`. `all_sector_spectrum` is the package's sector path
 without the SU(2) and translation symmetries: one `eigh` on every such
 matrix, and each eigenvector's pair features read straight off its
 amplitudes. It is the reference for the multiplet-expanded spectrum and its
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spinchain.basis import ModelParams, SectorBasis, enumerate_sector, exchange_partners
+from spinchain.basis import ModelParams, SectorBasis, enumerate_sector
 from spinchain.thermal import _pair_labels
 
 # Same basis convention as the package: |0> = down, site i = bit i.
@@ -54,6 +55,22 @@ def dense_hamiltonian(n, j, b):
         for op in (SX, SY, SZ):
             h += j * site_operator(op, i, n) @ site_operator(op, nb, n)
     return h
+
+
+def exchange_partners(states: np.ndarray, a, b):
+    """Pair up the patterns that swapping the spins of sites a and b connects.
+
+    Returns (rows, partners): the positions in the ascending `states` of
+    every pattern with bit a = 0 and bit b = 1, and of the same patterns
+    with those two bits swapped, found by bisection. `a` and `b` may also be
+    equal-length arrays of distinct site pairs (bonds); in a sector every
+    bond connects the same number of patterns, so rows and partners are
+    then (bonds, patterns) arrays.
+    """
+    flip = (1 << np.asarray(a)) | (1 << np.asarray(b))
+    mask = (states & flip[..., None]) == (1 << np.asarray(b))[..., None]
+    rows = np.nonzero(mask)[-1].reshape(flip.shape + (np.count_nonzero(mask, axis=-1).max(initial=0),))
+    return rows, np.searchsorted(states, states[rows] ^ flip[..., None])
 
 
 class SectorHamiltonian(NamedTuple):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from spinchain import ModelParams, ParameterError, diagonalize_chain, enumerate_sector
-from spinchain.basis import exchange_partners
+
+from oracles import exchange_partners
 
 
 def binomial(n, r):

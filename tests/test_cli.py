@@ -181,6 +181,28 @@ class TestGridCommand:
         text = svg.read_text()
         assert "inf" not in text and "nan" not in text
 
+    @pytest.mark.parametrize(
+        "b_range,kt_range",
+        [("0:5e-324:2", "1:2:2"), ("0:1:1", "1e17:1e17:1")],
+        ids=["b-span-below-tick-resolution", "one-kt-where-adding-1-is-lost"],
+    )
+    def test_svg_of_a_degenerate_axis_exits_0_and_is_finite(self, tmp_path, b_range, kt_range):
+        # A span whose fifth underflows to 0 gets one tick, and a one-value
+        # axis at 1e17, where lo + 1.0 == lo, widens to the next float.
+        svg = tmp_path / "scan.svg"
+        assert run(["grid", "--n", "2", "--j", "1", "--pair", "0,1", f"--b-range={b_range}",
+                    f"--kt-range={kt_range}", "--out", str(tmp_path / "scan.csv"), "--svg", str(svg)]) == 0
+        text = svg.read_text()
+        assert text.rstrip().endswith("</svg>") and "inf" not in text and "nan" not in text
+
+    def test_svg_of_600_kt_decades_labels_few_ticks(self, tmp_path):
+        # Log ticks follow the linear rule on log10 kT, so 600 decades get a
+        # few labels rather than one each.
+        svg = tmp_path / "scan.svg"
+        assert run(["grid", "--n", "2", "--j", "1", "--pair", "0,1", "--b-range", "0:1:2", "--kt-range",
+                    "1e-300:1e300:3:geom", "--out", str(tmp_path / "scan.csv"), "--svg", str(svg)]) == 0
+        assert svg.read_text().count("<text") <= 20
+
     def test_axis_ticks_end_where_the_step_is_below_the_float_spacing(self):
         # At 1e16 adding the 0.5 tick step leaves the tick unchanged, so ticks
         # made until one passes the axis end never end. The child gets 1 GiB
@@ -216,6 +238,20 @@ class TestGridCommand:
         assert out.exists()
 
     @pytest.mark.parametrize(
+        "config,flag",
+        [({"sep": [1]}, ["--pair", "0,2"]), ({"pair": ["0,2"]}, ["--sep", "2"])],
+        ids=["sep-in-config-pair-flag", "pair-in-config-sep-flag"],
+    )
+    def test_pair_or_sep_flag_overrides_both_config_keys(self, tmp_path, config, flag):
+        # --pair and --sep are one choice: a flag for either one replaces the
+        # config's pair or sep.
+        cfg, out = tmp_path / "cfg.json", tmp_path / "scan.csv"
+        cfg.write_text(json.dumps({"n": 4, "j": 1.0, "b_range": "0:1:2", "kt_range": "1:1:1", **config}))
+        assert run(["grid", "--config", str(cfg), *flag, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert {tuple(row[2:5]) for row in rows} == {("0", "2", "2")}
+
+    @pytest.mark.parametrize(
         "change",
         [{"n": "6"}, {"b_range": 5}, {"b_range": "0:1"}, {"pair": "0,x"}, {"format": "xml"}, [1, 2]],
         ids=["n-string", "range-number", "range-short", "pair-not-int", "format-choice", "not-object"],
@@ -246,10 +282,11 @@ class TestFigureCommand:
 
     def test_byte_identical_reruns_under_different_thread_counts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPINCHAIN_THREADS", "1")
-        run(["figure", "--id", "2", "--outdir", str(tmp_path / "a")])
+        run(["figure", "--id", "2", "--outdir", str(tmp_path / "a"), "--svg"])
         monkeypatch.setenv("SPINCHAIN_THREADS", "3")
-        run(["figure", "--id", "2", "--outdir", str(tmp_path / "b")])
-        assert (tmp_path / "a/fig2.csv").read_bytes() == (tmp_path / "b/fig2.csv").read_bytes()
+        run(["figure", "--id", "2", "--outdir", str(tmp_path / "b"), "--svg"])
+        for name in ("fig2.csv", "fig2.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestJsonCommands:

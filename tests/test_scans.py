@@ -176,21 +176,16 @@ class TestStaircase:
     def test_solves_the_same_blocks_as_the_spectrum(self, n, monkeypatch):
         # `eigh` runs only on the sector n_up = N // 2, as its momentum
         # blocks q = 0..N//2 (N=7: dim 35 -> 5 orbits in each block; N=8:
-        # dim 70 -> 10, 8, 9, 8, 10 of its 10 orbits), and the exchange
-        # partners of that sector are found once for all blocks. The
-        # staircase reads the spectrum and solves nothing of its own.
+        # dim 70 -> 10, 8, 9, 8, 10 of its 10 orbits). The staircase reads
+        # the spectrum and solves nothing of its own.
         from spinchain import thermal
 
-        built, solved, lapack, paired = [], [], [], []
-        real_enumerate, real_partners = thermal.enumerate_sector, thermal.exchange_partners
+        built, solved, lapack = [], [], []
+        real_enumerate = thermal.enumerate_sector
 
         def enumerating(n_spins, n_up):
             built.append(n_up)
             return real_enumerate(n_spins, n_up)
-
-        def pairing(states, *args):
-            paired.append(states.size)
-            return real_partners(states, *args)
 
         def recording(solver, log):
             def solve(matrix, *args, **kwargs):
@@ -200,20 +195,18 @@ class TestStaircase:
             return solve
 
         monkeypatch.setattr(thermal, "enumerate_sector", enumerating)
-        monkeypatch.setattr(thermal, "exchange_partners", pairing)
         monkeypatch.setattr(thermal, "eigh_symmetric", recording(thermal.eigh_symmetric, solved))
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name), lapack))
         magnetization_staircase(n, 1.0)
-        by_staircase = (built[:], solved[:], lapack[:], paired[:])
-        for log in (built, solved, lapack, paired):
+        by_staircase = (built[:], solved[:], lapack[:])
+        for log in (built, solved, lapack):
             log.clear()
         diagonalize_chain(n, 1.0)
         assert built == [n // 2]
         assert solved == {7: [(3, 5)] * 4, 8: [(4, 10), (4, 8), (4, 9), (4, 8), (4, 10)]}[n]
         assert lapack == solved
-        assert paired == [{7: 35, 8: 70}[n]]
-        assert by_staircase == (built, solved, lapack, paired)
+        assert by_staircase == (built, solved, lapack)
 
     def test_rejects_non_integer_spin_count(self):
         with pytest.raises(ParameterError):
@@ -308,3 +301,25 @@ class TestFigureDatasets:
         i_vals = ds.table["I"][ds.table["J"] < 0]
         assert max(i_vals) > i_vals[0] + 1e-6
         assert ds.plot["series"][1]["y"] == i_vals.tolist()
+
+
+class TestPlotPayload:
+    @staticmethod
+    def payload(b_values, kt_values):
+        grid = ScanGrid(2, 1.0, b_values, kt_values, ((0, 1),))
+        return scans.plot_payload("t", [(grid, np.zeros((len(b_values), len(kt_values))), "pair")])
+
+    def test_a_kt_axis_is_logarithmic_with_more_than_two_positive_values(self):
+        # Along kT, a line plot follows the heatmap's rule for its kT axis.
+        assert self.payload([1.0], [0.1, 0.5, 2.0])["logx"] is True
+        for kt in ([0.0, 0.5, 2.0], [0.5, 2.0], [0.5]):
+            assert self.payload([1.0], kt)["logx"] is False
+        # A B axis is always linear.
+        line = self.payload([0.0, 0.5, 2.0], [0.1])
+        assert (line["kind"], line["xlabel"], line["logx"]) == ("lines", "B", False)
+
+    def test_heatmap_kt_axis_rule(self):
+        for kt, log in (([0.1, 0.5, 2.0], True), ([0.0, 0.5, 2.0], False), ([0.5, 2.0], False)):
+            heat = self.payload([0.0, 1.0], kt)
+            assert (heat["kind"], heat["ylabel"], heat["logy"]) == ("heatmap", "kT", log)
+            assert heat["z"] == [[0.0, 0.0]] * len(kt)  # one row per kT value
