@@ -14,26 +14,29 @@ from .errors import (
     SpinChainError,
     StateValidityError,
 )
-from .hamiltonian import critical_field_closed_form, critical_temperature_two_qubit
 from .measures import (
     ConcurrenceResult,
     analytic_two_qubit_concurrence,
+    binary_entropy,
     chsh_quantity,
     chsh_violated,
     concurrence,
     correlation_matrix,
+    critical_temperature_two_qubit,
     eof_from_concurrence,
     mutual_information,
     project_remaining_down,
+    pure_state_pair_rdm,
+    von_neumann_entropy,
     w_state,
 )
-from .numerics import binary_entropy, eigh_symmetric, von_neumann_entropy
 from .scans import (
     EntanglementLengthResult,
     FigureDataset,
     LipschitzReport,
     ScanGrid,
     StaircaseResult,
+    critical_field_closed_form,
     entanglement_length,
     figure_dataset,
     lipschitz_check,
@@ -45,9 +48,9 @@ from .thermal import (
     GibbsEnsemble,
     PairDensityMatrix,
     diagonalize_chain,
+    eigh_symmetric,
     gibbs_weights,
     pair_rdm,
-    pure_state_pair_rdm,
 )
 
 __version__ = "0.1.0"

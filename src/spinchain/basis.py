@@ -4,7 +4,8 @@ Bit conventions used everywhere in this package:
 
 * bit value 1 = spin up (sigma_z eigenvalue +1), bit value 0 = spin down,
 * bit position i = ring site i, sites numbered 0..N-1,
-* cyclic neighbor of site N-1 is site 0.
+* cyclic neighbor of site N-1 is site 0, so sites i and j are
+  min(|i - j|, N - |i - j|) apart (`separation`).
 
 With these signs a positive field B penalizes up spins, so the fully
 polarized down state |00...0> is the large-B ground state.
@@ -75,3 +76,18 @@ def enumerate_sector(n_spins: int, n_up: int) -> SectorBasis:
     ups = sum((patterns >> site) & 1 for site in range(n_spins))
     return SectorBasis(n_spins=n_spins, n_up=n_up, states=patterns[ups == n_up])
 
+
+def check_pair(n_spins: int, i: int, j: int):
+    """Reject a site pair (i, j) that is not two distinct integer sites of the N-ring."""
+    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        raise ParameterError(f"sites ({i!r}, {j!r}) must be integers")
+    if not (0 <= i < n_spins and 0 <= j < n_spins):
+        raise ParameterError(f"sites ({i}, {j}) out of range for N={n_spins}")
+    if i == j:
+        raise ParameterError("pair sites must be distinct")
+
+
+def separation(n_spins: int, i: int, j: int) -> int:
+    """Distance between sites i and j around the N-ring."""
+    d = abs(i - j)
+    return min(d, n_spins - d)

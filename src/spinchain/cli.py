@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, ParameterError, SpinChainError
-from .hamiltonian import critical_field_closed_form
 from .scans import (
     FIGURE_IDS,
     ScanGrid,
+    critical_field_closed_form,
     entanglement_length,
     figure_dataset,
     lipschitz_check,

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MeasurementError, NumericError, ParameterError
-from .numerics import _entropy_bits, binary_entropy, von_neumann_entropy
-from .thermal import PairDensityMatrix, _check_pair, _full_basis_spins
+from .basis import check_pair, separation
+from .errors import DomainError, MeasurementError, NumericError, ParameterError, StateValidityError
+from .thermal import PairDensityMatrix
 
 # Concurrence below this is reported as exactly 0 (keeps the
 # entanglement length well-defined against roundoff).
@@ -80,6 +80,44 @@ def concurrence(rho) -> ConcurrenceResult:
     return ConcurrenceResult(concurrence=c, lambdas=lam)
 
 
+def binary_entropy(x: float) -> float:
+    """Binary Shannon entropy h(x) = -x log2 x - (1-x) log2 (1-x), in bits.
+
+    0 log 0 is taken as 0; inputs within 1e-12 outside [0, 1] are clamped.
+    """
+    if not -1e-12 <= x <= 1.0 + 1e-12:
+        raise DomainError(f"binary_entropy argument {x} outside [0, 1]")
+    x = min(max(x, 0.0), 1.0)
+    return float(_entropy_bits(np.array([x, 1.0 - x])))
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Von Neumann entropy S(rho) = -sum_k lambda_k log2 lambda_k, in bits.
+
+    Eigenvalues in [-1e-10, 0) are treated as roundoff and clamped to 0;
+    anything more negative, a non-unit trace, a non-Hermitian input or a
+    non-finite entry is rejected as an invalid state.
+    """
+    r = np.asarray(rho, dtype=np.complex128)
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+        raise StateValidityError(f"expected a non-empty square density matrix, got shape {r.shape}")
+    if not np.abs(r - r.conj().T).max() <= 1e-10:
+        raise StateValidityError("density matrix is not Hermitian within 1e-10")
+    tr = np.real(np.trace(r))
+    if not abs(tr - 1.0) <= 1e-9:
+        raise StateValidityError(f"density matrix trace {tr} deviates from 1 beyond 1e-9")
+    lam = np.linalg.eigvalsh(r)
+    if lam.min() < -1e-10:
+        raise StateValidityError(f"density matrix has eigenvalue {lam.min()} below -1e-10")
+    return float(_entropy_bits(lam))
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis, counting p <= 0 as 0."""
+    positive = p > 0.0
+    return 0.0 - np.sum(np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0), axis=-1)
+
+
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation E = h((1 + sqrt(1 - C^2))/2), in ebits."""
     if not -1e-12 <= c <= 1.0 + 1e-12:
@@ -110,6 +148,14 @@ def analytic_two_qubit_concurrence(coupling: float, b_field: float, kt: float) -
         + math.exp(8.0 * coupling / kt - shift)
     )
     return max(0.0, num / den)
+
+
+def critical_temperature_two_qubit(coupling: float) -> float:
+    """Temperature 8J/ln(3) above which the two-qubit ring is disentangled:
+    the zero of `analytic_two_qubit_concurrence`, the same at every field."""
+    if not (coupling > 0 and math.isfinite(coupling)):
+        raise ParameterError(f"critical temperature requires a finite antiferromagnetic J > 0, got {coupling}")
+    return 8.0 * coupling / math.log(3.0)
 
 
 def single_site_rdms(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -192,13 +238,42 @@ def project_remaining_down(state, i: int, j: int):
     """Measure every site except (i, j) in the down state.
 
     Returns (pair_state, probability) where pair_state is the normalized
-    post-measurement amplitude vector over {|00>,|01>,|10>,|11>}.
+    post-measurement amplitude vector over {|00>,|01>,|10>,|11>}: column 0
+    of the state's `_pair_view`.
     """
-    psi = np.asarray(state, dtype=np.complex128)
-    n = _full_basis_spins(psi)
-    _check_pair(n, i, j)
-    amps = np.array([psi[(a << i) | (b << j)] for a in (0, 1) for b in (0, 1)])
+    amps = _pair_view(np.asarray(state, dtype=np.complex128), i, j)[1][:, 0]
     prob = float(np.vdot(amps, amps).real)
     if not prob > 1e-30:
         raise MeasurementError(f"all-others-down outcome has probability {prob}, not above 1e-30")
     return amps / math.sqrt(prob), prob
+
+
+def pure_state_pair_rdm(state, i: int, j: int) -> PairDensityMatrix:
+    """Pair RDM m m^dag of a normalized pure state over the full 2^N basis,
+    m the state's `_pair_view`."""
+    psi = np.asarray(state, dtype=np.complex128)
+    n, m = _pair_view(psi, i, j)
+    norm = float(np.linalg.norm(psi))
+    if not abs(norm - 1.0) <= 1e-10:
+        raise StateValidityError(f"state norm {norm} deviates from 1 beyond 1e-10")
+    rho = m @ m.conj().T
+    if np.abs(rho.imag).max() < 1e-15:
+        rho = rho.real
+    return PairDensityMatrix(sites=(i, j), matrix=rho, separation=separation(n, i, j)).validate()
+
+
+def _pair_view(psi: np.ndarray, i: int, j: int):
+    """N and the (4, 2^(N-2)) view m of a full-basis state psi: m[2a + b, r]
+    is the amplitude with spin i = a, spin j = b and the other spins in
+    their r-th pattern, r = 0 being all down."""
+    n = _full_basis_spins(psi)
+    check_pair(n, i, j)
+    # Bit k of the index is axis N-1-k of psi as a (2,)*N tensor.
+    return n, np.moveaxis(psi.reshape((2,) * n), (n - 1 - i, n - 1 - j), (0, 1)).reshape(4, -1)
+
+
+def _full_basis_spins(psi: np.ndarray) -> int:
+    """N of an amplitude vector over the full 2^N basis; rejects any other length."""
+    if psi.ndim != 1 or psi.size == 0 or psi.size & (psi.size - 1):
+        raise ParameterError(f"full-basis state length {psi.size} is not a power of 2")
+    return psi.size.bit_length() - 1

@@ -10,18 +10,17 @@ B-major, then kT, then pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams
+from .basis import ModelParams, check_pair, separation
 from .errors import NumericError, ParameterError
 from .measures import x_state_eigenvalues, x_state_measures
 from .thermal import (
     DEGENERACY_TOL,
     ChainSpectrum,
-    _check_pair,
-    _separation,
     diagonalize_chain,
     pair_features,
     weight_rows,
@@ -71,7 +70,7 @@ class ScanGrid:
             raise ParameterError("at least one pair is required")
         seen = set()
         for i, j in self.pairs:
-            _check_pair(self.n_spins, i, j)
+            check_pair(self.n_spins, i, j)
             if (i, j) in seen:
                 raise ParameterError(f"pair ({i}, {j}) is repeated")
             seen.add((i, j))
@@ -127,7 +126,7 @@ def scan_table(grid: ScanGrid, measures: dict) -> dict:
     axes = (grid.b_values, grid.kt_values, np.arange(len(grid.pairs)))
     b, kt, p = (a.ravel() for a in np.meshgrid(*axes, indexing="ij"))
     i, j = np.array(grid.pairs).T
-    d = np.array([_separation(grid.n_spins, *pair) for pair in grid.pairs])
+    d = np.array([separation(grid.n_spins, *pair) for pair in grid.pairs])
     return {"B": b, "kT": kt, "i": i[p], "j": j[p], "d": d[p], **{k: measures[k].ravel() for k in "CEIM"}}
 
 
@@ -209,6 +208,21 @@ def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
         b_e=b_e,
         b_c_numeric=b_c,
     )
+
+
+def critical_field_closed_form(n_spins: int, coupling: float) -> float:
+    """Field beyond which |00...0> is the T=0 ground state (antiferromagnet):
+    the closed form of `magnetization_staircase`'s b_c_numeric.
+
+    4J for even N, 2J(1 + cos(pi/N)) for odd N; never exceeds 4J.
+    """
+    if not isinstance(n_spins, (int, np.integer)) or n_spins < 2:
+        raise ParameterError(f"n_spins must be an integer >= 2, got {n_spins!r}")
+    if not (coupling > 0 and math.isfinite(coupling)):
+        raise ParameterError(f"critical field formula requires a finite antiferromagnetic J > 0, got {coupling}")
+    if n_spins % 2 == 0:
+        return 4.0 * coupling
+    return 2.0 * coupling * (1.0 + math.cos(math.pi / n_spins))
 
 
 @dataclass(frozen=True)

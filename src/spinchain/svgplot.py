@@ -47,32 +47,39 @@ def _nice_ticks(lo: float, hi: float, whole: bool = False):
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    # Count the ticks first: at large |lo| the step may not move t at all.
+    # Count the ticks first: at large |lo| the step may not move t at all,
+    # and a tick it did not move is not drawn again.
     for _ in range(math.floor((hi - first) / step + 1e-9) + 1):
-        ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        tick = 0.0 if abs(t) < 1e-12 * step else t
+        if not ticks or tick > ticks[-1]:
+            ticks.append(tick)
         t += step
     return ticks
 
 
 class _Axis:
+    """Data range lo..hi drawn from pixel px_lo to px_hi, linear in f(v):
+    f = log on a log axis, else the identity."""
+
     def __init__(self, lo: float, hi: float, px_lo: float, px_hi: float, log: bool):
         if log and lo <= 0:
             raise ParameterError("log axis requires positive data")
-        if hi <= lo:  # one value: widen by 1, or by one float spacing where 1 is below it
-            hi = max(lo + 1.0, math.nextafter(lo, math.inf))
-        self.lo, self.hi, self.px_lo, self.px_hi, self.log = lo, hi, px_lo, px_hi, log
+        self.f = math.log if log else (lambda v: v)
+        f_lo, f_hi = self.f(lo), self.f(hi)
+        if f_hi <= f_lo:  # one value: widen by 1, or by one float spacing where 1 is below it
+            f_hi = max(f_lo + 1.0, math.nextafter(f_lo, math.inf))
+        self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
+        self.px_lo, self.px_hi, self.log = px_lo, px_hi, log
 
     def to_px(self, v: float) -> float:
-        if self.log:
-            frac = (math.log(v) - math.log(self.lo)) / (math.log(self.hi) - math.log(self.lo))
-        else:
-            frac = (v - self.lo) / (self.hi - self.lo)
+        frac = (self.f(v) - self.f_lo) / (self.f_hi - self.f_lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
     def ticks(self):
-        """Round values; on a log axis, whole decades by the same rule on log10, else its two ends."""
+        """Round values; on a log axis, whole decades of the data by the same
+        rule on log10, else its two ends."""
         if not self.log:
-            return _nice_ticks(self.lo, self.hi)
+            return _nice_ticks(self.f_lo, self.f_hi)
         decades = _nice_ticks(math.log10(self.lo), math.log10(self.hi), whole=True)
         return [10.0 ** t for t in decades] or [self.lo, self.hi]
 

@@ -1,5 +1,13 @@
 """Gibbs states over the ring's eigenstates and two-site reduced density matrices.
 
+The ring of N spins 1/2 in a uniform field B is
+
+    H = sum_i [B sigma_z^i + J sigma^i . sigma^{i+1}],  sites i + N = i (cyclic),
+
+with the site and bit conventions of `basis`; J > 0 is the antiferromagnet.
+`_middle_blocks` builds its exchange part, `diagonalize_chain` solves it,
+and the field enters only through each eigenstate's Zeeman slope.
+
 The full 2^N density matrix is never materialized. The chain is
 diagonalized once per (N, J) into one flat table over all 2^N eigenstates:
 each eigenstate's exchange energy, its Zeeman slope, and the X-state
@@ -26,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, SectorBasis, enumerate_sector
+from .basis import ModelParams, check_pair, enumerate_sector, separation
 from .errors import NumericError, ParameterError, StateValidityError
-from .numerics import eigh_symmetric
 
 # Width of the T=0 ground manifold, relative to |E_ground|.
 DEGENERACY_TOL = 1e-9
@@ -221,6 +228,26 @@ def _middle_blocks(n: int):
         yield matrix, operators, zz_rows[inside], 1 if 2 * q % n == 0 else 2
 
 
+def eigh_symmetric(matrix: np.ndarray):
+    """Full eigendecomposition of a real symmetric or complex Hermitian
+    matrix, as `np.linalg.eigh`.
+
+    Returns (values, vectors): ascending eigenvalues and the orthonormal
+    eigenvector columns, complex for a complex input.
+    """
+    a = np.asarray(matrix)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ParameterError(f"expected a non-empty square matrix, got shape {a.shape}")
+    scale = max(1.0, np.abs(a).max())
+    if not np.abs(a - a.conj().T).max() <= 1e-12 * scale:
+        raise ParameterError("matrix is not Hermitian within 1e-12 relative tolerance")
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed on {a.shape[0]}x{a.shape[0]} matrix: {exc}") from exc
+
+
 def _multiplets(n: int, matrix: np.ndarray, operators: np.ndarray, zz_rows: np.ndarray):
     """Energy, 2S and pair correlations of the multiplet that each
     eigenvector of one `_middle_blocks` block belongs to.
@@ -355,8 +382,8 @@ def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
     p01 equals its p10, so the order of i and j needs no swap.
     """
     for i, j in pairs:
-        _check_pair(spectrum.n_spins, i, j)
-    return spectrum.features[:, [_separation(spectrum.n_spins, i, j) - 1 for i, j in pairs]]
+        check_pair(spectrum.n_spins, i, j)
+    return spectrum.features[:, [separation(spectrum.n_spins, i, j) - 1 for i, j in pairs]]
 
 
 def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:
@@ -366,58 +393,4 @@ def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:
     p00, p01, p10, p11, z = ensemble.weights @ pair_features(ensemble.spectrum, [(i, j)])[:, 0]
     rho = np.diag([p00, p01, p10, p11])
     rho[1, 2] = rho[2, 1] = z
-    return PairDensityMatrix(sites=(i, j), matrix=rho, separation=_separation(n, i, j)).validate()
-
-
-def pure_state_pair_rdm(state, i: int, j: int, basis: SectorBasis | None = None) -> PairDensityMatrix:
-    """Pair RDM of a pure state given over the full basis or a sector basis.
-
-    Without an explicit `basis` the amplitude vector must have length 2^N
-    and is indexed by the standard bit convention.
-    """
-    psi = np.asarray(state, dtype=np.complex128)
-    if basis is None:
-        n = _full_basis_spins(psi)
-        patterns = np.arange(psi.size, dtype=np.int64)
-    else:
-        n = basis.n_spins
-        if psi.shape != basis.states.shape:
-            raise ParameterError("state length does not match the sector basis")
-        patterns = basis.states
-    _check_pair(n, i, j)
-    norm = float(np.linalg.norm(psi))
-    if not abs(norm - 1.0) <= 1e-10:
-        raise StateValidityError(f"state norm {norm} deviates from 1 beyond 1e-10")
-    rest, rest_idx = np.unique(patterns & ~np.int64((1 << i) | (1 << j)), return_inverse=True)
-    m = np.zeros((rest.size, 4), dtype=np.complex128)
-    m[rest_idx, _pair_labels(patterns, i, j)] = psi
-    rho = np.einsum("ra,rb->ab", m, m.conj())
-    if np.abs(rho.imag).max() < 1e-15:
-        rho = rho.real
-    return PairDensityMatrix(sites=(i, j), matrix=rho, separation=_separation(n, i, j)).validate()
-
-
-def _full_basis_spins(psi: np.ndarray) -> int:
-    """N of an amplitude vector over the full 2^N basis; rejects any other length."""
-    if psi.ndim != 1 or psi.size == 0 or psi.size & (psi.size - 1):
-        raise ParameterError(f"full-basis state length {psi.size} is not a power of 2")
-    return psi.size.bit_length() - 1
-
-
-def _pair_labels(patterns: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Pair label 2a + b of each basis pattern, with a = bit i and b = bit j."""
-    return 2 * ((patterns >> i) & 1) + ((patterns >> j) & 1)
-
-
-def _separation(n_spins: int, i: int, j: int) -> int:
-    d = abs(i - j)
-    return min(d, n_spins - d)
-
-
-def _check_pair(n_spins: int, i: int, j: int):
-    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-        raise ParameterError(f"sites ({i!r}, {j!r}) must be integers")
-    if not (0 <= i < n_spins and 0 <= j < n_spins):
-        raise ParameterError(f"sites ({i}, {j}) out of range for N={n_spins}")
-    if i == j:
-        raise ParameterError("pair sites must be distinct")
+    return PairDensityMatrix(sites=(i, j), matrix=rho, separation=separation(n, i, j)).validate()

@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from spinchain.basis import ModelParams, SectorBasis, enumerate_sector
-from spinchain.thermal import _pair_labels
 
 # Same basis convention as the package: |0> = down, site i = bit i.
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -55,6 +54,21 @@ def dense_hamiltonian(n, j, b):
         for op in (SX, SY, SZ):
             h += j * site_operator(op, i, n) @ site_operator(op, nb, n)
     return h
+
+
+def _pair_labels(patterns: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Pair label 2a + b of each basis pattern, with a = bit i and b = bit j."""
+    return 2 * ((patterns >> i) & 1) + ((patterns >> j) & 1)
+
+
+def pair_amplitudes(psi, i, j):
+    """(4, 2^N) amplitudes of a full-basis state by pair label: psi[p] sits at
+    row `_pair_labels` of p and column p with bits i and j cleared, so
+    column 0 holds the amplitudes with every other spin down."""
+    patterns = np.arange(psi.size)
+    m = np.zeros((4, psi.size), dtype=complex)
+    m[_pair_labels(patterns, i, j), patterns & ~((1 << i) | (1 << j))] = psi
+    return m
 
 
 def exchange_partners(states: np.ndarray, a, b):

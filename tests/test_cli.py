@@ -203,6 +203,14 @@ class TestGridCommand:
                     "1e-300:1e300:3:geom", "--out", str(tmp_path / "scan.csv"), "--svg", str(svg)]) == 0
         assert svg.read_text().count("<text") <= 20
 
+    def test_svg_of_one_kt_at_1e17_labels_it_once(self, tmp_path):
+        # The tick step 5 does not move a tick at 1e17, and a tick that did
+        # not move is not drawn again.
+        svg = tmp_path / "scan.svg"
+        assert run(["grid", "--n", "2", "--j", "1", "--pair", "0,1", "--b-range", "0:1:1", "--kt-range",
+                    "1e17:1e17:1", "--out", str(tmp_path / "scan.csv"), "--svg", str(svg)]) == 0
+        assert svg.read_text().count(">1e+17</text>") == 1
+
     def test_axis_ticks_end_where_the_step_is_below_the_float_spacing(self):
         # At 1e16 adding the 0.5 tick step leaves the tick unchanged, so ticks
         # made until one passes the axis end never end. The child gets 1 GiB

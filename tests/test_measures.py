@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from spinchain import (
     pure_state_pair_rdm,
     w_state,
 )
-from oracles import build_sector_hamiltonian
+from oracles import build_sector_hamiltonian, pair_amplitudes
 
 
 def projector(psi):
@@ -254,3 +256,23 @@ class TestProjectRemainingDown:
             project_remaining_down(psi, 0, 1)
         with pytest.raises(MeasurementError):
             project_remaining_down(np.full(8, np.nan), 0, 1)
+
+
+class TestPureStatesAgainstPairLabels:
+    # Seeded random complex states and every ordered pair, i > j included:
+    # the pair RDM and the all-others-down projection against the oracle's
+    # table of amplitudes by pair label.
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rdm_and_projection_match_the_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            psi /= np.linalg.norm(psi)
+            for i, j in itertools.permutations(range(n), 2):
+                m = pair_amplitudes(psi, i, j)
+                rho = pure_state_pair_rdm(psi, i, j)
+                assert rho.separation == min(abs(i - j), n - abs(i - j))
+                assert np.abs(rho.matrix - np.einsum("ar,br->ab", m, m.conj())).max() <= 1e-15
+                pair, prob = project_remaining_down(psi, i, j)
+                assert prob == pytest.approx(np.vdot(m[:, 0], m[:, 0]).real, abs=1e-15)
+                assert np.abs(pair - m[:, 0] / np.sqrt(prob)).max() <= 1e-15

@@ -7,7 +7,6 @@ from spinchain import (
     ParameterError,
     StateValidityError,
     diagonalize_chain,
-    enumerate_sector,
     gibbs_weights,
     magnetization_staircase,
     pair_rdm,
@@ -462,13 +461,6 @@ class TestPairRdm:
 
 
 class TestPureStatePairRdm:
-    def test_sector_basis_input(self):
-        basis = enumerate_sector(4, 1)
-        amp = np.full(basis.dim, 0.5)
-        rho = pure_state_pair_rdm(amp, 0, 1, basis=basis)
-        full = pure_state_pair_rdm(w_state(4), 0, 1)
-        assert np.abs(rho.matrix - full.matrix).max() < 1e-12
-
     def test_unnormalized_state_rejected(self):
         with pytest.raises(StateValidityError):
             pure_state_pair_rdm(np.full(4, 0.9), 0, 1)
