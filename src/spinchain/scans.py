@@ -18,13 +18,7 @@ import numpy as np
 from .basis import ModelParams, check_pair, separation
 from .errors import NumericError, ParameterError
 from .measures import x_state_eigenvalues, x_state_measures
-from .thermal import (
-    DEGENERACY_TOL,
-    ChainSpectrum,
-    diagonalize_chain,
-    pair_features,
-    weight_rows,
-)
+from .thermal import ChainSpectrum, diagonalize_chain, pair_features, weight_rows
 
 SCAN_COLUMNS = ("B", "kT", "i", "j", "d", "C", "E", "I", "M")
 
@@ -167,46 +161,36 @@ class StaircaseResult:
 def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
     """Exact ground-sector crossing sequence as B increases from 0.
 
-    Within a sector the ground energy is eps_k + B(2k - N), linear in B,
-    so consecutive crossings are intersections of straight lines and the
-    staircase is the lower envelope of those lines. eps_k is the lowest
-    energy of sector k in the `diagonalize_chain` table, so eps_{N-k} = eps_k
-    exactly by the global spin flip. Ties are judged relative to the level
-    scale (DEGENERACY_TOL |min eps| and 1e-12 J), so the staircase at lambda J
-    is lambda times the one at J.
+    Within sector k the ground energy is eps_k + B(2k - N), linear in B,
+    where eps_k is the lowest energy of sector k in the `diagonalize_chain`
+    table, so eps_{N-k} = eps_k exactly by the global spin flip. At B = 0
+    the ground sector is N//2 (Lieb-Mattis for even N), and each crossing
+    lowers n_up by one: sector k gives way to k - 1 at
+    B_k = (eps_{k-1} - eps_k) / 2. Raises NumericError unless
+    0 < B_{N//2} < ... < B_1, which fails exactly when the lower envelope
+    of the sector lines starts elsewhere or skips a sector.
     """
     ModelParams(n_spins=n_spins, coupling=coupling)
     if coupling <= 0:
         raise ParameterError("magnetization staircase requires antiferromagnetic J > 0")
     sp = diagonalize_chain(n_spins, coupling)
     eps = np.array([sp.energies[sp.slopes == 2 * k - n_spins].min() for k in range(n_spins + 1)])
-    # Ground sector just above B=0: smallest energy, ties broken toward
-    # the smaller slope (smaller n_up), which wins for B > 0.
-    near = np.flatnonzero(eps <= eps.min() + DEGENERACY_TOL * abs(eps.min()))
-    k = int(near.min())
-    crossings = []
-    b_cur = 0.0
-    while k > 0:
-        best_b, best_k = np.inf, -1
-        for kp in range(k):
-            b_cross = (eps[kp] - eps[k]) / (2.0 * (k - kp))
-            if b_cross < best_b - 1e-12 * coupling:
-                best_b, best_k = b_cross, kp
-        b_cur = max(b_cur, float(best_b))
-        crossings.append(Crossing(b_value=b_cur, from_n_up=k, to_n_up=best_k))
-        k = best_k
-    b_c = crossings[-1].b_value if crossings else 0.0
-    b_e = 0.0
-    for c in crossings:
-        if c.to_n_up == 1:
-            b_e = c.b_value
+    crossings = tuple(
+        Crossing(b_value=float((eps[k - 1] - eps[k]) / 2.0), from_n_up=k, to_n_up=k - 1)
+        for k in range(n_spins // 2, 0, -1)
+    )
+    b = [c.b_value for c in crossings]
+    if not (0.0 < b[0] and all(lo < hi for lo, hi in zip(b, b[1:]))):
+        raise NumericError(
+            f"sector ground energies {eps.tolist()} skip a sector: crossing fields {b} do not rise from 0"
+        )
     return StaircaseResult(
         n_spins=n_spins,
         coupling=coupling,
         sector_ground_energies=eps,
-        crossings=tuple(crossings),
-        b_e=b_e,
-        b_c_numeric=b_c,
+        crossings=crossings,
+        b_e=b[-2] if len(b) > 1 else 0.0,
+        b_c_numeric=b[-1],
     )
 
 

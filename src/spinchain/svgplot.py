@@ -8,18 +8,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ParameterError
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
-# Piecewise-linear colormap stops (viridis-like), position 0..1 -> RGB.
-_HEAT_STOPS = (
-    (0.0, (68, 1, 84)),
-    (0.25, (59, 82, 139)),
-    (0.5, (33, 145, 140)),
-    (0.75, (94, 201, 98)),
-    (1.0, (253, 231, 37)),
-)
+# Piecewise-linear colormap stops (viridis-like): position 0..1 -> RGB.
+_HEAT_POSITIONS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+_HEAT_RGB = np.array([(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)], dtype=float)
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 36, 52
 
@@ -141,6 +138,7 @@ def render_line_plot(series, xlabel: str = "", ylabel: str = "", title: str = ""
         raise ParameterError("line plot needs at least one series")
     xs = [v for s in series for v in s["x"]]
     ys = [v for s in series for v in s["y"]]
+    _check_finite(xs + ys)
     xaxis = _Axis(min(xs), max(xs), _MARGIN_L, width - _MARGIN_R, logx)
     ylo, yhi = min(ys + [0.0]), max(ys)
     pad = 0.05 * (yhi - ylo) if yhi > ylo else 0.5
@@ -163,14 +161,21 @@ def render_line_plot(series, xlabel: str = "", ylabel: str = "", title: str = ""
     return "".join(parts)
 
 
-def _heat_color(frac: float) -> str:
-    frac = min(max(frac, 0.0), 1.0)
-    for (p0, c0), (p1, c1) in zip(_HEAT_STOPS, _HEAT_STOPS[1:]):
-        if frac <= p1:
-            t = (frac - p0) / (p1 - p0)
-            rgb = tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
-            return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
-    return "#fde725"
+def _check_finite(values):
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        raise ParameterError("plot values must be finite")
+
+
+def _heat_colors(frac: np.ndarray) -> np.ndarray:
+    """24-bit RGB of each fraction, clipped to 0..1: a + t (b - a) between the
+    stops around it, taking the lower segment at a stop, rounded half to even."""
+    frac = np.clip(frac, 0.0, 1.0)
+    seg = np.searchsorted(_HEAT_POSITIONS[1:], frac)
+    p0, p1 = _HEAT_POSITIONS[seg], _HEAT_POSITIONS[seg + 1]
+    c0, c1 = _HEAT_RGB[seg], _HEAT_RGB[seg + 1]
+    t = ((frac - p0) / (p1 - p0))[..., None]
+    rgb = np.rint(c0 + t * (c1 - c0)).astype(np.int64)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
 def _cell_edges(values, axis: _Axis):
@@ -185,22 +190,25 @@ def render_heatmap(x, y, z, xlabel: str = "", ylabel: str = "", title: str = "",
     width, height = _HEAT_SIZE
     if not x or not y or len(z) != len(y) or any(len(r) != len(x) for r in z):
         raise ParameterError("heatmap needs z shaped (len(y), len(x))")
+    for values in (x, y, z):
+        _check_finite(values)
     xaxis = _Axis(min(x), max(x), _MARGIN_L, width - _MARGIN_R, False)
     yaxis = _Axis(min(y), max(y), height - _MARGIN_B, _MARGIN_T, logy)
-    zflat = [v for row in z for v in row]
-    zlo, zhi = min(zflat), max(zflat)
+    # Python's min and max keep the first of equal values (0.0 or -0.0) in
+    # row order, which decides the sign the range label shows.
+    zlo, zhi = min(map(min, z)), max(map(max, z))
     span = (zhi - zlo) or 1.0
+    colors = _heat_colors((np.asarray(z, dtype=float) - zlo) / span).tolist()
     parts = _header(width, height, title)
     xe = _cell_edges(list(x), xaxis)
     ye = _cell_edges(list(y), yaxis)
-    for r, row in enumerate(z):
-        y_top = min(ye[r], ye[r + 1])
-        h = abs(ye[r] - ye[r + 1])
-        for c, v in enumerate(row):
-            parts.append(
-                f'<rect x="{xe[c]:.2f}" y="{y_top:.2f}" width="{xe[c + 1] - xe[c]:.2f}" '
-                f'height="{h:.2f}" fill="{_heat_color((v - zlo) / span)}"/>\n'
-            )
+    cols = [(f"{a:.2f}", f"{b - a:.2f}") for a, b in zip(xe, xe[1:])]
+    for (a, b), row in zip(zip(ye, ye[1:]), colors):
+        y_top, h = f"{min(a, b):.2f}", f"{abs(a - b):.2f}"
+        parts += [
+            f'<rect x="{cx}" y="{y_top}" width="{w}" height="{h}" fill="#{rgb:06x}"/>\n'
+            for (cx, w), rgb in zip(cols, row)
+        ]
     _axes_frame(parts, xaxis, yaxis, xlabel, ylabel, width, height)
     # Color scale legend: min and max of z.
     parts.append(

@@ -1,4 +1,9 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
+
+from spinchain import scans
 
 
 def pytest_addoption(parser):
@@ -21,3 +26,13 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def skipped_sector(monkeypatch):
+    """Give the staircase a 4-spin ring, one level per sector, whose sector
+    minima eps = [0, -0.2, -1.5, -0.2, 0] skip a sector: sector 1 lies above
+    the chord from sector 2 to sector 0, so the ground state would jump from
+    n_up = 2 straight to 0."""
+    spectrum = SimpleNamespace(energies=np.array([0.0, -0.2, -1.5, -0.2, 0.0]), slopes=np.arange(-4, 5, 2))
+    monkeypatch.setattr(scans, "diagonalize_chain", lambda n, j: spectrum)

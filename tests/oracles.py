@@ -12,6 +12,8 @@ without the SU(2) and translation symmetries: one `eigh` on every such
 matrix, and each eigenvector's pair features read straight off its
 amplitudes. It is the reference for the multiplet-expanded spectrum and its
 feature table, for any ordered pair, and reaches larger N.
+
+`heat_color` is the heatmap colour map as a scalar search over its stops.
 """
 
 from typing import NamedTuple
@@ -216,3 +218,25 @@ def _sector_features(states, v, pairs):
         rows01, rows10 = exchange_partners(states, i, j)
         f[:, p, 4] = np.einsum("sk,sk->k", v[rows01], v[rows10])
     return f
+
+
+# Heatmap colour stops (viridis-like): position 0..1 -> RGB.
+HEAT_STOPS = (
+    (0.0, (68, 1, 84)),
+    (0.25, (59, 82, 139)),
+    (0.5, (33, 145, 140)),
+    (0.75, (94, 201, 98)),
+    (1.0, (253, 231, 37)),
+)
+
+
+def heat_color(frac: float) -> str:
+    """`#rrggbb` of a fraction clipped to 0..1: the first segment whose upper
+    stop is at or above it, interpolated a + t (b - a) and rounded per channel."""
+    frac = min(max(frac, 0.0), 1.0)
+    for (p0, c0), (p1, c1) in zip(HEAT_STOPS, HEAT_STOPS[1:]):
+        if frac <= p1:
+            t = (frac - p0) / (p1 - p0)
+            rgb = tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
+            return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+    return "#fde725"

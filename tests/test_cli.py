@@ -290,10 +290,12 @@ class TestFigureCommand:
 
     def test_byte_identical_reruns_under_different_thread_counts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPINCHAIN_THREADS", "1")
-        run(["figure", "--id", "2", "--outdir", str(tmp_path / "a"), "--svg"])
+        for fig in ("1", "2"):  # a heatmap and a line plot
+            run(["figure", "--id", fig, "--outdir", str(tmp_path / "a"), "--svg"])
         monkeypatch.setenv("SPINCHAIN_THREADS", "3")
-        run(["figure", "--id", "2", "--outdir", str(tmp_path / "b"), "--svg"])
-        for name in ("fig2.csv", "fig2.svg"):
+        for fig in ("1", "2"):
+            run(["figure", "--id", fig, "--outdir", str(tmp_path / "b"), "--svg"])
+        for name in ("fig1.csv", "fig1.svg", "fig2.csv", "fig2.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -310,6 +312,11 @@ class TestJsonCommands:
         out = capsys.readouterr().out
         data = json.loads(out)
         assert list(data.keys()) == sorted(data.keys())
+
+    @pytest.mark.usefixtures("skipped_sector")
+    def test_staircase_exits_1_when_a_sector_is_skipped(self, capsys):
+        assert run(["staircase", "--n", "4", "--j", "1"]) == 1
+        assert "skip a sector" in capsys.readouterr().err
 
     def test_critical(self, capsys):
         assert run(["critical", "--n", "5", "--j", "1"]) == 0

@@ -224,6 +224,16 @@ class TestStaircase:
         with pytest.raises(ParameterError):
             magnetization_staircase(6, -1.0)
 
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_each_crossing_lowers_n_up_by_one(self, n):
+        st = magnetization_staircase(n, 1.0)
+        assert [(c.from_n_up, c.to_n_up) for c in st.crossings] == [(k, k - 1) for k in range(n // 2, 0, -1)]
+
+    @pytest.mark.usefixtures("skipped_sector")
+    def test_skipped_sector_raises(self):
+        with pytest.raises(NumericError, match="skip a sector"):
+            magnetization_staircase(4, 1.0)
+
 
 class TestEntanglementLength:
     @pytest.mark.parametrize("b,expected", [(2.0, 1), (3.5, 3), (6.0, 0)])
