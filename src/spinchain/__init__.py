@@ -16,6 +16,7 @@ from .errors import (
 )
 from .measures import (
     ConcurrenceResult,
+    PairDensityMatrix,
     analytic_two_qubit_concurrence,
     binary_entropy,
     chsh_quantity,
@@ -46,7 +47,6 @@ from .scans import (
 from .thermal import (
     ChainSpectrum,
     GibbsEnsemble,
-    PairDensityMatrix,
     diagonalize_chain,
     eigh_symmetric,
     gibbs_weights,

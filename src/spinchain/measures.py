@@ -12,9 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import check_pair, separation
-from .errors import DomainError, MeasurementError, NumericError, ParameterError, StateValidityError
-from .thermal import PairDensityMatrix
+from .basis import ModelParams, check_pair, separation
+from .errors import DomainError, MeasurementError, ParameterError, StateValidityError
+
+# Tolerance of every state check: on tr rho - 1, rho - rho^dag and the
+# eigenvalues of a density matrix, and on ||psi||^2 - 1 of a pure state.
+STATE_TOL = 1e-10
 
 # Concurrence below this is reported as exactly 0 (keeps the
 # entanglement length well-defined against roundoff).
@@ -41,6 +44,42 @@ _PAULI_PRODUCTS = np.array(
 
 
 @dataclass(frozen=True)
+class PairDensityMatrix:
+    """4x4 reduced state of a spin pair over {|00>,|01>,|10>,|11>}.
+
+    The first tensor slot is site i; |0> is spin down.
+    """
+
+    sites: tuple
+    matrix: np.ndarray
+    separation: int
+
+    def validate(self) -> "PairDensityMatrix":
+        if self.matrix.shape != (4, 4):
+            raise StateValidityError(f"pair state must be 4x4, got {self.matrix.shape}")
+        _check_state(self.matrix)
+        return self
+
+
+def _check_state(rho) -> np.ndarray:
+    """Eigenvalues of a density matrix: a non-empty square matrix, Hermitian, of trace 1
+    and without negative eigenvalues, each within STATE_TOL. Anything else raises
+    StateValidityError."""
+    r = np.asarray(rho, dtype=np.complex128)
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+        raise StateValidityError(f"expected a non-empty square density matrix, got shape {r.shape}")
+    if not np.abs(r - r.conj().T).max() <= STATE_TOL:
+        raise StateValidityError(f"density matrix is not Hermitian within {STATE_TOL:g}")
+    tr = np.real(np.trace(r))
+    if not abs(tr - 1.0) <= STATE_TOL:
+        raise StateValidityError(f"density matrix trace {tr} deviates from 1 beyond {STATE_TOL:g}")
+    lam = np.linalg.eigvalsh(r)
+    if not lam.min() >= -STATE_TOL:
+        raise StateValidityError(f"density matrix has eigenvalue {lam.min()} below -{STATE_TOL:g}")
+    return lam
+
+
+@dataclass(frozen=True)
 class ConcurrenceResult:
     """Concurrence plus the four spin-flip singular values, decreasing."""
 
@@ -56,6 +95,7 @@ def _as_matrix(rho) -> np.ndarray:
         raise ParameterError(f"expected a 4x4 pair state, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ParameterError("pair state has a non-finite entry")
+    _check_state(m)
     return m
 
 
@@ -71,8 +111,6 @@ def concurrence(rho) -> ConcurrenceResult:
     """
     m = _as_matrix(rho)
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if vals.min() < -1e-12:
-        raise NumericError(f"input state has eigenvalue {vals.min()} below -1e-12")
     sqrt_m = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     lam = np.linalg.svd(sqrt_m @ _SPIN_FLIP @ sqrt_m.conj(), compute_uv=False)
     c = lam[0] - lam[1] - lam[2] - lam[3]
@@ -94,22 +132,10 @@ def binary_entropy(x: float) -> float:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy S(rho) = -sum_k lambda_k log2 lambda_k, in bits.
 
-    Eigenvalues in [-1e-10, 0) are treated as roundoff and clamped to 0;
-    anything more negative, a non-unit trace, a non-Hermitian input or a
-    non-finite entry is rejected as an invalid state.
+    Eigenvalues in [-STATE_TOL, 0) are treated as roundoff and count as 0;
+    a matrix that is not a density matrix raises StateValidityError.
     """
-    r = np.asarray(rho, dtype=np.complex128)
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
-        raise StateValidityError(f"expected a non-empty square density matrix, got shape {r.shape}")
-    if not np.abs(r - r.conj().T).max() <= 1e-10:
-        raise StateValidityError("density matrix is not Hermitian within 1e-10")
-    tr = np.real(np.trace(r))
-    if not abs(tr - 1.0) <= 1e-9:
-        raise StateValidityError(f"density matrix trace {tr} deviates from 1 beyond 1e-9")
-    lam = np.linalg.eigvalsh(r)
-    if lam.min() < -1e-10:
-        raise StateValidityError(f"density matrix has eigenvalue {lam.min()} below -1e-10")
-    return float(_entropy_bits(lam))
+    return float(_entropy_bits(_check_state(rho)))
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -166,8 +192,9 @@ def single_site_rdms(rho) -> tuple[np.ndarray, np.ndarray]:
 
 def mutual_information(rho) -> float:
     """Quantum mutual information I = S(rho_i) + S(rho_j) - S(rho_ij), in bits."""
-    rho_i, rho_j = single_site_rdms(rho)
-    val = von_neumann_entropy(rho_i) + von_neumann_entropy(rho_j) - von_neumann_entropy(_as_matrix(rho))
+    m = _as_matrix(rho)
+    rho_i, rho_j = single_site_rdms(m)
+    val = von_neumann_entropy(rho_i) + von_neumann_entropy(rho_j) - von_neumann_entropy(m)
     return max(0.0, float(val))
 
 
@@ -225,8 +252,7 @@ def x_state_measures(features):
 
 def w_state(n_spins: int) -> np.ndarray:
     """Equal one-magnon superposition over the full 2^N basis."""
-    if not isinstance(n_spins, (int, np.integer)) or n_spins < 2:
-        raise ParameterError(f"n_spins must be an integer >= 2, got {n_spins!r}")
+    ModelParams(n_spins=n_spins, coupling=0.0)
     psi = np.zeros(1 << n_spins)
     amp = 1.0 / math.sqrt(n_spins)
     for site in range(n_spins):
@@ -251,11 +277,7 @@ def project_remaining_down(state, i: int, j: int):
 def pure_state_pair_rdm(state, i: int, j: int) -> PairDensityMatrix:
     """Pair RDM m m^dag of a normalized pure state over the full 2^N basis,
     m the state's `_pair_view`."""
-    psi = np.asarray(state, dtype=np.complex128)
-    n, m = _pair_view(psi, i, j)
-    norm = float(np.linalg.norm(psi))
-    if not abs(norm - 1.0) <= 1e-10:
-        raise StateValidityError(f"state norm {norm} deviates from 1 beyond 1e-10")
+    n, m = _pair_view(np.asarray(state, dtype=np.complex128), i, j)
     rho = m @ m.conj().T
     if np.abs(rho.imag).max() < 1e-15:
         rho = rho.real
@@ -265,9 +287,13 @@ def pure_state_pair_rdm(state, i: int, j: int) -> PairDensityMatrix:
 def _pair_view(psi: np.ndarray, i: int, j: int):
     """N and the (4, 2^(N-2)) view m of a full-basis state psi: m[2a + b, r]
     is the amplitude with spin i = a, spin j = b and the other spins in
-    their r-th pattern, r = 0 being all down."""
+    their r-th pattern, r = 0 being all down. A squared norm off 1 by more
+    than STATE_TOL raises StateValidityError; NaN passes to the caller's check."""
     n = _full_basis_spins(psi)
     check_pair(n, i, j)
+    norm2 = np.vdot(psi, psi).real
+    if abs(norm2 - 1.0) > STATE_TOL:
+        raise StateValidityError(f"state norm^2 {norm2} deviates from 1 beyond {STATE_TOL:g}")
     # Bit k of the index is axis N-1-k of psi as a (2,)*N tensor.
     return n, np.moveaxis(psi.reshape((2,) * n), (n - 1 - i, n - 1 - j), (0, 1)).reshape(4, -1)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import ModelParams, check_pair, separation
 from .errors import NumericError, ParameterError
-from .measures import x_state_eigenvalues, x_state_measures
+from .measures import STATE_TOL, x_state_eigenvalues, x_state_measures
 from .thermal import ChainSpectrum, diagonalize_chain, pair_features, weight_rows
 
 SCAN_COLUMNS = ("B", "kT", "i", "j", "d", "C", "E", "I", "M")
@@ -28,9 +28,6 @@ ENTANGLEMENT_TOL = 1e-6
 # Entries of W formed at once (8 MiB of float64). Without chunking, N=14
 # on the 14,520-point default grid would need about 1.9 GB for W alone.
 WEIGHT_CHUNK_ENTRIES = 1 << 20
-
-# Largest trace error and most negative eigenvalue of a healthy pair state.
-HEALTH_TOL = 1e-10
 
 FIGURE_IDS = (1, 2, 3, 4, 5)
 
@@ -128,7 +125,7 @@ def _check_health(states: np.ndarray, b: np.ndarray, kt: np.ndarray, pairs):
     """Raise NumericError at the first point with a pair state off the simplex."""
     trace_err = np.abs(states[..., :4].sum(axis=-1) - 1.0)
     min_eig = x_state_eigenvalues(states).min(axis=-1)
-    bad = ~((trace_err <= HEALTH_TOL) & (min_eig >= -HEALTH_TOL))
+    bad = ~((trace_err <= STATE_TOL) & (min_eig >= -STATE_TOL))
     if bad.any():
         k, p = np.argwhere(bad)[0]
         raise NumericError(

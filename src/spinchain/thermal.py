@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import ModelParams, check_pair, enumerate_sector, separation
-from .errors import NumericError, ParameterError, StateValidityError
+from .errors import NumericError, ParameterError
+from .measures import PairDensityMatrix
 
 # Width of the T=0 ground manifold, relative to |E_ground|.
 DEGENERACY_TOL = 1e-9
@@ -87,31 +88,6 @@ class GibbsEnsemble:
 
     def mean_energy(self) -> float:
         return float(np.dot(self.energies(), self.weights))
-
-
-@dataclass(frozen=True)
-class PairDensityMatrix:
-    """4x4 reduced state of a spin pair over {|00>,|01>,|10>,|11>}.
-
-    The first tensor slot is site i; |0> is spin down.
-    """
-
-    sites: tuple
-    matrix: np.ndarray
-    separation: int
-
-    def validate(self) -> "PairDensityMatrix":
-        m = self.matrix
-        if m.shape != (4, 4):
-            raise StateValidityError(f"pair state must be 4x4, got {m.shape}")
-        if not np.abs(m - m.conj().T).max() <= 1e-12:
-            raise StateValidityError("pair state is not Hermitian within 1e-12")
-        tr = float(np.real(np.trace(m)))
-        if not abs(tr - 1.0) <= 1e-10:
-            raise StateValidityError(f"pair state trace {tr} deviates from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise StateValidityError("pair state has eigenvalue below -1e-10")
-        return self
 
 
 def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:

@@ -298,6 +298,35 @@ class TestFigureCommand:
         for name in ("fig1.csv", "fig1.svg", "fig2.csv", "fig2.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_outputs_across_blas_thread_counts(self, tmp_path):
+        # The README's reproducibility contract. eigh of the N=14 blocks rounds
+        # differently with 1 and 2 BLAS threads, so the grid's measures may move
+        # in the last digits, by at most 1e-11; the figures' blocks are too
+        # small for threaded LAPACK, so they stay byte-identical. OpenBLAS reads
+        # its thread count when numpy loads, so each setting runs in its own
+        # interpreter.
+        code = (
+            "import sys\nfrom spinchain.cli import main\nout = sys.argv[1]\n"
+            "seps = [a for d in '1234567' for a in ('--sep', d)]\n"
+            "assert main(['grid', '--n', '14', '--j', '1', *seps, '--b-range', '0:4.8:13',\n"
+            "             '--kt-range', '0.05:2:6:geom', '--out', out + '/grid.csv']) == 0\n"
+            "for fig in '12345':\n"
+            "    assert main(['figure', '--id', fig, '--outdir', out, '--svg']) == 0\n"
+        )
+        src = str(Path(spinchain.__file__).parents[1])
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-c", code, str(tmp_path / threads)], env=env, check=True, timeout=300)
+        one, two = (np.array([row.split(",") for row in (tmp_path / t / "grid.csv").read_text().splitlines()])
+                    for t in ("1", "2"))
+        assert one.shape == two.shape == (1 + 13 * 6 * 7, 9)
+        assert (one[:, :5] == two[:, :5]).all()  # header, B, kT, i, j, d
+        assert np.abs(one[1:, 5:].astype(float) - two[1:, 5:].astype(float)).max() <= 1e-11
+        for name in (f"fig{k}.{ext}" for k in range(1, 6) for ext in ("csv", "svg")):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
 
 class TestJsonCommands:
     def test_staircase(self, capsys):

@@ -48,3 +48,20 @@ def test_unused_import_check_sees_a_stale_name(tmp_path):
     assert stale != text
     (tmp_path / "scans.py").write_text(stale)
     assert [entry.split(" ")[1] for entry in unused_imports(tmp_path)] == ["DEGENERACY_TOL"]
+
+
+def package_imports(path):
+    """Package modules a source file imports from, by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spinchain":
+            found.add(node.module.partition(".")[2] or "spinchain")
+    return found
+
+
+def test_measures_imports_only_basis_and_errors():
+    # The two-qubit state contract and its measures rest on the basis
+    # conventions and the error types alone; `thermal` builds on them.
+    assert package_imports(SRC / "measures.py") <= {"basis", "errors"}

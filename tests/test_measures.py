@@ -7,7 +7,9 @@ from spinchain import (
     DomainError,
     MeasurementError,
     ModelParams,
+    PairDensityMatrix,
     ParameterError,
+    StateValidityError,
     analytic_two_qubit_concurrence,
     chsh_quantity,
     chsh_violated,
@@ -21,6 +23,7 @@ from spinchain import (
     pair_rdm,
     project_remaining_down,
     pure_state_pair_rdm,
+    von_neumann_entropy,
     w_state,
 )
 from oracles import build_sector_hamiltonian, pair_amplitudes
@@ -85,6 +88,35 @@ def test_non_finite_pair_state_rejected(measure):
         rho[1, 1] = bad
         with pytest.raises(ParameterError, match="non-finite"):
             measure(rho)
+
+
+# Every function that takes a pair state applies one state rule.
+STATE_FUNCTIONS = {
+    "concurrence": concurrence,
+    "mutual_information": mutual_information,
+    "chsh_quantity": chsh_quantity,
+    "correlation_matrix": correlation_matrix,
+    "von_neumann_entropy": von_neumann_entropy,
+    "validate": lambda rho: PairDensityMatrix(sites=(0, 1), matrix=rho, separation=1).validate(),
+}
+
+
+@pytest.mark.parametrize("measure", STATE_FUNCTIONS.values(), ids=STATE_FUNCTIONS.keys())
+@pytest.mark.parametrize(
+    "rho",
+    [5 * np.eye(4) / 4, np.triu(np.ones((4, 4))) / 4, np.diag([0.5, 0.5, 0.0, 0.0]) * (1 + 5e-10)],
+    ids=["trace_5", "not_hermitian", "trace_off_by_1e-9"],
+)
+def test_matrix_off_the_state_contract_rejected(measure, rho):
+    with pytest.raises(StateValidityError):
+        measure(rho)
+
+
+@pytest.mark.parametrize("measure", STATE_FUNCTIONS.values(), ids=STATE_FUNCTIONS.keys())
+def test_roundoff_within_the_state_tolerance_accepted(measure):
+    rho = np.diag([0.5 + 5e-12, 0.5, 0.0, -5e-12])
+    measure(rho)
+    assert concurrence(rho).concurrence == 0.0
 
 
 class TestEntanglementOfFormation:
@@ -200,7 +232,7 @@ class TestChsh:
 
 
 class TestWState:
-    @pytest.mark.parametrize("n", [1, 3.0])
+    @pytest.mark.parametrize("n", [1, 3.0, 15, 70])
     def test_rejects_bad_spin_count(self, n):
         with pytest.raises(ParameterError):
             w_state(n)

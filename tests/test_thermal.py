@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    MAX_SPINS,
     ModelParams,
     NumericError,
     ParameterError,
@@ -214,6 +215,32 @@ class TestDiagonalizeChain:
     def test_pair_states_match_all_sector_path_at_benchmark_size(self, n):
         # The same check at the sizes `spinchain grid` is benchmarked at.
         self.test_pair_states_match_all_sector_path(n, 1.0)
+
+    @pytest.mark.parametrize("j", [1.0, -1.0, 0.5])
+    @pytest.mark.parametrize("n", range(2, MAX_SPINS + 1))
+    def test_trace_sum_rules(self, n, j):
+        # Traces over the full 2^N space hold for any correct flat table,
+        # however it was blocked, so they check every N the package reaches.
+        # Per separation d, zz and <sigma.sigma> average sigma^z_0 sigma^z_d
+        # and sigma_0 . sigma_d over the translates; M is the total sigma^z,
+        # each eigenstate's slope, and m = 2 at N = 2, whose ring visits its
+        # one bond twice. Each residual is bounded by 1e-12 2^N |J|^k, with k
+        # the power of J in the rule.
+        sp = diagonalize_chain(n, j)
+        dim, m = 1 << n, 2 if n == 2 else 1
+        p00, p01, p10, p11, z = np.moveaxis(sp.features, -1, 0)
+        zz = p00 + p11 - p01 - p10
+        nearest = np.arange(1, n // 2 + 1) == 1
+        rules = [
+            (sp.energies.sum(), 0.0, 1),  # Tr H
+            ((sp.energies**2).sum(), 3 * m * n * dim * j**2, 2),  # Tr H^2
+            (sp.features[..., :4].sum(axis=0), dim / 4, 0),  # Tr |ab><ab|_(0, d)
+            (z.sum(axis=0), 0.0, 0),  # Tr |01><10|_(0, d)
+            (sp.energies @ (zz + 4 * z), np.where(nearest, 3 * m * dim * j, 0.0), 1),  # Tr H sigma_0 . sigma_d
+            ((sp.slopes**2) @ zz, 2.0 * dim, 0),  # Tr M^2 sigma^z_0 sigma^z_d
+        ]
+        for got, want, k in rules:
+            assert np.abs(got - want).max() <= 1e-12 * dim * abs(j) ** k
 
 
 def momentum_basis(states, n, q):
@@ -466,6 +493,14 @@ class TestPureStatePairRdm:
             pure_state_pair_rdm(np.full(4, 0.9), 0, 1)
         with pytest.raises(StateValidityError):
             pure_state_pair_rdm(np.full(4, np.nan), 0, 1)
+
+    def test_one_norm_rule_for_both_pure_state_functions(self):
+        # ||psi||^2 - 1 within STATE_TOL, checked before the pair is read.
+        with pytest.raises(StateValidityError, match="norm"):
+            project_remaining_down(2 * w_state(4), 0, 1)
+        with pytest.raises(StateValidityError, match="norm"):
+            pure_state_pair_rdm(w_state(4) * (1 + 0.9e-10), 0, 1)
+        pure_state_pair_rdm(w_state(4) * (1 + 0.4e-10), 0, 1)  # within STATE_TOL
 
     @pytest.mark.parametrize("length", [0, 3, 6])
     @pytest.mark.parametrize("fn", [pure_state_pair_rdm, project_remaining_down])
