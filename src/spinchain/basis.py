@@ -14,6 +14,7 @@ polarized down state |00...0> is the large-B ground state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class ModelParams:
             raise ParameterError(f"n_spins must be an integer in [2, {MAX_SPINS}], got {self.n_spins!r}")
         for name in ("coupling", "field", "kt"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ParameterError(f"{name} must be finite, got {v}")
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ParameterError(f"{name} must be a finite real number, got {v!r}")
         if self.field < 0:
             raise ParameterError(f"field must be >= 0, got {self.field}")
         if self.kt < 0:

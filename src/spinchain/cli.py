@@ -1,8 +1,10 @@
 """Command-line interface: scans, figure datasets, and critical-point queries.
 
 Exit codes: 0 success, 1 numeric failure (named grid point), 2 argument
-or configuration errors. Output is fully deterministic. SPINCHAIN_THREADS
-must be a positive integer if set, but has no effect.
+or configuration errors. A command writes the same bytes for the same
+numpy/BLAS build and the same BLAS thread count; across thread counts an
+N=14 grid stays within 1e-11. SPINCHAIN_THREADS must be a positive integer
+if set, but has no effect.
 """
 
 from __future__ import annotations

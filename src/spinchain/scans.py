@@ -29,10 +29,36 @@ ENTANGLEMENT_TOL = 1e-6
 # on the 14,520-point default grid would need about 1.9 GB for W alone.
 WEIGHT_CHUNK_ENTRIES = 1 << 20
 
-FIGURE_IDS = (1, 2, 3, 4, 5)
-
 _DEFAULT_B_GRID = np.linspace(0.0, 6.0, 121)  # step 0.05
 _DEFAULT_KT_GRID = np.geomspace(0.01, 10.0, 120)
+
+# The reference figures, by id: (title, value label, scans, curves). Each scan
+# is the arguments of `ScanGrid.from_separations`, (N, J, B values, kT values,
+# separations); each curve is (scan index, measure, separation index, label).
+_FIGURES = {
+    # E(B, kT) surface of the N=2 antiferromagnet.
+    1: ("Entanglement E(B, kT), N=2, J=1", "E",
+        [(2, 1.0, _DEFAULT_B_GRID, _DEFAULT_KT_GRID, (1,))],
+        [(0, "E", 0, "")]),
+    # E(B) at kT=0.1, N=6, separations 1..3.
+    2: ("Entanglement vs field, N=6, kT=0.1, J=1", "E",
+        [(6, 1.0, _DEFAULT_B_GRID, [0.1], (1, 2, 3))],
+        [(0, "E", p, f"d={d}") for p, d in enumerate((1, 2, 3))]),
+    # Next-nearest E(B) at kT=0.1 for N in {6, 8, 10}.
+    3: ("Next-nearest entanglement vs field, kT=0.1, J=1", "E",
+        [(n, 1.0, _DEFAULT_B_GRID, [0.1], (2,)) for n in (6, 8, 10)],
+        [(k, "E", 0, f"N={n}") for k, n in enumerate((6, 8, 10))]),
+    # Nearest-neighbor E(kT) at B=4.2 for N in {5..10}.
+    4: ("Nearest-neighbor entanglement vs temperature, B=4.2, J=1", "E",
+        [(n, 1.0, [4.2], _DEFAULT_KT_GRID, (1,)) for n in range(5, 11)],
+        [(k, "E", 0, f"N={n}") for k, n in enumerate(range(5, 11))]),
+    # I(kT) for J=+1 and J=-1 plus E(kT) for J=+1 (N=10, B=4.2).
+    5: ("Mutual information and entanglement vs temperature, N=10, B=4.2", "I, E",
+        [(10, j, [4.2], _DEFAULT_KT_GRID, (1,)) for j in (1.0, -1.0)],
+        [(0, "I", 0, "AF, I"), (1, "I", 0, "F, I"), (0, "E", 0, "AF, E")]),
+}
+
+FIGURE_IDS = tuple(_FIGURES)
 
 
 @dataclass(frozen=True)
@@ -57,24 +83,27 @@ class ScanGrid:
                 raise ParameterError(f"{name} must be strictly ascending")
             object.__setattr__(self, name, arr)
         ModelParams(self.n_spins, self.coupling, field=self.b_values[0], kt=self.kt_values[0])
-        if not self.pairs:
-            raise ParameterError("at least one pair is required")
-        seen = set()
-        for i, j in self.pairs:
+        try:
+            pairs = [tuple(pair) for pair in self.pairs]
+        except TypeError:  # not a sequence, or an entry that is not
+            pairs = None
+        if not pairs or any(len(pair) != 2 for pair in pairs):
+            raise ParameterError(f"pairs must be a nonempty sequence of (i, j) site pairs, got {self.pairs!r}")
+        for i, j in pairs:
             check_pair(self.n_spins, i, j)
-            if (i, j) in seen:
-                raise ParameterError(f"pair ({i}, {j}) is repeated")
-            seen.add((i, j))
+        pairs = tuple((int(i), int(j)) for i, j in pairs)
+        if len(set(pairs)) < len(pairs):
+            raise ParameterError(f"a pair of {pairs} is repeated")
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def from_separations(cls, n_spins, coupling, b_values, kt_values, separations):
         """Grid over the representative pair (0, d) for each separation d."""
-        pairs = []
-        for d in separations:
-            if not (1 <= d <= n_spins // 2):
-                raise ParameterError(f"separation {d} out of range for N={n_spins}")
-            pairs.append((0, d))
-        return cls(n_spins, coupling, np.asarray(b_values, float), np.asarray(kt_values, float), tuple(pairs))
+        grid = cls(n_spins, coupling, b_values, kt_values, tuple((0, d) for d in separations))
+        seps = [d for _, d in grid.pairs]
+        if max(seps) > n_spins // 2:
+            raise ParameterError(f"separations {seps} out of range for N={n_spins}")
+        return grid
 
 
 def _weight_chunks(n_points: int, n_states: int) -> list:
@@ -297,61 +326,15 @@ FIGURE_COLUMNS = ("N", "J") + SCAN_COLUMNS
 
 
 def figure_dataset(figure_id: int) -> FigureDataset:
-    """Dataset for figure 1..5 at the reference parameter settings.
-
-    1: E(B, kT) surface of the N=2 antiferromagnet.
-    2: E(B) at kT=0.1, N=6, separations 1..3.
-    3: next-nearest E(B) at kT=0.1 for N in {6, 8, 10}.
-    4: nearest-neighbor E(kT) at B=4.2 for N in {5..10}.
-    5: I(kT) for J=+1 and J=-1 plus E(kT) for J=+1 (N=10, B=4.2).
-    """
+    """Dataset for figure 1..5 at the reference settings listed in `_FIGURES`."""
     if figure_id not in FIGURE_IDS:
         raise ParameterError(f"figure id must be in {FIGURE_IDS}, got {figure_id}")
-    build = {1: _figure1, 2: _figure2, 3: _figure3, 4: _figure4, 5: _figure5}[figure_id]
-    results, plot = build()
-    tables = []
-    for grid, m in results:
-        t = scan_table(grid, m)
-        n_rows = len(t["B"])
-        tables.append({"N": np.full(n_rows, grid.n_spins), "J": np.full(n_rows, grid.coupling), **t})
+    title, ylabel, scans, curves = _FIGURES[figure_id]
+    grids = [ScanGrid.from_separations(*scan) for scan in scans]
+    results = [scan_pair_measures(grid) for grid in grids]
+    plot = plot_payload(title, [(grids[k], results[k][name][..., p], label) for k, name, p, label in curves], ylabel)
+    tables = [scan_table(grid, m) for grid, m in zip(grids, results)]
+    for grid, t in zip(grids, tables):
+        t.update(N=np.full(len(t["B"]), grid.n_spins), J=np.full(len(t["B"]), grid.coupling))
     table = {name: np.concatenate([t[name] for t in tables]) for name in FIGURE_COLUMNS}
     return FigureDataset(figure_id=figure_id, table=table, plot=plot)
-
-
-# Each builder returns its scans as (grid, measures) pairs, plus the plot.
-
-
-def _figure1():
-    grid = ScanGrid(2, 1.0, _DEFAULT_B_GRID, _DEFAULT_KT_GRID, ((0, 1),))
-    m = scan_pair_measures(grid)
-    return [(grid, m)], plot_payload("Entanglement E(B, kT), N=2, J=1", [(grid, m["E"][..., 0], "")])
-
-
-def _figure2():
-    grid = ScanGrid.from_separations(6, 1.0, _DEFAULT_B_GRID, [0.1], (1, 2, 3))
-    m = scan_pair_measures(grid)
-    curves = [(grid, m["E"][..., p], f"d={d}") for p, d in enumerate((1, 2, 3))]
-    return [(grid, m)], plot_payload("Entanglement vs field, N=6, kT=0.1, J=1", curves)
-
-
-def _figure3():
-    grids = [ScanGrid.from_separations(n, 1.0, _DEFAULT_B_GRID, [0.1], (2,)) for n in (6, 8, 10)]
-    results = [(grid, scan_pair_measures(grid)) for grid in grids]
-    curves = [(g, m["E"][..., 0], f"N={g.n_spins}") for g, m in results]
-    return results, plot_payload("Next-nearest entanglement vs field, kT=0.1, J=1", curves)
-
-
-def _figure4():
-    grids = [ScanGrid.from_separations(n, 1.0, [4.2], _DEFAULT_KT_GRID, (1,)) for n in (5, 6, 7, 8, 9, 10)]
-    results = [(grid, scan_pair_measures(grid)) for grid in grids]
-    curves = [(g, m["E"][..., 0], f"N={g.n_spins}") for g, m in results]
-    return results, plot_payload("Nearest-neighbor entanglement vs temperature, B=4.2, J=1", curves)
-
-
-def _figure5():
-    grids = [ScanGrid.from_separations(10, j, [4.2], _DEFAULT_KT_GRID, (1,)) for j in (1.0, -1.0)]
-    results = [(grid, scan_pair_measures(grid)) for grid in grids]
-    (af_grid, af), (fm_grid, fm) = results
-    af_i, fm_i, af_e = af["I"][..., 0], fm["I"][..., 0], af["E"][..., 0]
-    curves = [(af_grid, af_i, "AF, I"), (fm_grid, fm_i, "F, I"), (af_grid, af_e, "AF, E")]
-    return results, plot_payload("Mutual information and entanglement vs temperature, N=10, B=4.2", curves, "I, E")

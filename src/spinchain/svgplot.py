@@ -134,8 +134,8 @@ def _axes_frame(parts, xaxis: _Axis, yaxis: _Axis, xlabel: str, ylabel: str, wid
 def render_line_plot(series, xlabel: str = "", ylabel: str = "", title: str = "", logx: bool = False) -> str:
     """Render polyline series [{label, x, y}, ...] with axes and a legend."""
     width, height = _LINE_SIZE
-    if not series:
-        raise ParameterError("line plot needs at least one series")
+    if not series or any(len(s["x"]) != len(s["y"]) or len(s["x"]) == 0 for s in series):
+        raise ParameterError("line plot needs series, each with the same nonzero number of x and y values")
     xs = [v for s in series for v in s["x"]]
     ys = [v for s in series for v in s["y"]]
     _check_finite(xs + ys)

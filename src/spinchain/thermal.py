@@ -318,9 +318,12 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     shifted -= e0[:, None]
     cold = kt_values == 0.0
     w = np.empty_like(shifted)
-    with np.errstate(over="ignore"):
-        w[~cold] = np.exp(-shifted[~cold] / kt_values[~cold, None])
     w[cold] = shifted[cold] <= (DEGENERACY_TOL * np.abs(e0[cold]))[:, None]
+    # Exponentiate in place: W is the largest array a scan forms.
+    hot = ~cold[:, None]
+    with np.errstate(over="ignore"):
+        np.divide(shifted, -kt_values[:, None], out=shifted, where=hot)
+        np.exp(shifted, out=w, where=hot)
     z = w.sum(axis=1)
     w /= z[:, None]
     return w, e0, np.where(cold, 0.0, np.log(z))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinchain import ModelParams, ParameterError, diagonalize_chain, enumerate_sector
+from spinchain import ModelParams, ParameterError, ScanGrid, diagonalize_chain, enumerate_sector, gibbs_weights
 
 from oracles import exchange_partners
 
@@ -84,3 +84,18 @@ def test_out_of_range_arguments_rejected():
         enumerate_sector(4, 2.0)
     assert ModelParams(np.int64(4), 1.0).n_spins == 4
     assert enumerate_sector(np.int64(4), np.int64(2)).dim == 6
+
+
+def test_non_real_coupling_field_or_temperature_rejected():
+    # math.isfinite alone raised a bare TypeError for these.
+    with pytest.raises(ParameterError, match="coupling"):
+        diagonalize_chain(4, "1")
+    with pytest.raises(ParameterError, match="coupling"):
+        ScanGrid(4, "1", [0.0], [0.1], ((0, 1),))
+    with pytest.raises(ParameterError, match="field"):
+        gibbs_weights(diagonalize_chain(2, 1.0), None, 0.1)
+    for kwargs in ({"coupling": 1j}, {"field": 0.5 + 0j}, {"kt": [0.1]}, {"kt": "0.1"}):
+        with pytest.raises(ParameterError, match="finite real number"):
+            ModelParams(**{"n_spins": 4, "coupling": 1.0, **kwargs})
+    # numpy scalars are real numbers.
+    assert ModelParams(4, np.float32(1.0), field=np.int64(2), kt=np.float64(0.5)).field == 2

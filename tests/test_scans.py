@@ -56,6 +56,35 @@ class TestScanGrid:
         assert ScanGrid(4, 1.0, np.array([0.0]), np.array([1.0]), ((0, 1), (1, 0))).pairs == ((0, 1), (1, 0))
         assert ScanGrid(4, 1.0, np.array([0.0]), np.array([1.0]), ((np.int64(0), np.int64(2)),)).pairs == ((0, 2),)
 
+    def test_pairs_stored_as_tuples_of_int_pairs(self):
+        # A list of lists, or an integer (P, 2) array, is stored as the
+        # docstring says, so labels read "pair (0, 1)", not "pair [0, 1]".
+        for pairs in ([[0, 1], [1, 3]], np.array([[0, 1], [1, 3]]), ((np.int64(0), 1), [1, np.int32(3)])):
+            grid = ScanGrid(4, 1.0, [0.0], [0.1], pairs)
+            assert grid.pairs == ((0, 1), (1, 3))
+            assert all(type(site) is int for pair in grid.pairs for site in pair)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            np.array([[0.0, 1.0]]),  # sites must be integers, not truncated floats
+            ((0, 1.5),),
+            ((0, 1, 2),),
+            ((0,),),
+            "01",
+            ("01",),
+            (),
+            [],
+            None,
+            5,
+            np.array([0, 1]),
+        ],
+        ids=repr,
+    )
+    def test_rejects_anything_but_a_nonempty_sequence_of_site_pairs(self, pairs):
+        with pytest.raises(ParameterError):
+            ScanGrid(4, 1.0, [0.0], [0.1], pairs)
+
 
 class TestScanPairMeasures:
     def test_row_order_is_b_major_then_kt_then_pair(self):
@@ -91,6 +120,25 @@ class TestScanPairMeasures:
         monkeypatch.setenv("SPINCHAIN_THREADS", "4")
         parallel = scan_pair_measures(grid)
         assert all(np.array_equal(serial[name], parallel[name]) for name in "CEIM")
+
+    @pytest.mark.parametrize("n", [6, 14])
+    def test_pair_values_do_not_depend_on_the_other_pairs(self, n):
+        # The per-pair W @ F product exists for this: a separation's C, E, I
+        # and M carry the same bits alone, among all separations, or among
+        # all in reverse order.
+        sp = diagonalize_chain(n, 1.0)
+        b, kt = np.linspace(0.0, 4.8, 5), np.array([0.0, 0.05, 0.4, 2.0])
+        seps = range(1, n // 2 + 1)
+
+        def scan(order):
+            m = scan_pair_measures(ScanGrid.from_separations(n, 1.0, b, kt, order), sp)
+            return {d: [m[name][..., p] for name in "CEIM"] for p, d in enumerate(order)}
+
+        forward, backward = scan(tuple(seps)), scan(tuple(reversed(seps)))
+        for d in seps:
+            alone = scan((d,))[d]
+            for grid_values in (forward[d], backward[d]):
+                assert all(np.array_equal(a, g) for a, g in zip(alone, grid_values))
 
     def test_kt_zero_routed_through_ground_manifold(self):
         grid = ScanGrid(2, 1.0, np.array([0.0]), np.array([0.0]), ((0, 1),))

@@ -71,3 +71,17 @@ def test_line_plot_rejects_non_finite_values(axis, bad):
     series[axis] = [0.0, bad, 2.0]
     with pytest.raises(ParameterError, match="finite"):
         render_line_plot([series])
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        [{"label": "a", "x": [1.0, 2.0, 3.0], "y": [1.0]}],  # zip would draw one point on a 3-value axis
+        [{"label": "a", "x": [1.0], "y": [1.0, 2.0]}],
+        [{"label": "a", "x": [], "y": []}],  # min() of nothing
+        [{"label": "a", "x": [1.0, 2.0], "y": [0.1, 0.2]}, {"label": "b", "x": [], "y": []}],  # empty polyline
+    ],
+)
+def test_line_plot_rejects_a_series_without_one_y_per_x(series):
+    with pytest.raises(ParameterError, match="same nonzero number"):
+        render_line_plot(series)

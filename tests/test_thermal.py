@@ -15,7 +15,7 @@ from spinchain import (
     pure_state_pair_rdm,
     w_state,
 )
-from spinchain.measures import x_state_eigenvalues
+from spinchain.measures import correlation_matrix, x_state_eigenvalues
 from spinchain.thermal import PairDensityMatrix, pair_features, weight_rows
 from oracles import SX, SY, SZ, all_sector_spectrum, build_sector_hamiltonian, dense_gibbs_state, dense_pair_rdm, site_operator
 
@@ -326,6 +326,23 @@ class TestGibbsWeights:
         sp = diagonalize_chain(2, 1.0)
         ens = gibbs_weights(sp, 0.0, 1.0)
         assert ens.weights[1] == pytest.approx(np.exp(8) / (np.exp(8) + 3), abs=1e-12)
+
+    @pytest.mark.parametrize("j", [1.0, -1.0, 0.5])
+    @pytest.mark.parametrize("n", range(2, MAX_SPINS + 1))
+    def test_high_temperature_limit_of_the_correlation(self, n, j):
+        # At B = 0, rho = (1 - H/kT)/2^N + O(kT^-2) with Tr H = 0, so
+        # <sigma_0 . sigma_d> = -Tr(H sigma_0 . sigma_d)/(2^N kT): -3mJ/kT at
+        # d = 1 (m = 2 at N = 2, whose ring visits its one bond twice) and 0
+        # at every other d. The thermal path must keep this passing however
+        # it forms the Gibbs sum (ROADMAP item 2).
+        sp = diagonalize_chain(n, j)
+        m = 2 if n == 2 else 1
+        for kt in (100.0, 1000.0):
+            ens = gibbs_weights(sp, 0.0, kt)
+            for d in range(1, n // 2 + 1):
+                got = np.trace(correlation_matrix(pair_rdm(ens, 0, d)))
+                want = -3 * m * j / kt if d == 1 else 0.0
+                assert abs(got - want) <= 20 * j**2 / kt**2
 
     def test_crossing_point_mixes_both_ground_states(self):
         sp = diagonalize_chain(2, 1.0)
