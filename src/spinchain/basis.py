@@ -24,6 +24,13 @@ from .errors import ParameterError
 MAX_SPINS = 14
 
 
+def check_real(name: str, value, finite: bool = True):
+    """Reject a `value` that is not a real number (a Python or numpy int or
+    float), or with `finite` one that is not finite, by ParameterError."""
+    if not (isinstance(value, numbers.Real) and (math.isfinite(value) or not finite)):
+        raise ParameterError(f"{name} must be a {'finite ' if finite else ''}real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the isotropic Heisenberg ring in a uniform field.
@@ -41,9 +48,7 @@ class ModelParams:
         if not isinstance(self.n_spins, (int, np.integer)) or not (2 <= self.n_spins <= MAX_SPINS):
             raise ParameterError(f"n_spins must be an integer in [2, {MAX_SPINS}], got {self.n_spins!r}")
         for name in ("coupling", "field", "kt"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise ParameterError(f"{name} must be a finite real number, got {v!r}")
+            check_real(name, getattr(self, name))
         if self.field < 0:
             raise ParameterError(f"field must be >= 0, got {self.field}")
         if self.kt < 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, check_pair, separation
+from .basis import ModelParams, check_pair, check_real, separation
 from .errors import DomainError, MeasurementError, ParameterError, StateValidityError
 
 # Tolerance of every state check: on tr rho - 1, rho - rho^dag and the
@@ -159,6 +159,8 @@ def analytic_two_qubit_concurrence(coupling: float, b_field: float, kt: float) -
     C = (e^{8J/kT} - 3) / (1 + e^{-2B/kT} + e^{2B/kT} + e^{8J/kT}).
     Evaluated with all exponents shifted non-positive to avoid overflow.
     """
+    for name, value in (("coupling", coupling), ("b_field", b_field), ("kt", kt)):
+        check_real(name, value, finite=False)
     if not kt > 0:
         raise DomainError("analytic concurrence requires kT > 0; use the numeric T=0 path")
     if not (math.isfinite(coupling) and math.isfinite(b_field)):
@@ -179,7 +181,8 @@ def analytic_two_qubit_concurrence(coupling: float, b_field: float, kt: float) -
 def critical_temperature_two_qubit(coupling: float) -> float:
     """Temperature 8J/ln(3) above which the two-qubit ring is disentangled:
     the zero of `analytic_two_qubit_concurrence`, the same at every field."""
-    if not (coupling > 0 and math.isfinite(coupling)):
+    check_real("coupling", coupling)
+    if not coupling > 0:
         raise ParameterError(f"critical temperature requires a finite antiferromagnetic J > 0, got {coupling}")
     return 8.0 * coupling / math.log(3.0)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, check_pair, separation
+from .basis import ModelParams, check_pair, check_real, separation
 from .errors import NumericError, ParameterError
 from .measures import STATE_TOL, x_state_eigenvalues, x_state_measures
 from .thermal import ChainSpectrum, diagonalize_chain, pair_features, weight_rows
@@ -228,7 +228,8 @@ def critical_field_closed_form(n_spins: int, coupling: float) -> float:
     """
     if not isinstance(n_spins, (int, np.integer)) or n_spins < 2:
         raise ParameterError(f"n_spins must be an integer >= 2, got {n_spins!r}")
-    if not (coupling > 0 and math.isfinite(coupling)):
+    check_real("coupling", coupling)
+    if not coupling > 0:
         raise ParameterError(f"critical field formula requires a finite antiferromagnetic J > 0, got {coupling}")
     if n_spins % 2 == 0:
         return 4.0 * coupling

@@ -20,9 +20,11 @@ Boltzmann-weighted sum of those five numbers over the eigenstates.
 
 Only the sector n_up = N // 2 is diagonalized, in momentum blocks that the
 ring's reflection makes real symmetric (the reflection-adapted momentum
-basis of Sandvik, arXiv:1101.3281, sec. 4.1): the ring conserves total
-spin, so each of its eigenvectors stands for a whole SU(2) multiplet, and
-the Wigner-Eckart theorem gives every member's energy and pair features.
+basis of Sandvik, arXiv:1101.3281, sec. 4.1) and that, for even N, the
+spin inversion Z splits into its z = +1 and z = -1 halves (ibid., sec. 4):
+the ring conserves total spin, so each of its eigenvectors stands for a
+whole SU(2) multiplet, and the Wigner-Eckart theorem gives every member's
+energy and pair features.
 The blocks and those pair correlations come from the same separation
 operators. The spectrum keeps no eigenvectors: only
 `diagonalize_chain` sees them and knows how the eigenstates are blocked.
@@ -96,10 +98,11 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     The ring commutes with the total spin S^2, so every eigenstate is the
     member m of a (2S+1)-fold multiplet whose members share one exchange
     energy, and every multiplet has exactly one member in the sector
-    n_up = N // 2. `eigh` therefore runs only on the real symmetric
-    momentum blocks q = 0..N//2 of H_1 + ALPHA S^2 restricted to that
-    sector, H_1 the ring at J = 1 (see `_middle_blocks`); block N - q is the
-    conjugate of block q, so its multiplets are copies of q's. The block
+    n_up = N // 2. `eigh` therefore runs only on the real symmetric blocks
+    (q, z) of H_1 + ALPHA S^2 restricted to that sector, momentum
+    q = 0..N//2 and, for even N, spin inversion z = +-1, H_1 the ring at
+    J = 1 (see `_middle_blocks`); block (N - q, z) is the conjugate of
+    block (q, z), so its multiplets are copies of those of (q, z). The block
     eigenvectors are eigenvectors of H = J H_1 for every J, so each gives its
     multiplet's S, its energy E = J (lambda - ALPHA S(S+1)) and its pair
     correlations (see `_multiplets`), and the splitting ALPHA S(S+1) never
@@ -110,98 +113,133 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     ModelParams(n_spins=n_spins, coupling=coupling)
     if not np.isfinite(4.0 * n_spins * coupling):
         raise ParameterError(f"the N={n_spins} Hamiltonian overflows float64 at J={coupling} (levels span 4N|J|)")
-    solved = []
-    for matrix, operators, zz_rows, copies in _middle_blocks(n_spins):
-        solved += [_multiplets(n_spins, matrix, operators, zz_rows)] * copies
-    energies, two_s, s, zz = (np.concatenate(parts) for parts in zip(*solved))
+    energies, two_s, s, zz = _multiplets(n_spins, _middle_blocks(n_spins))
     energies, slopes, features = _member_rows(n_spins, coupling * energies, two_s, s, zz)
     return ChainSpectrum(n_spins=n_spins, coupling=coupling, energies=energies, slopes=slopes, features=features)
 
 
 def _middle_blocks(n: int):
-    """Yield (matrix, operators, zz_rows, copies) for each momentum block of
-    H_1 + ALPHA S^2 on the sector n_up = N // 2 that `eigh` solves, H_1 the
-    ring at J = 1. Every block is a real symmetric float64 matrix.
+    """Yield (matrix, operators, zz_rows, copies, z) for each symmetry block
+    of H_1 + ALPHA S^2 on the sector n_up = N // 2 that `eigh` solves, H_1
+    the ring at J = 1. Every block is a real symmetric float64 matrix.
 
     With O_d the sum of sigma^i . sigma^j over the pairs i < j at separation
     d, H_1 + ALPHA S^2 = (m + ALPHA/2) O_1 + (ALPHA/2) sum_{d>=2} O_d + 3N ALPHA/4,
     where m = 2 for N = 2 (its ring visits its one bond twice), else 1.
 
-    The translation T moves site i to site i+1. Each orbit of the sector's
-    patterns under T is labelled by its smallest pattern a, the
-    representative, and its period R_a. Block k = 2 pi q / N (q = 0..N//2)
-    is spanned by the orbits with q R_a = 0 mod N, as the states
-    |a,k> = R_a^(-1/2) sum_{r < R_a} e^(-ikr) T^r |a>. A pattern s = T^l b
-    met by applying O_d to |a> adds its weight times e^(ikl) sqrt(R_a / R_b)
-    to the element <b,k|O_d|a,k>.
+    The translation T moves site i to site i+1. For even N the spin
+    inversion Z, which flips every spin, maps the sector onto itself too, and
+    T and Z generate the group G of the 2N elements T^l Z^f (f = 0, 1); for
+    odd N, Z leaves the sector and G is the N translations T^l. Each orbit
+    of the sector's patterns under G is labelled by its smallest pattern a,
+    the representative, and has R_a members. Block (q, z) belongs to the
+    character chi(T^l Z^f) = e^(ikl) z^f, k = 2 pi q / N (q = 0..N//2) and
+    z = +-1 (z = 1 for odd N), and is spanned by the orbits on whose
+    stabilizer chi is 1, as the states |a> = R_a^(-1/2) sum_x conj(chi(g_x)) x
+    over the members x = g_x a (Sandvik, arXiv:1101.3281, sec. 4, for the
+    spin-inversion states). A pattern s = g b met by applying O_d to |a>
+    adds its weight times chi(g) sqrt(R_a / R_b) to the element <b|O_d|a>.
 
-    The reflection P (site i to site N-1-i) obeys PT = T^-1 P; write
-    P|a> = T^(m_a)|a'>, a' a representative and 0 <= m_a < R_a. Then
-    theta = P K, K the complex conjugation, maps the coefficient c of |a,k>
-    to e^(ik m_a) conj(c) at a', commutes with every O_d and squares to 1, so
-    the block is real in a theta-invariant basis (Sandvik, arXiv:1101.3281,
-    sec. 4.1). That basis has one vector per representative, in ascending
-    order of a; the one at a's position is e^(ik m_a/2)|a,k> if a' = a,
-    (|a,k> + e^(ik m_a)|a',k>)/sqrt(2) if a < a', and
-    i(|a',k> - e^(ik m_a)|a,k>)/sqrt(2) if a > a'. The element of O_d
-    between the basis vectors v_i and v_j is the sum of
-    Re(conj(v_i,b) <b,k|O_d|a,k> v_j,a) over the momentum elements, so each
-    of those adds to at most 4 real cells. Each O_d block is kept dense in
-    `operators`, its sigma^z sigma^z diagonal, equal at a and a', also as
-    zz_rows[:, d-1], and `_multiplets` reads the pair correlations off
-    them. Block N - q is the complex conjugate of block q in the momentum
-    basis, so it has the same real block, spectrum and correlations, and
-    `copies` is 2 for 0 < q < N/2, else 1.
+    The reflection P (site i to site N-1-i) obeys PT = T^-1 P and PZ = ZP;
+    write P a = T^(m_a) Z^(f_a) a', a' a representative, with the least
+    m_a + N f_a, and phi_a = e^(i tau_a) = e^(ik m_a) z^(f_a), tau_a =
+    k m_a + pi f_a [z = -1]. Then theta = P K, K the complex conjugation,
+    maps the coefficient c of |a> to phi_a conj(c) at a', commutes with
+    every O_d and squares to 1, so the block is real in a theta-invariant
+    basis (ibid., sec. 4.1). That basis has one vector per representative,
+    in ascending order of a; the one at a's position is e^(i tau_a/2)|a> if
+    a' = a, (|a> + phi_a|a'>)/sqrt(2) if a < a', and i(|a'> - phi_a|a>)/sqrt(2)
+    if a > a'. The element of O_d between the basis vectors v_i and v_j is
+    the sum of Re(conj(v_i,b) <b|O_d|a> v_j,a) over the symmetric-basis
+    elements, so each of those adds to at most 4 real cells; only those
+    between two representatives of the block are folded. Each O_d block is
+    kept dense in `operators`, its sigma^z sigma^z diagonal, equal at a and
+    a', also as zz_rows[:, d-1], and `_multiplets` reads the pair
+    correlations off them. Block (N - q, z) is the complex conjugate of
+    block (q, z), so it has the same real block, spectrum and correlations,
+    and `copies` is 2 for 0 < q < N/2, else 1. The blocks come in the order
+    of q and then z = 1, -1; those with no representative are skipped. The
+    yielded `z` is 0 for odd N, whose blocks have no Z label.
     """
     states = enumerate_sector(n, n // 2).states
+    full = (1 << n) - 1
     shifts = np.arange(n)[:, None]
-    translates = ((states << shifts) | (states >> (n - shifts))) & ((1 << n) - 1)
-    least = translates.min(axis=0)
+    translates = ((states << shifts) | (states >> (n - shifts))) & full
+    # Row l + N f of `images` is T^l Z^f applied to every pattern.
+    images = np.concatenate((translates, translates ^ full)) if n % 2 == 0 else translates
+    least = images.min(axis=0)
     reps = np.flatnonzero(least == states)
-    period = n // np.count_nonzero(translates[:, reps] == states[reps], axis=0)
-    # Pattern s is T^shift[s] applied to representative number orbit[s].
-    orbit, shift = np.searchsorted(states[reps], least), -translates.argmin(axis=0) % n
-    # P|a> = T^m[a] |a'>, a' = partner[a]: found at the bit reversal of a.
-    mirrored = np.searchsorted(states, ((states[reps, None] >> np.arange(n)) & 1) @ (1 << np.arange(n)[::-1]))
-    partner, m = orbit[mirrored], shift[mirrored] % period
+    fixed = images[:, reps] == states[reps]  # the stabilizer of each representative
+    members = len(images) // np.count_nonzero(fixed, axis=0)
+    # Pattern s is T^shift[s] Z^flip[s] applied to representative number orbit[s].
+    first = images.argmin(axis=0)
+    orbit, shift, flip = np.searchsorted(states[reps], least), -first % n, first // n
+    # P|a> = T^m[a] Z^f[a] |a'>, a' = partner[a] found at the bit reversal of a, and
+    # m + N f the first row of `images` that takes a' there.
+    mirrored = ((states[reps, None] >> np.arange(n)) & 1) @ (1 << np.arange(n)[::-1])
+    partner = orbit[np.searchsorted(states, mirrored)]
+    f, m = np.divmod(np.argmax(images[:, reps[partner]] == mirrored, axis=0), n)
     i, j = np.triu_indices(n, 1)
     sep = np.minimum(j - i, n - j + i)
     by_sep = (sep == np.arange(1, n // 2 + 1)[:, None]).astype(float)
     aligned = 1.0 - 2.0 * (((states[reps] >> i[:, None]) ^ (states[reps] >> j[:, None])) & 1)
     zz_rows = (by_sep @ aligned).T
     # Each exchange (weight 2) swaps the unlike spins of a pair, sending representative
-    # a to T^l |b>: per pair, first the a with spin j up, then those with spin i up.
+    # a to T^l Z^g |b>: per pair, first the a with spin j up, then those with spin i up.
     up = (states[reps] >> np.stack([j, i], axis=1)[..., None]) & 1
     bond, _, a = np.nonzero(up & (aligned < 0)[:, None])
     target = np.searchsorted(states, states[reps[a]] ^ ((1 << i) | (1 << j))[bond])
-    at, b, l = sep[bond] - 1, orbit[target], shift[target]
+    at, b, l, g = sep[bond] - 1, orbit[target], shift[target], flip[target]
     coeff = np.full(n // 2, ALPHA / 2)
     coeff[0] += 2 if n == 2 else 1
-    own, count = np.arange(reps.size), reps.size
+    own = np.arange(reps.size)
     lower, mirror = (own < partner)[:, None], (own == partner)[:, None]
     # Representative r enters the basis vectors at the positions of
     # min(r, r') and max(r, r'), with the coefficients v[r, 0] and v[r, 1].
     slots = np.stack([np.minimum(own, partner), np.maximum(own, partner)], axis=1)
-    cells = ((at[:, None, None] * count + slots[b][:, :, None]) * count + slots[a][:, None, :]).ravel()
-    # Each v[r, s] is |v| e^(i pi t / 2N), t = t0 + q t1 an integer, and so is
-    # each fold term conj(v[b, i]) e^(ikl) v[a, j]: its real part is read off
-    # a table of the 4N cosines.
+    # Each v[r, s] is |v| e^(i pi t / 2N) for the integer t = t0 + halves (2 q m + N f [z = -1]),
+    # halves counting the tau_r / 2 in its phase, and so is each fold term
+    # conj(v[b, i]) chi(T^l Z^g) v[a, j], for t = t0 + q t1 + [z = -1] t2: its real part
+    # is read off a table of the 4N cosines.
     v_abs = np.where(mirror, [1.0, 0.0], np.sqrt(0.5))
     v_t0 = np.where(mirror, 0, np.where(lower, [0, n], [0, -n]))
-    v_t1 = np.where(mirror, [2, 0], np.where(lower, 0, 4)) * m[:, None]
-    magnitude = 2.0 * np.sqrt(period[a] / period[b])[:, None, None] * v_abs[b][:, :, None] * v_abs[a][:, None, :]
-    t0 = v_t0[a][:, None, :] - v_t0[b][:, :, None]
-    t1 = 4 * l[:, None, None] + v_t1[a][:, None, :] - v_t1[b][:, :, None]
+    halves = np.where(mirror, [1, 0], np.where(lower, 0, 2))
+
+    def between(v):  # v[a, j] - v[b, i] for every exchange, as [e, i, j]
+        return v[a][:, None, :] - v[b][:, :, None]
+
+    magnitude = 2.0 * np.sqrt(members[a] / members[b])[:, None, None] * v_abs[b][:, :, None] * v_abs[a][:, None, :]
+    t0 = between(v_t0)
+    t1 = 4 * l[:, None, None] + 2 * between(halves * m[:, None])
+    t2 = 2 * n * g[:, None, None] + n * between(halves * f[:, None])
+    # One fold term per nonzero magnitude, to the cell (at, row, col).
+    live = magnitude != 0
+    at, row, col, magnitude, t0, t1, t2 = (
+        np.broadcast_to(x, live.shape)[live]
+        for x in (at[:, None, None], slots[b][:, :, None], slots[a][:, None, :], magnitude, t0, t1, t2)
+    )
     cosines = np.cos(np.pi * np.arange(4 * n) / (2 * n))
-    for q in range(n // 2 + 1):
-        # The fold runs over every orbit; those outside the block are cut away.
-        inside = np.flatnonzero(q * period % n == 0)
-        values = magnitude * cosines[(t0 + q * t1) % (4 * n)]
-        folded = np.bincount(cells, values.ravel(), n // 2 * count * count).reshape(n // 2, count, count)
-        operators = folded[:, inside[:, None], inside]
-        operators[:, np.arange(inside.size), np.arange(inside.size)] += zz_rows[inside].T
-        matrix = np.tensordot(coeff, operators, 1) + 0.75 * n * ALPHA * np.eye(inside.size)
-        yield matrix, operators, zz_rows[inside], 1 if 2 * q % n == 0 else 2
+    # Block (q, z) has chi(T^l Z^f) = e^(i pi t / 2N) for t = 4 q l + 2 N f [z = -1],
+    # and holds the representatives whose stabilizer has t = 0 only.
+    block_q, block_minus = np.divmod(np.arange((n // 2 + 1) * (len(images) // n)), len(images) // n)
+    element = np.arange(len(images))
+    chi_t = (4 * block_q[:, None] * (element % n) + 2 * n * block_minus[:, None] * (element // n)) % (4 * n)
+    block_reps = ~(fixed & (chi_t != 0)[:, :, None]).any(axis=1)
+    for q, minus, inside in zip(block_q.tolist(), block_minus.tolist(), block_reps):
+        d = np.count_nonzero(inside)
+        if d == 0:
+            continue
+        cut = n // 2 * d * d
+        # Each representative's position in the block; a term of one outside it lands on `cut`.
+        pos = np.where(inside, np.cumsum(inside) - 1, cut)
+        cells = np.minimum((at * d + pos[row]) * d + pos[col], cut)
+        values = magnitude * cosines[(t0 + q * t1 + minus * t2) % (4 * n)]
+        flat = np.bincount(cells, values, cut + 1)[:cut].reshape(n // 2, d * d)
+        diagonal = zz_rows[inside]
+        flat[:, :: d + 1] += diagonal.T
+        matrix = coeff @ flat
+        matrix[:: d + 1] += 0.75 * n * ALPHA
+        yield matrix.reshape(d, d), flat.reshape(n // 2, d, d), diagonal, 1 if 2 * q % n == 0 else 2, (1 - 2 * minus) * (n % 2 == 0)
 
 
 def eigh_symmetric(matrix: np.ndarray):
@@ -224,32 +262,40 @@ def eigh_symmetric(matrix: np.ndarray):
         raise NumericError(f"eigensolver failed on {a.shape[0]}x{a.shape[0]} matrix: {exc}") from exc
 
 
-def _multiplets(n: int, matrix: np.ndarray, operators: np.ndarray, zz_rows: np.ndarray):
+def _multiplets(n: int, blocks):
     """Energy, 2S and pair correlations of the multiplet that each
-    eigenvector of one `_middle_blocks` block belongs to.
+    eigenvector of the `_middle_blocks` blocks belongs to, `copies` times
+    for each block, in block order.
 
     Returns (E_1, 2S, s, zz), where E_1 is the energy at J = 1 and
     s[:, d-1] and zz[:, d-1] average <sigma^i . sigma^j> and
-    <sigma^z_i sigma^z_j> over the pairs (i, j) at separation d. The block
+    <sigma^z_i sigma^z_j> over the pairs (i, j) at separation d. Each block
     is real, so are its eigenvectors, and each is a momentum eigenvector,
     invariant under translation up to a phase, so these are its
     expectations of O_d and of O_d's sigma^z sigma^z part divided by the
     number of pairs. S(S+1) = 3N/4 + (1/2) sum_{i<j} <sigma^i . sigma^j> is
     read off the same sums, and a value more than SPIN_TOL from the nearest
-    S(S+1) raises NumericError.
+    S(S+1) raises NumericError. For even N, the S_z = 0 member of a spin-S
+    multiplet has the Z eigenvalue (-1)^(S + N/2), so an eigenvector of a
+    block of the other z also raises NumericError.
     """
-    values, u = eigh_symmetric(matrix)
-    dot = (u * (operators @ u)).sum(axis=1).T
-    zz = (u * u).T @ zz_rows
-    seps = zz_rows.shape[1]
+    solved = []
+    for matrix, operators, zz_rows, copies, z in blocks:
+        values, u = eigh_symmetric(matrix)
+        dot = (u * (operators @ u)).sum(axis=1).T
+        solved += [(values, dot, (u * u).T @ zz_rows, np.full(values.size, z))] * copies
+    values, dot, zz, z = (np.concatenate(parts) for parts in zip(*solved))
     x = 0.75 * n + 0.5 * dot.sum(axis=1)
     two_s = np.rint(np.sqrt(1.0 + 4.0 * x) - 1.0)
     s_s1 = two_s * (two_s + 2.0) / 4.0
     miss = np.abs(x - s_s1).max()
     if not miss <= SPIN_TOL:
         raise NumericError(f"<S^2> of an eigenvector is {miss:.3e} from S(S+1), beyond {SPIN_TOL:g}")
-    pairs_at = np.where(2 * np.arange(1, seps + 1) == n, n / 2, n)  # N/2 pairs at d = N/2, else N
-    return values - ALPHA * s_s1, two_s.astype(int), dot / pairs_at, zz / pairs_at
+    two_s = two_s.astype(int)
+    if n % 2 == 0 and np.any(1 - (two_s + n) % 4 != z):
+        raise NumericError("an eigenvector's total spin S does not match its Z block: (-1)^(S + N/2) != z")
+    pairs_at = np.where(2 * np.arange(1, zz.shape[1] + 1) == n, n / 2, n)  # N/2 pairs at d = N/2, else N
+    return values - ALPHA * s_s1, two_s, dot / pairs_at, zz / pairs_at
 
 
 def _member_rows(n: int, energies, two_s, s, zz):
@@ -272,26 +318,21 @@ def _member_rows(n: int, energies, two_s, s, zz):
     s_s1 = two_s * (two_s + 2.0) / 4.0
     denom = 0.75 * (n % 2) - s_s1
     rank2 = np.divide(zz - s / 3.0, denom[:, None], out=np.zeros_like(zz), where=(denom != 0.0)[:, None])
-    rows = []
-    for n_up in range(n + 1):
-        two_m = 2 * n_up - n
-        keep = two_s >= abs(two_m)
-        zz_m = zz[keep] + rank2[keep] * (0.75 * (two_m**2 - n % 2))
-        f = np.empty(zz_m.shape + (5,))
-        f[..., 0] = (1.0 + zz_m) / 4.0 - two_m / (2.0 * n)
-        f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
-        f[..., 3] = (1.0 + zz_m) / 4.0 + two_m / (2.0 * n)
-        f[..., 4] = (s[keep] - zz_m) / 4.0
-        if n_up <= 1:
-            f[..., 3] = 0.0
-        if n_up >= n - 1:
-            f[..., 0] = 0.0
-        if n_up in (0, n):
-            f[:] = 0.0
-            f[..., 0 if n_up == 0 else 3] = 1.0
-        np.maximum(f[..., :4], 0.0, out=f[..., :4])
-        rows.append((energies[keep], np.full(keep.sum(), two_m), f))
-    return tuple(np.concatenate(parts) for parts in zip(*rows))
+    # Row k is member `sector[k] - N/2` of multiplet `multiplet[k]`.
+    sector, multiplet = np.nonzero(two_s >= np.abs(2 * np.arange(n + 1) - n)[:, None])
+    two_m = 2 * sector - n
+    zz_m = zz[multiplet] + rank2[multiplet] * (0.75 * (two_m**2 - n % 2))[:, None]
+    f = np.empty(zz_m.shape + (5,))
+    f[..., 0] = (1.0 + zz_m) / 4.0 - (two_m / (2.0 * n))[:, None]
+    f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
+    f[..., 3] = (1.0 + zz_m) / 4.0 + (two_m / (2.0 * n))[:, None]
+    f[..., 4] = (s[multiplet] - zz_m) / 4.0
+    f[sector <= 1, :, 3] = 0.0
+    f[sector >= n - 1, :, 0] = 0.0
+    f[sector == 0] = [1.0, 0.0, 0.0, 0.0, 0.0]
+    f[sector == n] = [0.0, 0.0, 0.0, 1.0, 0.0]
+    np.maximum(f[..., :4], 0.0, out=f[..., :4])
+    return energies[multiplet], two_m, f
 
 
 def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray):

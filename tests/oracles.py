@@ -13,6 +13,9 @@ matrix, and each eigenvector's pair features read straight off its
 amplitudes. It is the reference for the multiplet-expanded spectrum and its
 feature table, for any ordered pair, and reaches larger N.
 
+`member_rows` is the multiplet expansion of `thermal._member_rows` as one
+pass per sector n_up.
+
 `heat_color` is the heatmap colour map as a scalar search over its stops.
 """
 
@@ -221,6 +224,37 @@ def _sector_features(states, v, pairs):
 
 
 # Heatmap colour stops (viridis-like): position 0..1 -> RGB.
+def member_rows(n, energies, two_s, s, zz):
+    """Energies, slopes and X-state features of every member of every
+    multiplet, built sector by sector with the formulas of
+    `thermal._member_rows`."""
+    order = np.argsort(energies, kind="stable")
+    energies, two_s, s, zz = energies[order], two_s[order], s[order], zz[order]
+    s_s1 = two_s * (two_s + 2.0) / 4.0
+    denom = 0.75 * (n % 2) - s_s1
+    rank2 = np.divide(zz - s / 3.0, denom[:, None], out=np.zeros_like(zz), where=(denom != 0.0)[:, None])
+    rows = []
+    for n_up in range(n + 1):
+        two_m = 2 * n_up - n
+        keep = two_s >= abs(two_m)
+        zz_m = zz[keep] + rank2[keep] * (0.75 * (two_m**2 - n % 2))
+        f = np.empty(zz_m.shape + (5,))
+        f[..., 0] = (1.0 + zz_m) / 4.0 - two_m / (2.0 * n)
+        f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
+        f[..., 3] = (1.0 + zz_m) / 4.0 + two_m / (2.0 * n)
+        f[..., 4] = (s[keep] - zz_m) / 4.0
+        if n_up <= 1:
+            f[..., 3] = 0.0
+        if n_up >= n - 1:
+            f[..., 0] = 0.0
+        if n_up in (0, n):
+            f[:] = 0.0
+            f[..., 0 if n_up == 0 else 3] = 1.0
+        np.maximum(f[..., :4], 0.0, out=f[..., :4])
+        rows.append((energies[keep], np.full(keep.sum(), two_m), f))
+    return tuple(np.concatenate(parts) for parts in zip(*rows))
+
+
 HEAT_STOPS = (
     (0.0, (68, 1, 84)),
     (0.25, (59, 82, 139)),

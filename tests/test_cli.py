@@ -299,10 +299,10 @@ class TestFigureCommand:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_outputs_across_blas_thread_counts(self, tmp_path):
-        # The README's reproducibility contract. eigh of the N=14 blocks rounds
+        # The README's reproducibility contract. The N=14 blocks may round
         # differently with 1 and 2 BLAS threads, so the grid's measures may move
         # in the last digits, by at most 1e-11; the figures' blocks are too
-        # small for threaded LAPACK, so they stay byte-identical. OpenBLAS reads
+        # small for threaded BLAS, so they stay byte-identical. OpenBLAS reads
         # its thread count when numpy loads, so each setting runs in its own
         # interpreter.
         code = (

@@ -15,6 +15,7 @@ from spinchain import (
     chsh_violated,
     concurrence,
     correlation_matrix,
+    critical_temperature_two_qubit,
     diagonalize_chain,
     eof_from_concurrence,
     gibbs_weights,
@@ -180,6 +181,18 @@ class TestAnalyticConcurrence:
         # Bad input must not read as "not entangled" (C = 0).
         with pytest.raises(DomainError):
             analytic_two_qubit_concurrence(j, b, 1.0)
+
+    @pytest.mark.parametrize("args", [("1", 0.0, 1.0), (1.0, "0", 1.0), (1.0, 0.0, "1"), (None, 0.0, 1.0), (1.0, 0.0, 1j)])
+    def test_rejects_non_real_input(self, args):
+        # The comparisons with J, B and kT raised a bare TypeError for these.
+        name = ("coupling", "b_field", "kt")[[isinstance(a, float) for a in args].index(False)]
+        with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+            analytic_two_qubit_concurrence(*args)
+
+    @pytest.mark.parametrize("coupling", ["1", None, 1j, [1.0]])
+    def test_critical_temperature_rejects_non_real_coupling(self, coupling):
+        with pytest.raises(ParameterError, match="coupling must be a finite real number"):
+            critical_temperature_two_qubit(coupling)
 
 
 class TestMutualInformation:

@@ -207,6 +207,12 @@ class TestStaircase:
         assert 3.23 <= st.b_e <= 3.25
         assert st.b_c_numeric == pytest.approx(4.0, abs=1e-9)
 
+    @pytest.mark.parametrize("coupling", ["1", None, 1j, [1.0]])
+    def test_closed_form_critical_field_rejects_non_real_coupling(self, coupling):
+        # `coupling > 0` raised a bare TypeError for these.
+        with pytest.raises(ParameterError, match="coupling must be a finite real number"):
+            critical_field_closed_form(4, coupling)
+
     @pytest.mark.parametrize("n", range(2, 14))
     def test_matches_closed_form_critical_field(self, n):
         st = magnetization_staircase(n, 1.0)
@@ -223,9 +229,10 @@ class TestStaircase:
     @pytest.mark.parametrize("n", [7, 8])
     def test_solves_the_same_blocks_as_the_spectrum(self, n, monkeypatch):
         # `eigh` runs only on the sector n_up = N // 2, as its momentum
-        # blocks q = 0..N//2 (N=7: dim 35 -> 5 orbits in each block; N=8:
-        # dim 70 -> 10, 8, 9, 8, 10 of its 10 orbits). The staircase reads
-        # the spectrum and solves nothing of its own.
+        # blocks q = 0..N//2 (N=7: dim 35 -> 5 orbits in each block), split
+        # for even N by the spin inversion into z = +1 and z = -1 halves
+        # (N=8: dim 70 -> 7 + 3, 3 + 5, 5 + 4, 3 + 5, 6 + 4). The staircase
+        # reads the spectrum and solves nothing of its own.
         from spinchain import thermal
 
         built, solved, lapack = [], [], []
@@ -252,7 +259,7 @@ class TestStaircase:
             log.clear()
         diagonalize_chain(n, 1.0)
         assert built == [n // 2]
-        assert solved == {7: [(3, 5)] * 4, 8: [(4, 10), (4, 8), (4, 9), (4, 8), (4, 10)]}[n]
+        assert solved == {7: [(3, 5)] * 4, 8: [(4, d) for d in (7, 3, 3, 5, 5, 4, 3, 5, 6, 4)]}[n]
         assert lapack == solved
         assert by_staircase == (built, solved, lapack)
 

@@ -17,7 +17,9 @@ from spinchain import (
 )
 from spinchain.measures import correlation_matrix, x_state_eigenvalues
 from spinchain.thermal import PairDensityMatrix, pair_features, weight_rows
-from oracles import SX, SY, SZ, all_sector_spectrum, build_sector_hamiltonian, dense_gibbs_state, dense_pair_rdm, site_operator
+from oracles import (
+    SX, SY, SZ, all_sector_spectrum, build_sector_hamiltonian, dense_gibbs_state, dense_pair_rdm, member_rows, site_operator,
+)
 
 SINGLET_RHO = np.array(
     [
@@ -100,40 +102,51 @@ class TestDiagonalizeChain:
     @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_blocks_fold_the_dense_sector_matrix(self, n, j):
-        # Each momentum block assembled from the separation operators is
-        # W^H (H + J ALPHA S^2) W for W = U_k V_k: U_k the momentum basis of
-        # the plain middle-sector matrix of the ring, V_k its reflection-
-        # adapted real basis, and S^2 built from Kronecker products of Pauli
-        # matrices; J times the J = 1 block is that of the J ring, which
-        # shares its eigenvectors. The blocks q = 0..N//2 and their
-        # conjugates N - q cover the sector once, and the conjugate basis
-        # conj(W) of block N - q gives the same real block.
+        # Each block (q, z) assembled from the separation operators is
+        # W^H (H + J ALPHA S^2) W for W = U V: U the basis of the plain
+        # middle-sector matrix of the ring adapted to the translations and,
+        # for even N, the spin inversion Z, V its reflection-adapted real
+        # basis, and S^2 built from Kronecker products of Pauli matrices;
+        # J times the J = 1 block is that of the J ring, which shares its
+        # eigenvectors. The blocks are yielded in the order of q = 0..N//2
+        # and then z = +1, -1, and none is empty; with the conjugates
+        # N - q of the blocks 0 < q < N/2, which conj(W) turns into the
+        # same real block, they cover the sector once.
         from spinchain import thermal
 
         sh = build_sector_hamiltonian(ModelParams(n, j), n // 2)
+        states = sh.basis.states
         total = [sum(site_operator(op, site, n) for site in range(n)) for op in (SX, SY, SZ)]
         s2 = sum(op @ op for op in total) / 4.0
         assert np.abs(s2.imag).max() == 0.0
-        dense = sh.matrix + j * thermal.ALPHA * s2.real[np.ix_(sh.basis.states, sh.basis.states)]
-        bases = [momentum_basis(sh.basis.states, n, q) for q in range(n)]
-        assert sum(u.shape[1] for u in bases) == dense.shape[0]
+        dense = sh.matrix + j * thermal.ALPHA * s2.real[np.ix_(states, states)]
+        flip = np.searchsorted(states, states ^ ((1 << n) - 1)) if n % 2 == 0 else None
+        signs = (1, -1) if n % 2 == 0 else (1,)
+        bases = {(q, z): symmetry_basis(states, n, q, z) for q in range(n) for z in signs}
+        labels = [(q, z) for q in range(n // 2 + 1) for z in signs if bases[q, z].shape[1]]
         blocks = list(thermal._middle_blocks(n))
-        assert len(blocks) == n // 2 + 1
-        for q, (matrix, operators, _zz_rows, copies) in enumerate(blocks):
+        assert len(blocks) == len(labels)
+        covered = 0
+        for (q, z), (matrix, operators, _zz_rows, copies, block_z) in zip(labels, blocks):
+            assert block_z == (z if n % 2 == 0 else 0)
             assert copies == (1 if 2 * q % n == 0 else 2)
+            covered += copies * len(matrix)
             for m in (matrix, *operators):
                 assert m.dtype == np.float64
                 assert np.abs(m - m.T).max() <= 1e-13
-            v = reflection_basis(sh.basis.states, n, q)
+            v = reflection_basis(states, n, q, z)
             assert np.abs(v.conj().T @ v - np.eye(len(v))).max() <= 1e-13
-            w = bases[q] @ v
-            mirror = bases[-q % n].conj().T @ w.conj()
+            w = bases[q, z] @ v
+            if flip is not None:
+                assert np.abs(w[flip] - z * w).max() <= 1e-13  # Z W = z W
+            mirror = bases[-q % n, z].conj().T @ w.conj()
             assert np.abs(mirror.conj().T @ mirror - np.eye(len(v))).max() <= 1e-13
             for basis in (w, w.conj()):
                 want = basis.conj().T @ dense @ basis
                 assert matrix.shape == want.shape
                 assert np.abs(want.imag).max() <= 1e-13
                 assert np.abs(j * matrix - want.real).max() <= 1e-13
+        assert covered == len(states)
 
     @pytest.mark.parametrize("j", [0.5, 1e9])
     @pytest.mark.parametrize("n", range(2, 13))
@@ -148,8 +161,8 @@ class TestDiagonalizeChain:
 
     @pytest.mark.parametrize("factor,raises", [(10.0, True), (0.1, False)])
     def test_spin_check_tolerance(self, factor, raises, monkeypatch):
-        # N=4 solves the block q = 0 first; its vectors are, by ascending
-        # H + ALPHA S^2, the S = 0 ground singlet and an S = 2 member.
+        # N=4 solves the block (q, z) = (0, +1) first; its vectors are, by
+        # ascending H + ALPHA S^2, the S = 0 ground singlet and an S = 2 member.
         # Turning the first vector towards the second by theta moves its
         # <S^2> by 6 sin^2(theta).
         from spinchain import thermal
@@ -173,6 +186,39 @@ class TestDiagonalizeChain:
         else:
             assert diagonalize_chain(4, 1.0).energies.size == 16
         assert solved[0] == 2
+
+    @pytest.mark.parametrize("mislabel,raises", [(True, True), (False, False)])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_spin_inversion_check(self, n, mislabel, raises, monkeypatch):
+        # The S_z = 0 member of a spin-S multiplet has the Z eigenvalue
+        # (-1)^(S + N/2), so the eigenvectors of a block handed over with
+        # the other z fail the check.
+        from spinchain import thermal
+
+        real = thermal._middle_blocks
+
+        def labelled(n_spins):
+            for k, (matrix, operators, zz_rows, copies, z) in enumerate(real(n_spins)):
+                yield matrix, operators, zz_rows, copies, -z if mislabel and k == 0 else z
+
+        monkeypatch.setattr(thermal, "_middle_blocks", labelled)
+        if raises:
+            with pytest.raises(NumericError, match=r"Z block"):
+                diagonalize_chain(n, 1.0)
+        else:
+            assert diagonalize_chain(n, 1.0).energies.size == 2**n
+
+    @pytest.mark.parametrize("j", [1.0, -1.0])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_member_rows_match_the_per_sector_loop(self, n, j):
+        # One array pass over all members does the per-sector loop's
+        # arithmetic, so the rows are bit-identical.
+        from spinchain import thermal
+
+        energies, two_s, s, zz = thermal._multiplets(n, thermal._middle_blocks(n))
+        got = thermal._member_rows(n, j * energies, two_s, s, zz)
+        for mine, ref in zip(got, member_rows(n, j * energies, two_s, s, zz)):
+            assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
 
     @pytest.mark.parametrize("n", range(3, 14, 2))
     def test_odd_ground_level_is_a_momentum_doublet(self, n):
@@ -243,55 +289,74 @@ class TestDiagonalizeChain:
             assert np.abs(got - want).max() <= 1e-12 * dim * abs(j) ** k
 
 
-def momentum_basis(states, n, q):
-    """Columns |a,k> = R_a^(-1/2) sum_{r < R_a} e^(-ikr) T^r |a>, k = 2 pi q / N,
-    over the ascending sector `states`, for every orbit of the translation T
-    (site i to site i+1) with q R_a = 0 mod N, in ascending order of its
-    smallest pattern a; R_a is the orbit's length."""
+def group_images(a, n):
+    """The images T^l Z^f a, at index l + N f, of the pattern a under the
+    group G generated by the translation T (site i to site i+1) and, for
+    even N, the spin inversion Z; for odd N, G holds the T^l alone."""
+    full, images = (1 << n) - 1, []
+    for f in range(2 if n % 2 == 0 else 1):
+        for l in range(n):
+            t = ((a << l) | (a >> (n - l))) & full
+            images.append(t ^ full if f else t)
+    return images
+
+
+def character(n, q, z, g):
+    """chi(T^l Z^f) = e^(ikl) z^f, k = 2 pi q / N, at the index g = l + N f."""
+    return np.exp(2j * np.pi * q * (g % n) / n) * z ** (g // n)
+
+
+def block_representatives(states, n, q, z):
+    """The smallest pattern a of each orbit of G in the ascending sector
+    `states` with chi = 1 on its stabilizer, in ascending order."""
+    reps = []
+    for a in states.tolist():
+        images = group_images(a, n)
+        stabilizer = [g for g, x in enumerate(images) if x == a]
+        if min(images) == a and all(abs(character(n, q, z, g) - 1) < 1e-9 for g in stabilizer):
+            reps.append(a)
+    return reps
+
+
+def symmetry_basis(states, n, q, z):
+    """Columns |a> = R_a^(-1/2) sum_x conj(chi(g_x)) x over the members
+    x = g_x a of the orbit of each `block_representatives` a, over the
+    sector `states`; R_a is the orbit's size."""
     index = {s: r for r, s in enumerate(states.tolist())}
     columns = []
-    for a in states.tolist():
-        orbit = [a]
-        while (t := ((orbit[-1] << 1) | (orbit[-1] >> (n - 1))) & ((1 << n) - 1)) != a:
-            orbit.append(t)
-        if min(orbit) == a and q * len(orbit) % n == 0:
-            column = np.zeros(len(states), dtype=complex)
-            for r, s in enumerate(orbit):
-                column[index[s]] = np.exp(-2j * np.pi * q * r / n) / np.sqrt(len(orbit))
-            columns.append(column)
+    for a in block_representatives(states, n, q, z):
+        column = np.zeros(len(states), dtype=complex)
+        for g, x in enumerate(group_images(a, n)):
+            column[index[x]] += np.conj(character(n, q, z, g))
+        columns.append(column / np.linalg.norm(column))
     return np.array(columns).reshape(-1, len(states)).T
 
 
-def reflection_basis(states, n, q):
-    """Real basis V_k of block k = 2 pi q / N, as columns over the
-    `momentum_basis` columns |a,k> of the same block.
+def reflection_basis(states, n, q, z):
+    """Real basis V of block (q, z), as columns over the `symmetry_basis`
+    columns |a> of the same block.
 
     The reflection P (site i to site N-1-i) sends each representative a to
-    T^m |a'> for a representative a' and the least m >= 0. The column at
-    a's position is e^(ik m/2)|a,k> if a' = a, (|a,k> + e^(ik m)|a',k>)/sqrt(2)
-    if a < a', and i(|a',k> - e^(ik m)|a,k>)/sqrt(2) if a > a'."""
-    mask, k = (1 << n) - 1, 2 * np.pi * q / n
-
-    def orbit(s):
-        out = [s]
-        while (t := ((out[-1] << 1) | (out[-1] >> (n - 1))) & mask) != s:
-            out.append(t)
-        return out
-
-    reps = [a for a in states.tolist() if min(orbit(a)) == a and q * len(orbit(a)) % n == 0]
+    T^m Z^f a' for a representative a' and the least m + N f. With
+    phi = e^(ikm) z^f = e^(i tau), tau = km + pi f [z = -1], the column at
+    a's position is e^(i tau/2)|a> if a' = a, (|a> + phi|a'>)/sqrt(2) if
+    a < a', and i(|a'> - phi|a>)/sqrt(2) if a > a'."""
+    k = 2 * np.pi * q / n
+    reps = block_representatives(states, n, q, z)
     column = {a: c for c, a in enumerate(reps)}
     v = np.zeros((len(reps), len(reps)), dtype=complex)
     for a in reps:
         mirrored = int(format(a, f"0{n}b")[::-1], 2)
-        partner = min(orbit(mirrored))
-        m = orbit(partner).index(mirrored)
+        partner = min(group_images(mirrored, n))
+        f, m = divmod(group_images(partner, n).index(mirrored), n)
+        tau = k * m + np.pi * f * (z == -1)
         own, other = column[a], column[partner]
         if partner == a:
-            v[own, own] = np.exp(0.5j * k * m)
+            v[own, own] = np.exp(0.5j * tau)
         elif a < partner:
-            v[own, own], v[other, own] = np.sqrt(0.5), np.exp(1j * k * m) * np.sqrt(0.5)
+            v[own, own], v[other, own] = np.sqrt(0.5), np.exp(1j * tau) * np.sqrt(0.5)
         else:
-            v[other, own], v[own, own] = 1j * np.sqrt(0.5), -1j * np.exp(1j * k * m) * np.sqrt(0.5)
+            v[other, own], v[own, own] = 1j * np.sqrt(0.5), -1j * np.exp(1j * tau) * np.sqrt(0.5)
     return v
 
 
