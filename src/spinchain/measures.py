@@ -123,6 +123,7 @@ def binary_entropy(x: float) -> float:
 
     0 log 0 is taken as 0; inputs within 1e-12 outside [0, 1] are clamped.
     """
+    check_real("x", x, finite=False)
     if not -1e-12 <= x <= 1.0 + 1e-12:
         raise DomainError(f"binary_entropy argument {x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
@@ -146,6 +147,7 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
 
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation E = h((1 + sqrt(1 - C^2))/2), in ebits."""
+    check_real("c", c, finite=False)
     if not -1e-12 <= c <= 1.0 + 1e-12:
         raise DomainError(f"concurrence {c} outside [0, 1]")
     c = min(max(c, 0.0), 1.0)
@@ -157,7 +159,9 @@ def analytic_two_qubit_concurrence(coupling: float, b_field: float, kt: float) -
 
     C = 0 when exp(8J/kT) <= 3, otherwise
     C = (e^{8J/kT} - 3) / (1 + e^{-2B/kT} + e^{2B/kT} + e^{8J/kT}).
-    Evaluated with all exponents shifted non-positive to avoid overflow.
+    Every exponent is shifted in energy units, (E - max(8J, 2|B|, 0))/kT <= 0,
+    so none overflows and a vanishing kT leaves no inf - inf. A J or B whose
+    8|J| or 2|B| overflows float64 raises ParameterError.
     """
     for name, value in (("coupling", coupling), ("b_field", b_field), ("kt", kt)):
         check_real(name, value, finite=False)
@@ -165,26 +169,28 @@ def analytic_two_qubit_concurrence(coupling: float, b_field: float, kt: float) -
         raise DomainError("analytic concurrence requires kT > 0; use the numeric T=0 path")
     if not (math.isfinite(coupling) and math.isfinite(b_field)):
         raise DomainError(f"analytic concurrence requires finite J and B, got J={coupling}, B={b_field}")
+    if not math.isfinite(max(8.0 * abs(coupling), 2.0 * abs(b_field))):
+        raise ParameterError(f"the N=2 levels overflow float64 at J={coupling}, B={b_field} (8|J| or 2|B|)")
     if 8.0 * coupling / kt <= math.log(3.0):
         return 0.0
-    shift = max(8.0 * coupling, 2.0 * abs(b_field), 0.0) / kt
-    num = math.exp(8.0 * coupling / kt - shift) - 3.0 * math.exp(-shift)
-    den = (
-        math.exp(-shift)
-        + math.exp(-2.0 * b_field / kt - shift)
-        + math.exp(2.0 * b_field / kt - shift)
-        + math.exp(8.0 * coupling / kt - shift)
-    )
+    top = max(8.0 * coupling, 2.0 * abs(b_field), 0.0)
+    singlet, triplet = math.exp((8.0 * coupling - top) / kt), math.exp(-top / kt)
+    num = singlet - 3.0 * triplet
+    den = triplet + math.exp((-2.0 * b_field - top) / kt) + math.exp((2.0 * b_field - top) / kt) + singlet
     return max(0.0, num / den)
 
 
 def critical_temperature_two_qubit(coupling: float) -> float:
     """Temperature 8J/ln(3) above which the two-qubit ring is disentangled:
-    the zero of `analytic_two_qubit_concurrence`, the same at every field."""
+    the zero of `analytic_two_qubit_concurrence`, the same at every field.
+    A J for which 8J/ln(3) overflows float64 raises ParameterError."""
     check_real("coupling", coupling)
     if not coupling > 0:
         raise ParameterError(f"critical temperature requires a finite antiferromagnetic J > 0, got {coupling}")
-    return 8.0 * coupling / math.log(3.0)
+    kt = 8.0 * coupling / math.log(3.0)
+    if not math.isfinite(kt):
+        raise ParameterError(f"critical temperature 8J/ln(3) overflows float64 at J={coupling}")
+    return kt
 
 
 def single_site_rdms(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +224,11 @@ def chsh_quantity(rho) -> float:
 
 
 def chsh_violated(m_value: float) -> bool:
-    """Violation test with the absolute tolerance pinning product states at M=1."""
+    """Violation test with the absolute tolerance pinning product states at M=1.
+    A NaN M raises DomainError rather than reading as "not violated"."""
+    check_real("m_value", m_value, finite=False)
+    if math.isnan(m_value):
+        raise DomainError("CHSH quantity M is NaN")
     return m_value > 1.0 + 1e-12
 
 

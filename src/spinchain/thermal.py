@@ -142,24 +142,26 @@ def _middle_blocks(n: int):
 
     The reflection P (site i to site N-1-i) obeys PT = T^-1 P and PZ = ZP;
     write P a = T^(m_a) Z^(f_a) a', a' a representative, with the least
-    m_a + N f_a, and phi_a = e^(i tau_a) = e^(ik m_a) z^(f_a), tau_a =
-    k m_a + pi f_a [z = -1]. Then theta = P K, K the complex conjugation,
-    maps the coefficient c of |a> to phi_a conj(c) at a', commutes with
-    every O_d and squares to 1, so the block is real in a theta-invariant
-    basis (ibid., sec. 4.1). That basis has one vector per representative,
-    in ascending order of a; the one at a's position is e^(i tau_a/2)|a> if
-    a' = a, (|a> + phi_a|a'>)/sqrt(2) if a < a', and i(|a'> - phi_a|a>)/sqrt(2)
-    if a > a'. The element of O_d between the basis vectors v_i and v_j is
-    the sum of Re(conj(v_i,b) <b|O_d|a> v_j,a) over the symmetric-basis
-    elements, so each of those adds to at most 4 real cells; only those
-    between two representatives of the block are folded. Each O_d block is
-    kept dense in `operators`, its sigma^z sigma^z diagonal, equal at a and
-    a', also as zz_rows[:, d-1], and `_multiplets` reads the pair
-    correlations off them. Block (N - q, z) is the complex conjugate of
-    block (q, z), so it has the same real block, spectrum and correlations,
-    and `copies` is 2 for 0 < q < N/2, else 1. The blocks come in the order
-    of q and then z = 1, -1; those with no representative are skipped. The
-    yielded `z` is 0 for odd N, whose blocks have no Z label.
+    m_a + N f_a. Then theta = P K, K the complex conjugation, maps the
+    coefficient c of |a> to phi_a conj(c) at a', phi_a = e^(ik m_a) z^(f_a)
+    = e^(i pi t_phi / 2N) for t_phi = 4 q m_a + 2 N f_a [z = -1], commutes
+    with every O_d and squares to 1, so the block is real in a
+    theta-invariant basis (ibid., sec. 4.1). It has one vector per
+    representative, in ascending order of a, and a enters the two at
+    min(a, a') and max(a, a') with the coefficients v[a, s] = |v[a, s]|
+    e^(i pi t[a, s] / 2N), s = 0, 1: t[a] = t_phi / 2 if a' = a (where
+    v[a, 1] = 0), (0, N) if a < a' and (t_phi, t_phi - N) if a > a'. So a
+    symmetric-basis element <b|O_d|a> of character e^(i pi t_g / 2N) adds
+    |v[b, s] <b|O_d|a> v[a, s']| cos(pi (t[a, s'] - t[b, s] + t_g) / 2N),
+    read off a table of the 4N cosines, to the cell of slot s of b and slot
+    s' of a; only the terms between two representatives of the block are
+    folded. Each O_d block is kept dense in `operators`, its sigma^z sigma^z
+    diagonal, equal at a and a', also as zz_rows[:, d-1], and `_multiplets`
+    reads the pair correlations off them. Block (N - q, z) is the complex
+    conjugate of block (q, z), so it has the same real block, spectrum and
+    correlations, and `copies` is 2 for 0 < q < N/2, else 1. Blocks come in
+    the order of q and then z = 1, -1, skipping those with no
+    representative; the yielded `z` is 0 for odd N, whose blocks have no Z.
     """
     states = enumerate_sector(n, n // 2).states
     full = (1 << n) - 1
@@ -194,38 +196,21 @@ def _middle_blocks(n: int):
     coeff[0] += 2 if n == 2 else 1
     own = np.arange(reps.size)
     lower, mirror = (own < partner)[:, None], (own == partner)[:, None]
-    # Representative r enters the basis vectors at the positions of
-    # min(r, r') and max(r, r'), with the coefficients v[r, 0] and v[r, 1].
     slots = np.stack([np.minimum(own, partner), np.maximum(own, partner)], axis=1)
-    # Each v[r, s] is |v| e^(i pi t / 2N) for the integer t = t0 + halves (2 q m + N f [z = -1]),
-    # halves counting the tau_r / 2 in its phase, and so is each fold term
-    # conj(v[b, i]) chi(T^l Z^g) v[a, j], for t = t0 + q t1 + [z = -1] t2: its real part
-    # is read off a table of the 4N cosines.
     v_abs = np.where(mirror, [1.0, 0.0], np.sqrt(0.5))
-    v_t0 = np.where(mirror, 0, np.where(lower, [0, n], [0, -n]))
-    halves = np.where(mirror, [1, 0], np.where(lower, 0, 2))
-
-    def between(v):  # v[a, j] - v[b, i] for every exchange, as [e, i, j]
-        return v[a][:, None, :] - v[b][:, :, None]
-
     magnitude = 2.0 * np.sqrt(members[a] / members[b])[:, None, None] * v_abs[b][:, :, None] * v_abs[a][:, None, :]
-    t0 = between(v_t0)
-    t1 = 4 * l[:, None, None] + 2 * between(halves * m[:, None])
-    t2 = 2 * n * g[:, None, None] + n * between(halves * f[:, None])
-    # One fold term per nonzero magnitude, to the cell (at, row, col).
-    live = magnitude != 0
-    at, row, col, magnitude, t0, t1, t2 = (
-        np.broadcast_to(x, live.shape)[live]
-        for x in (at[:, None, None], slots[b][:, :, None], slots[a][:, None, :], magnitude, t0, t1, t2)
-    )
+    # One fold term per nonzero magnitude: exchange e between slot sb of b and slot sa of a.
+    e, sb, sa = np.nonzero(magnitude)
+    magnitude, at, a, b, element = magnitude[e, sb, sa], at[e], a[e], b[e], (l + n * g)[e]
+    row, col = slots[b, sb], slots[a, sa]
     cosines = np.cos(np.pi * np.arange(4 * n) / (2 * n))
     # Block (q, z) has chi(T^l Z^f) = e^(i pi t / 2N) for t = 4 q l + 2 N f [z = -1],
     # and holds the representatives whose stabilizer has t = 0 only.
     block_q, block_minus = np.divmod(np.arange((n // 2 + 1) * (len(images) // n)), len(images) // n)
-    element = np.arange(len(images))
-    chi_t = (4 * block_q[:, None] * (element % n) + 2 * n * block_minus[:, None] * (element // n)) % (4 * n)
+    group = np.arange(len(images))
+    chi_t = (4 * block_q[:, None] * (group % n) + 2 * n * block_minus[:, None] * (group // n)) % (4 * n)
     block_reps = ~(fixed & (chi_t != 0)[:, :, None]).any(axis=1)
-    for q, minus, inside in zip(block_q.tolist(), block_minus.tolist(), block_reps):
+    for q, minus, chi, inside in zip(block_q.tolist(), block_minus.tolist(), chi_t, block_reps):
         d = np.count_nonzero(inside)
         if d == 0:
             continue
@@ -233,7 +218,10 @@ def _middle_blocks(n: int):
         # Each representative's position in the block; a term of one outside it lands on `cut`.
         pos = np.where(inside, np.cumsum(inside) - 1, cut)
         cells = np.minimum((at * d + pos[row]) * d + pos[col], cut)
-        values = magnitude * cosines[(t0 + q * t1 + minus * t2) % (4 * n)]
+        # t_phi stays unreduced: halving it mod 4N would flip a self-mirror vector's sign.
+        t_phi = (4 * q * m + 2 * n * minus * f)[:, None]
+        t = np.where(mirror, t_phi // 2, np.where(lower, [0, n], t_phi - [0, n]))
+        values = magnitude * cosines[(t[a, sa] - t[b, sb] + chi[element]) % (4 * n)]
         flat = np.bincount(cells, values, cut + 1)[:cut].reshape(n // 2, d * d)
         diagonal = zz_rows[inside]
         flat[:, :: d + 1] += diagonal.T

@@ -123,7 +123,8 @@ class TestCriticalValues:
         with pytest.raises(ParameterError):
             critical_field_closed_form(5, math.inf)
 
-    @pytest.mark.parametrize("coupling", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("coupling", [math.inf, -math.inf, math.nan, 1e308])
     def test_critical_temperature_needs_finite_coupling(self, coupling):
+        # At J = 1e308 the temperature 8J/ln(3) itself is not finite.
         with pytest.raises(ParameterError):
             critical_temperature_two_qubit(coupling)

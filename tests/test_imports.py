@@ -1,7 +1,10 @@
-"""Module boundaries of the package's source."""
+"""Module boundaries of the package's source, and the warnings it may raise."""
 
 import ast
+import warnings
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinchain"
 
@@ -65,3 +68,11 @@ def test_measures_imports_only_basis_and_errors():
     # The two-qubit state contract and its measures rest on the basis
     # conventions and the error types alone; `thermal` builds on them.
     assert package_imports(SRC / "measures.py") <= {"basis", "errors"}
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_a_deprecation_warning_from_the_package_fails_the_suite(category):
+    # pyproject's filterwarnings makes a deprecation met inside `spinchain`
+    # an error, so a numpy API on its way out shows in the suite at once.
+    with pytest.raises(category):
+        warnings.warn_explicit("deprecated", category, "thermal.py", 1, module="spinchain.thermal")

@@ -139,6 +139,12 @@ class TestEntanglementOfFormation:
         with pytest.raises(DomainError):
             eof_from_concurrence(np.nan)
 
+    @pytest.mark.parametrize("c", ["x", None, 1j])
+    def test_rejects_non_real_input(self, c):
+        # A string compared with the bounds raised a bare TypeError.
+        with pytest.raises(ParameterError, match="c must be a real number"):
+            eof_from_concurrence(c)
+
 
 class TestAnalyticConcurrence:
     def test_zero_field_unit_temperature(self):
@@ -180,6 +186,23 @@ class TestAnalyticConcurrence:
     def test_rejects_non_finite_coupling_or_field(self, j, b):
         # Bad input must not read as "not entangled" (C = 0).
         with pytest.raises(DomainError):
+            analytic_two_qubit_concurrence(j, b, 1.0)
+
+    @pytest.mark.parametrize(
+        "j,b,kt,want", [(1.0, 0.0, 1e-308, 1.0), (1.0, 3.0, 1e-308, 1.0), (1000.0, 0.0, 1e-306, 1.0), (1.0, 4.0, 1e-308, 0.5)]
+    )
+    def test_vanishing_temperature_matches_numeric_pipeline(self, j, b, kt, want):
+        # 8J/kT or 2B/kT overflows here; shifting each exponent by
+        # max(8J, 2|B|, 0) in energy units, not after dividing by kT, keeps
+        # inf - inf = NaN (read as C = 0) out of the closed form.
+        num = concurrence(pair_rdm(gibbs_weights(diagonalize_chain(2, j), b, kt), 0, 1)).concurrence
+        assert num == pytest.approx(want, abs=1e-12)
+        assert analytic_two_qubit_concurrence(j, b, kt) == pytest.approx(num, abs=1e-12)
+
+    @pytest.mark.parametrize("j,b", [(1e308, 0.0), (-1e308, 0.0), (1.0, 1e308), (1.0, -1e308)])
+    def test_rejects_overflowing_levels(self, j, b):
+        # 8|J| or 2|B| is not finite, so no shift can keep the exponents finite.
+        with pytest.raises(ParameterError, match="overflow"):
             analytic_two_qubit_concurrence(j, b, 1.0)
 
     @pytest.mark.parametrize("args", [("1", 0.0, 1.0), (1.0, "0", 1.0), (1.0, 0.0, "1"), (None, 0.0, 1.0), (1.0, 0.0, 1j)])
@@ -239,6 +262,16 @@ class TestChsh:
         m = chsh_quantity(ZERO_ZERO)
         assert m == pytest.approx(1.0, abs=1e-12)
         assert not chsh_violated(m)
+
+    @pytest.mark.parametrize("m", ["x", None, 1j])
+    def test_violation_test_rejects_non_real_input(self, m):
+        with pytest.raises(ParameterError, match="m_value must be a real number"):
+            chsh_violated(m)
+
+    def test_violation_test_rejects_nan(self):
+        # NaN > 1 is False, which read as "not violated".
+        with pytest.raises(DomainError):
+            chsh_violated(np.nan)
 
     def test_maximally_mixed(self):
         assert chsh_quantity(np.eye(4) / 4) == pytest.approx(0.0, abs=1e-12)

@@ -79,6 +79,12 @@ class TestBinaryEntropy:
         with pytest.raises(DomainError):
             binary_entropy(np.nan)
 
+    @pytest.mark.parametrize("x", ["x", None, 1j])
+    def test_rejects_non_real_input(self, x):
+        # A string compared with the bounds raised a bare TypeError.
+        with pytest.raises(ParameterError, match="x must be a real number"):
+            binary_entropy(x)
+
 
 class TestVonNeumannEntropy:
     def test_pure_state_projector(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from spinchain import (
     pure_state_pair_rdm,
     w_state,
 )
+from spinchain.basis import separation
 from spinchain.measures import correlation_matrix, x_state_eigenvalues
 from spinchain.thermal import PairDensityMatrix, pair_features, weight_rows
 from oracles import (
@@ -111,15 +114,27 @@ class TestDiagonalizeChain:
         # eigenvectors. The blocks are yielded in the order of q = 0..N//2
         # and then z = +1, -1, and none is empty; with the conjugates
         # N - q of the blocks 0 < q < N/2, which conj(W) turns into the
-        # same real block, they cover the sector once.
+        # same real block, they cover the sector once. Each separation
+        # operator O_d, the sum of sigma^i . sigma^j over the pairs i < j at
+        # separation d, is W^H O_d W, and each zz row holds the diagonal
+        # sigma^z sigma^z part of every O_d at its representative.
         from spinchain import thermal
 
         sh = build_sector_hamiltonian(ModelParams(n, j), n // 2)
         states = sh.basis.states
-        total = [sum(site_operator(op, site, n) for site in range(n)) for op in (SX, SY, SZ)]
+        paulis = [[site_operator(op, site, n) for site in range(n)] for op in (SX, SY, SZ)]
+        total = [sum(op) for op in paulis]
         s2 = sum(op @ op for op in total) / 4.0
         assert np.abs(s2.imag).max() == 0.0
         dense = sh.matrix + j * thermal.ALPHA * s2.real[np.ix_(states, states)]
+
+        def pair_sum(ops, d):  # sum of op_a op_b over `ops` and the pairs a < b at separation d, on the sector
+            pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if separation(n, a, b) == d]
+            return sum(op[a][states] @ op[b][:, states] for a, b in pairs for op in ops)
+
+        seps = range(1, n // 2 + 1)
+        separation_ops = [pair_sum(paulis, d) for d in seps]
+        zz_sums = np.array([pair_sum(paulis[2:], d).diagonal().real for d in seps]).T
         flip = np.searchsorted(states, states ^ ((1 << n) - 1)) if n % 2 == 0 else None
         signs = (1, -1) if n % 2 == 0 else (1,)
         bases = {(q, z): symmetry_basis(states, n, q, z) for q in range(n) for z in signs}
@@ -127,7 +142,7 @@ class TestDiagonalizeChain:
         blocks = list(thermal._middle_blocks(n))
         assert len(blocks) == len(labels)
         covered = 0
-        for (q, z), (matrix, operators, _zz_rows, copies, block_z) in zip(labels, blocks):
+        for (q, z), (matrix, operators, zz_rows, copies, block_z) in zip(labels, blocks):
             assert block_z == (z if n % 2 == 0 else 0)
             assert copies == (1 if 2 * q % n == 0 else 2)
             covered += copies * len(matrix)
@@ -146,6 +161,14 @@ class TestDiagonalizeChain:
                 assert matrix.shape == want.shape
                 assert np.abs(want.imag).max() <= 1e-13
                 assert np.abs(j * matrix - want.real).max() <= 1e-13
+                assert operators.shape == (n // 2, *matrix.shape)
+                for op, o_d in zip(operators, separation_ops):
+                    want = basis.conj().T @ o_d @ basis
+                    assert np.abs(want.imag).max() <= 1e-13
+                    assert np.abs(op - want.real).max() <= 1e-13
+            want = zz_sums[np.searchsorted(states, block_representatives(states, n, q, z))]
+            assert zz_rows.shape == want.shape
+            assert np.abs(zz_rows - want).max() <= 1e-13
         assert covered == len(states)
 
     @pytest.mark.parametrize("j", [0.5, 1e9])
