@@ -87,7 +87,8 @@ class ConcurrenceResult:
     lambdas: np.ndarray
 
 
-def _as_matrix(rho) -> np.ndarray:
+def _as_matrix(rho):
+    """A pair state as a complex 4x4 matrix, with the eigenvalues its state check found."""
     if isinstance(rho, PairDensityMatrix):
         rho = rho.matrix
     m = np.asarray(rho, dtype=np.complex128)
@@ -95,8 +96,7 @@ def _as_matrix(rho) -> np.ndarray:
         raise ParameterError(f"expected a 4x4 pair state, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ParameterError("pair state has a non-finite entry")
-    _check_state(m)
-    return m
+    return m, _check_state(m)
 
 
 def concurrence(rho) -> ConcurrenceResult:
@@ -109,7 +109,7 @@ def concurrence(rho) -> ConcurrenceResult:
     near pure states. C = max(l1 - l2 - l3 - l4, 0), flushed to 0 below
     FLUSH_TOL.
     """
-    m = _as_matrix(rho)
+    m = _as_matrix(rho)[0]
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2.0)
     sqrt_m = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     lam = np.linalg.svd(sqrt_m @ _SPIN_FLIP @ sqrt_m.conj(), compute_uv=False)
@@ -188,6 +188,8 @@ def critical_temperature_two_qubit(coupling: float) -> float:
     if not coupling > 0:
         raise ParameterError(f"critical temperature requires a finite antiferromagnetic J > 0, got {coupling}")
     kt = 8.0 * coupling / math.log(3.0)
+    if math.isinf(kt):  # 8J overflowed before the division
+        kt = 8.0 * (coupling / math.log(3.0))
     if not math.isfinite(kt):
         raise ParameterError(f"critical temperature 8J/ln(3) overflows float64 at J={coupling}")
     return kt
@@ -195,21 +197,25 @@ def critical_temperature_two_qubit(coupling: float) -> float:
 
 def single_site_rdms(rho) -> tuple[np.ndarray, np.ndarray]:
     """Partial traces of a pair state onto its first and second site."""
-    m = _as_matrix(rho).reshape(2, 2, 2, 2)
+    return _partial_traces(_as_matrix(rho)[0])
+
+
+def _partial_traces(m: np.ndarray):
+    m = m.reshape(2, 2, 2, 2)
     return np.einsum("abcb->ac", m), np.einsum("abad->bd", m)
 
 
 def mutual_information(rho) -> float:
     """Quantum mutual information I = S(rho_i) + S(rho_j) - S(rho_ij), in bits."""
-    m = _as_matrix(rho)
-    rho_i, rho_j = single_site_rdms(m)
-    val = von_neumann_entropy(rho_i) + von_neumann_entropy(rho_j) - von_neumann_entropy(m)
+    m, lam = _as_matrix(rho)
+    rho_i, rho_j = _partial_traces(m)
+    val = von_neumann_entropy(rho_i) + von_neumann_entropy(rho_j) - float(_entropy_bits(lam))
     return max(0.0, float(val))
 
 
 def correlation_matrix(rho) -> np.ndarray:
     """3x3 spin correlation matrix T_nm = Tr[rho sigma_n (x) sigma_m]."""
-    return np.real(np.einsum("ab,nmba->nm", _as_matrix(rho), _PAULI_PRODUCTS))
+    return np.real(np.einsum("ab,nmba->nm", _as_matrix(rho)[0], _PAULI_PRODUCTS))
 
 
 def chsh_quantity(rho) -> float:

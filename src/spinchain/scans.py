@@ -1,8 +1,8 @@
 """Parameter sweeps, critical-point detection, and figure datasets.
 
 A scan is three steps: the (grid points x eigenstates) Boltzmann weight
-matrix W, times the X-state feature table F of every pair, stacked as
-(pairs, eigenstates, 5), then the closed-form measures elementwise. It
+matrix W, times the X-state feature table F of every pair, both owned by
+`thermal.pair_states`, then the closed-form measures elementwise. It
 returns C, E, I and M as arrays indexed (B, kT, pair); `scan_table`
 flattens them into the columns B, kT, i, j, d, C, E, I, M, with rows
 B-major, then kT, then pair.
@@ -18,16 +18,12 @@ import numpy as np
 from .basis import ModelParams, check_pair, check_real, separation
 from .errors import NumericError, ParameterError
 from .measures import STATE_TOL, x_state_eigenvalues, x_state_measures
-from .thermal import ChainSpectrum, diagonalize_chain, pair_features, weight_rows
+from .thermal import ChainSpectrum, diagonalize_chain, pair_states
 
 SCAN_COLUMNS = ("B", "kT", "i", "j", "d", "C", "E", "I", "M")
 
 # Concurrence threshold that counts a pair as entangled for l_E.
 ENTANGLEMENT_TOL = 1e-6
-
-# Entries of W formed at once (8 MiB of float64). Without chunking, N=14
-# on the 14,520-point default grid would need about 1.9 GB for W alone.
-WEIGHT_CHUNK_ENTRIES = 1 << 20
 
 _DEFAULT_B_GRID = np.linspace(0.0, 6.0, 121)  # step 0.05
 _DEFAULT_KT_GRID = np.geomspace(0.01, 10.0, 120)
@@ -106,12 +102,6 @@ class ScanGrid:
         return grid
 
 
-def _weight_chunks(n_points: int, n_states: int) -> list:
-    """Consecutive slices of grid points whose W rows hold at most WEIGHT_CHUNK_ENTRIES."""
-    step = max(1, WEIGHT_CHUNK_ENTRIES // n_states)
-    return [slice(start, start + step) for start in range(0, n_points, step)]
-
-
 def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) -> dict:
     """Evaluate C, E, I, M on every (B, kT, pair) point of the grid.
 
@@ -127,18 +117,9 @@ def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) ->
             f"spectrum of N={spectrum.n_spins}, J={spectrum.coupling} given for a grid "
             f"of N={grid.n_spins}, J={grid.coupling}"
         )
-    b = np.repeat(grid.b_values, len(grid.kt_values))
-    kt = np.tile(grid.kt_values, len(grid.b_values))
-    # Stacked over pairs, W @ F is one (eigenstates x 5) product per pair, so
-    # a pair's bits do not depend on the other pairs of the grid; those of
-    # one wide (eigenstates x 5 * pairs) product do.
-    f = pair_features(spectrum, grid.pairs).transpose(1, 0, 2)  # (pairs, eigenstates, 5)
-    states = np.empty((len(b), len(grid.pairs), 5))  # per point and pair
-    for chunk in _weight_chunks(len(b), f.shape[1]):
-        states[chunk] = (weight_rows(spectrum, b[chunk], kt[chunk])[0] @ f).transpose(1, 0, 2)
-    _check_health(states, b, kt, grid.pairs)
-    shape = (len(grid.b_values), len(grid.kt_values), len(grid.pairs))
-    return {name: col.reshape(shape) for name, col in zip("CEIM", x_state_measures(states))}
+    states = pair_states(spectrum, grid.b_values, grid.kt_values, grid.pairs)
+    _check_health(states, grid)
+    return dict(zip("CEIM", x_state_measures(states)))
 
 
 def scan_table(grid: ScanGrid, measures: dict) -> dict:
@@ -150,16 +131,17 @@ def scan_table(grid: ScanGrid, measures: dict) -> dict:
     return {"B": b, "kT": kt, "i": i[p], "j": j[p], "d": d[p], **{k: measures[k].ravel() for k in "CEIM"}}
 
 
-def _check_health(states: np.ndarray, b: np.ndarray, kt: np.ndarray, pairs):
-    """Raise NumericError at the first point with a pair state off the simplex."""
-    trace_err = np.abs(states[..., :4].sum(axis=-1) - 1.0)
-    min_eig = x_state_eigenvalues(states).min(axis=-1)
+def _check_health(states: np.ndarray, grid: ScanGrid):
+    """Raise NumericError at the first (B, kT) point with a pair state off the simplex."""
+    eigenvalues = x_state_eigenvalues(states)
+    trace_err = np.abs(eigenvalues.sum(axis=-1) - 1.0)
+    min_eig = eigenvalues.min(axis=-1)
     bad = ~((trace_err <= STATE_TOL) & (min_eig >= -STATE_TOL))
     if bad.any():
-        k, p = np.argwhere(bad)[0]
+        at_b, at_kt, p = np.argwhere(bad)[0]
         raise NumericError(
-            f"failure at grid point B={b[k]}, kT={kt[k]}: pair {pairs[p]} state has trace error "
-            f"{trace_err[k, p]:.3e} and smallest eigenvalue {min_eig[k, p]:.3e}"
+            f"failure at grid point B={grid.b_values[at_b]}, kT={grid.kt_values[at_kt]}: pair {grid.pairs[p]} state "
+            f"has trace error {trace_err[at_b, at_kt, p]:.3e} and smallest eigenvalue {min_eig[at_b, at_kt, p]:.3e}"
         )
 
 
@@ -244,16 +226,10 @@ class EntanglementLengthResult:
     l_e: int  # largest d with C(d) > ENTANGLEMENT_TOL, else 0
 
 
-def entanglement_length(
-    n_spins: int,
-    coupling: float,
-    b_field: float,
-    kt: float,
-    spectrum: ChainSpectrum | None = None,
-) -> EntanglementLengthResult:
+def entanglement_length(n_spins: int, coupling: float, b_field: float, kt: float) -> EntanglementLengthResult:
     """Concurrence profile C(d) at pair (0, d) and the entanglement length."""
     grid = ScanGrid.from_separations(n_spins, coupling, [b_field], [kt], range(1, n_spins // 2 + 1))
-    c_vals = scan_pair_measures(grid, spectrum)["C"][0, 0]
+    c_vals = scan_pair_measures(grid)["C"][0, 0]
     above = np.flatnonzero(c_vals > ENTANGLEMENT_TOL)
     l_e = int(above.max() + 1) if above.size else 0
     return EntanglementLengthResult(c_by_separation=c_vals, l_e=l_e)
@@ -268,13 +244,13 @@ class LipschitzReport:
     satisfied: bool  # max_ratio <= 1 + 1e-6
 
 
-def lipschitz_check(grid: ScanGrid, spectrum: ChainSpectrum | None = None) -> LipschitzReport:
+def lipschitz_check(grid: ScanGrid) -> LipschitzReport:
     """Check that entanglement changes no faster than |dB|/kT along B, for every pair of the grid."""
     if len(grid.b_values) < 2:
         raise ParameterError("lipschitz check needs at least two B samples")
     if np.any(grid.kt_values <= 0):
         raise ParameterError("lipschitz check requires kT > 0")
-    de = np.abs(np.diff(scan_pair_measures(grid, spectrum)["E"], axis=0))
+    de = np.abs(np.diff(scan_pair_measures(grid)["E"], axis=0))
     # kT |dE| / |dB| laid out (kT, pair, B step): argmax takes the first
     # maximum by kT, then pair, then B.
     ratios = grid.kt_values[:, None, None] * de.transpose(1, 2, 0) / np.diff(grid.b_values)

@@ -16,7 +16,8 @@ energies and one spectrum serves every (B, kT) point and every pair of a
 scan. Every eigenstate lies in one S_z sector, so the average of its pair
 states (i, i+d) and (i+d, i) over the translates i is an X-state fixed by
 five real numbers (p00, p01, p10, p11, z). A thermal pair RDM is the
-Boltzmann-weighted sum of those five numbers over the eigenstates.
+Boltzmann-weighted sum of those five numbers over the eigenstates, which
+`pair_states` forms as W @ F on a whole (B, kT) grid.
 
 Only the sector n_up = N // 2 is diagonalized, in momentum blocks that the
 ring's reflection makes real symmetric (the reflection-adapted momentum
@@ -52,6 +53,10 @@ ALPHA = 1e-3 / np.pi
 # Largest allowed distance of an eigenvector's <S^2> from S(S+1).
 SPIN_TOL = 1e-8
 
+# Entries of W formed at once (8 MiB of float64). Without chunking, N=14
+# on the 14,520-point default grid would need about 1.9 GB for W alone.
+WEIGHT_CHUNK_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ChainSpectrum:
@@ -81,15 +86,6 @@ class GibbsEnsemble:
     field: float
     kt: float
     weights: np.ndarray  # one per eigenstate of the spectrum's flat table, summing to 1
-    log_z_shifted: float  # log Z + E_ground/kT (0.0 at kT = 0)
-    energy_origin: float  # ground energy used as the shift
-
-    def energies(self) -> np.ndarray:
-        """Total energies (exchange + Zeeman) of the spectrum's eigenstates."""
-        return self.spectrum.energies + self.field * self.spectrum.slopes
-
-    def mean_energy(self) -> float:
-        return float(np.dot(self.energies(), self.weights))
 
 
 def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
@@ -323,7 +319,7 @@ def _member_rows(n: int, energies, two_s, s, zz):
     return energies[multiplet], two_m, f
 
 
-def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray):
+def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray) -> np.ndarray:
     """Thermal weights of every eigenstate, one row per (B, kT) point.
 
     Each row's energies are shifted by its ground energy before
@@ -334,9 +330,7 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     window scales with the levels, so it is the same for every J; the ground
     energy is 0 only at J = B = 0, where every level is 0. A field for which
     the span 2 (max|E| + N B) of the levels overflows raises ParameterError.
-
-    Returns (weights, ground energies, log Z + E_ground/kT per row, 0.0 at
-    kT = 0); columns follow the spectrum's flat eigenstate order.
+    Returns W, columns in the spectrum's flat eigenstate order.
     """
     b_max = float(np.abs(b_values).max(initial=0.0))
     span = 2.0 * (float(np.abs(spectrum.energies).max()) + float(np.abs(spectrum.slopes).max()) * b_max)
@@ -353,23 +347,32 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     with np.errstate(over="ignore"):
         np.divide(shifted, -kt_values[:, None], out=shifted, where=hot)
         np.exp(shifted, out=w, where=hot)
-    z = w.sum(axis=1)
-    w /= z[:, None]
-    return w, e0, np.where(cold, 0.0, np.log(z))
+    w /= w.sum(axis=1)[:, None]
+    return w
 
 
 def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEnsemble:
     """Thermal weights over all eigenstates at field B >= 0 and temperature kT >= 0."""
     ModelParams(n_spins=spectrum.n_spins, coupling=spectrum.coupling, field=b_field, kt=kt)
-    w, e0, log_z = weight_rows(spectrum, np.array([b_field], float), np.array([kt], float))
-    return GibbsEnsemble(
-        spectrum=spectrum,
-        field=b_field,
-        kt=kt,
-        weights=w[0],
-        log_z_shifted=float(log_z[0]),
-        energy_origin=float(e0[0]),
-    )
+    w = weight_rows(spectrum, np.array([b_field], float), np.array([kt], float))[0]
+    return GibbsEnsemble(spectrum=spectrum, field=b_field, kt=kt, weights=w)
+
+
+def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarray:
+    """Thermal pair states W @ F, shape (B, kT, pairs, 5): W the `weight_rows`
+    of the grid points, B-major, formed WEIGHT_CHUNK_ENTRIES entries at a time,
+    and F the `pair_features` of the pairs. Stacked over pairs, W @ F is one
+    (eigenstates x 5) product per pair, so a pair's bits do not depend on the
+    other pairs; those of one wide (eigenstates x 5 * pairs) product do.
+    """
+    b, kt = (axis.ravel() for axis in np.meshgrid(b_values, kt_values, indexing="ij"))
+    f = pair_features(spectrum, pairs).transpose(1, 0, 2)  # (pairs, eigenstates, 5)
+    states = np.empty((b.size, len(pairs), 5))
+    step = max(1, WEIGHT_CHUNK_ENTRIES // f.shape[1])
+    for start in range(0, b.size, step):
+        chunk = slice(start, start + step)
+        states[chunk] = (weight_rows(spectrum, b[chunk], kt[chunk]) @ f).transpose(1, 0, 2)
+    return states.reshape(len(b_values), len(kt_values), len(pairs), 5)
 
 
 def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:

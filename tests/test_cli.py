@@ -130,10 +130,10 @@ class TestGridCommand:
         assert err.startswith("spinchain: ") and "B=1e+308" in err and "overflow float64" in err
 
     def test_unhealthy_pair_state_exits_1(self, tmp_path, monkeypatch, capsys):
-        from spinchain import scans
+        from spinchain import thermal
 
-        real = scans.pair_features
-        monkeypatch.setattr(scans, "pair_features", lambda sp, pairs: 1.5 * real(sp, pairs))
+        real = thermal.pair_features
+        monkeypatch.setattr(thermal, "pair_features", lambda sp, pairs: 1.5 * real(sp, pairs))
         code = run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2", "--kt-range", "0.5:1:2",
                     "--sep", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1

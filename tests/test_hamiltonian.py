@@ -123,6 +123,15 @@ class TestCriticalValues:
         with pytest.raises(ParameterError):
             critical_field_closed_form(5, math.inf)
 
+    def test_critical_temperature_where_only_8j_overflows(self):
+        # For about 2.25e307 < J < 2.47e307, 8J overflows but 8J/ln(3) does
+        # not; below that range the result keeps the bits of 8J/ln(3).
+        assert critical_temperature_two_qubit(2.3e307) == 8.0 * (2.3e307 / math.log(3.0))
+        assert critical_temperature_two_qubit(2.3e307) == pytest.approx(1.6748e308, rel=1e-4)
+        assert critical_temperature_two_qubit(2.2e307) == 8.0 * 2.2e307 / math.log(3.0)
+        with pytest.raises(ParameterError):
+            critical_temperature_two_qubit(2.5e307)
+
     @pytest.mark.parametrize("coupling", [math.inf, -math.inf, math.nan, 1e308])
     def test_critical_temperature_needs_finite_coupling(self, coupling):
         # At J = 1e308 the temperature 8J/ln(3) itself is not finite.

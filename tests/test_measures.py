@@ -239,6 +239,26 @@ class TestMutualInformation:
         expected = entropy(rho_i) + entropy(rho_j) - entropy(rho)
         assert mutual_information(rho) == pytest.approx(expected, abs=1e-12)
 
+    def test_checks_the_pair_state_once(self, monkeypatch):
+        # Each state check is an eigendecomposition: the 4x4 state gets one,
+        # and its eigenvalues give S(rho_ij), bit for bit.
+        from spinchain import measures
+        from spinchain.measures import single_site_rdms
+
+        rho = (2 / 3) * PSI_PLUS + (1 / 3) * ZERO_ZERO
+        rho_i, rho_j = single_site_rdms(rho)
+        expected = von_neumann_entropy(rho_i) + von_neumann_entropy(rho_j) - von_neumann_entropy(rho)
+        shapes = []
+        real = measures._check_state
+
+        def spy(r):
+            shapes.append(np.shape(r))
+            return real(r)
+
+        monkeypatch.setattr(measures, "_check_state", spy)
+        assert mutual_information(rho) == expected
+        assert shapes.count((4, 4)) == 1
+
     def test_entanglement_implies_correlation_on_thermal_states(self):
         sp = diagonalize_chain(6, 1.0)
         for b in (0.0, 2.0, 3.5):

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinchain import (
     NumericError,
@@ -13,8 +17,20 @@ from spinchain import (
     magnetization_staircase,
     scan_pair_measures,
 )
-from spinchain import scans
+from spinchain import scans, thermal
 from spinchain.scans import FIGURE_COLUMNS, SCAN_COLUMNS
+from spinchain.thermal import ChainSpectrum, pair_features, weight_rows
+
+
+@lru_cache(maxsize=None)
+def spectrum(n, j):
+    return diagonalize_chain(n, j)
+
+
+@lru_cache(maxsize=None)
+def crossings(n, j):
+    """Staircase crossing fields of an antiferromagnet; none for J <= 0."""
+    return [c.b_value for c in magnetization_staircase(n, j).crossings] if j > 0 else []
 
 
 class TestScanGrid:
@@ -148,49 +164,72 @@ class TestScanPairMeasures:
         grid = ScanGrid.from_separations(8, 1.0, [3.5], [0.1], (1,))
         with pytest.raises(ParameterError, match="N=6"):
             scan_pair_measures(grid, spectrum=diagonalize_chain(6, 1.0))
-        with pytest.raises(ParameterError, match="N=6"):
-            entanglement_length(8, 1.0, 3.5, 0.1, spectrum=diagonalize_chain(6, 1.0))
         ferro = ScanGrid(4, -1.0, np.array([0.0, 1.0]), np.array([0.5]), ((0, 1),))
         with pytest.raises(ParameterError, match="J=1.0"):
             scan_pair_measures(ferro, spectrum=diagonalize_chain(4, 1.0))
-        with pytest.raises(ParameterError, match="J=1.0"):
-            lipschitz_check(ferro, spectrum=diagonalize_chain(4, 1.0))
 
-    def test_weight_chunks_bound_w_for_largest_ring_on_default_grid(self):
+    def test_weight_chunks_bound_w_for_largest_ring_on_default_grid(self, monkeypatch):
         # N=14 has 2**14 eigenstates; the default grid has 121 x 120 points.
-        # Unchunked, W would hold 2.4e8 float64 entries (about 1.9 GB).
-        n_points, n_states = 121 * 120, 2**14
-        sizes = [len(range(n_points)[c]) for c in scans._weight_chunks(n_points, n_states)]
-        assert sum(sizes) == n_points
-        assert max(sizes) * n_states <= scans.WEIGHT_CHUNK_ENTRIES
-        assert scans.WEIGHT_CHUNK_ENTRIES * 8 <= 64 * 2**20
+        # Unchunked, W would hold 2.4e8 float64 entries (about 1.9 GB). A
+        # stand-in spectrum of that size and a `weight_rows` that records its
+        # points and returns zeros show the chunks `pair_states` forms.
+        n_states, b_values, kt_values = 2**14, np.linspace(0.0, 6.0, 121), np.geomspace(0.01, 10.0, 120)
+        zeros = np.zeros(n_states)
+        fake = ChainSpectrum(14, 1.0, zeros, zeros, np.zeros((n_states, 1, 5)))
+        seen = []
 
-    def test_chunked_scan_matches_single_chunk(self, monkeypatch):
-        grid = ScanGrid(4, 1.0, np.linspace(0.0, 5.0, 3), np.array([0.0, 0.3, 2.0]), ((0, 1), (0, 2)))
-        whole = scan_pair_measures(grid)
-        shapes = []
-        real = scans.weight_rows
+        def record(spectrum, b, kt):
+            seen.append((b, kt))
+            return np.zeros((len(b), n_states))
+
+        monkeypatch.setattr(thermal, "weight_rows", record)
+        thermal.pair_states(fake, b_values, kt_values, [(0, 1)])
+        sizes = [len(b) for b, _ in seen]
+        assert len(sizes) > 1 and max(sizes) * n_states <= thermal.WEIGHT_CHUNK_ENTRIES
+        assert thermal.WEIGHT_CHUNK_ENTRIES * 8 <= 64 * 2**20
+        # The chunks cover the grid once, in order, B-major.
+        b, kt = (np.concatenate(axis) for axis in zip(*seen))
+        assert np.array_equal(b, np.repeat(b_values, 120)) and np.array_equal(kt, np.tile(kt_values, 121))
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 10), j=st.sampled_from([1.0, -1.0, 0.5]), data=st.data())
+    def test_chunked_scan_matches_single_chunk(self, n, j, data):
+        # `pair_states` forms W @ F a few W rows at a time; it must agree with
+        # the one-shot product over the flattened grid, B-major, on B grids
+        # through 0 and the staircase crossings and kT grids through 0.
+        sp = spectrum(n, j)
+        b_values = np.unique([0.0, *crossings(n, j), *data.draw(st.lists(st.floats(0.01, 8.0), max_size=3))])
+        kt_values = np.unique([0.0, *data.draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3))])
+        pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda t: (t[0], (t[0] + t[1]) % n))
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=3, unique=True))
+        n_points = b_values.size * kt_values.size
+        entries = data.draw(st.integers(1, (n_points - 1) * sp.energies.size))  # two chunks or more
+        calls = []
 
         def spy(spectrum, b, kt):
-            shapes.append((len(b), spectrum.energies.size))
-            return real(spectrum, b, kt)
+            calls.append(len(b))
+            return weight_rows(spectrum, b, kt)
 
-        monkeypatch.setattr(scans, "weight_rows", spy)
-        monkeypatch.setattr(scans, "WEIGHT_CHUNK_ENTRIES", 32)  # two of the nine points per chunk
-        chunked = scan_pair_measures(grid)
-        assert shapes == [(2, 16)] * 4 + [(1, 16)]
-        assert all(np.abs(chunked[name] - whole[name]).max() < 1e-13 for name in "CEIM")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thermal, "WEIGHT_CHUNK_ENTRIES", entries)
+            mp.setattr(thermal, "weight_rows", spy)
+            got = thermal.pair_states(sp, b_values, kt_values, pairs)
+        assert len(calls) > 1 and sum(calls) == n_points
+        b, kt = np.repeat(b_values, kt_values.size), np.tile(kt_values, b_values.size)
+        want = (weight_rows(sp, b, kt) @ pair_features(sp, pairs).transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert got.shape == (b_values.size, kt_values.size, len(pairs), 5)
+        assert np.abs(got - want.reshape(got.shape)).max() < 1e-13
 
     def test_unhealthy_pair_state_names_first_failing_point(self, monkeypatch):
         grid = ScanGrid(2, 1.0, np.array([0.0, 1.0]), np.array([0.5]), ((0, 1),))
-        real = scans.pair_features
+        real = thermal.pair_features
 
         def corrupted(spectrum, pairs):
             f = real(spectrum, pairs)
             f[..., 4] *= 3.0  # coherence too large for a positive state
             return f
 
-        monkeypatch.setattr(scans, "pair_features", corrupted)
+        monkeypatch.setattr(thermal, "pair_features", corrupted)
         with pytest.raises(NumericError, match=r"B=0\.0, kT=0\.5"):
             scan_pair_measures(grid)
 
@@ -302,7 +341,9 @@ class TestEntanglementLength:
 
     def test_shared_spectrum_reuse(self):
         sp = diagonalize_chain(6, 1.0)
-        res = entanglement_length(6, 1.0, 2.0, 0.1, spectrum=sp)
+        grid = ScanGrid.from_separations(6, 1.0, [2.0], [0.1], (1, 2, 3))
+        res = entanglement_length(6, 1.0, 2.0, 0.1)
+        assert np.array_equal(scan_pair_measures(grid, sp)["C"][0, 0], res.c_by_separation)
         assert res.l_e == 1
 
 

@@ -101,6 +101,9 @@ class TestDiagonalizeChain:
         assert np.all(f[n_up <= 1][..., 3] == 0.0)
         assert np.all(f[n_up >= n - 1][..., 0] == 0.0)
         assert f[..., :4].min() >= 0.0
+        # p01 and p10 are one value, bit for bit, so `pair_features` needs no
+        # swap for the order of a pair's sites.
+        assert np.array_equal(f[..., 1], f[..., 2])
 
     @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
     @pytest.mark.parametrize("n", range(2, 9))
@@ -257,7 +260,7 @@ class TestDiagonalizeChain:
             assert rows.size == 2
             assert np.array_equal(sp.features[rows[0]], sp.features[rows[1]])
             ground += rows.tolist()
-        w = weight_rows(sp, np.zeros(1), np.zeros(1))[0][0]
+        w = weight_rows(sp, np.zeros(1), np.zeros(1))[0]
         assert np.flatnonzero(w).tolist() == ground
         assert np.all(w[ground] == 0.25)
 
@@ -275,8 +278,8 @@ class TestDiagonalizeChain:
             b_values += [c.b_value for c in magnetization_staircase(n, j).crossings]
         b = np.repeat(b_values, 3)
         kt = np.tile([0.0, 0.05, 1.0], len(b_values))
-        got = weight_rows(sp, b, kt)[0] @ pair_features(sp, pairs).transpose(1, 0, 2)
-        want = weight_rows(ref, b, kt)[0] @ ref.features.transpose(1, 0, 2)
+        got = weight_rows(sp, b, kt) @ pair_features(sp, pairs).transpose(1, 0, 2)
+        want = weight_rows(ref, b, kt) @ ref.features.transpose(1, 0, 2)
         assert np.abs(got - want).max() < 1e-12
 
     @pytest.mark.slow
@@ -461,7 +464,7 @@ class TestGibbsWeights:
         # kT = 1e-320 sends every excited exponent to -inf: weight 0, with no
         # overflow warning (the suite turns RuntimeWarning into an error).
         sp = diagonalize_chain(2, 1.0)
-        w = weight_rows(sp, np.zeros(2), np.array([1e-320, 0.0]))[0]
+        w = weight_rows(sp, np.zeros(2), np.array([1e-320, 0.0]))
         assert np.array_equal(w[0], w[1])
         assert w[1].tolist() == [0.0, 1.0, 0.0, 0.0]
 
@@ -474,16 +477,19 @@ class TestGibbsWeights:
 
     @pytest.mark.parametrize("b,kt", [(0.5, 0.8), (2.0, 1.5), (4.2, 3.0)])
     def test_energy_bookkeeping_against_logz_derivative(self, b, kt):
+        # The mean energy under the weights is -d log Z / d beta, with log Z
+        # summed here from the levels E + B s, shifted by the ground level.
         sp = diagonalize_chain(5, 1.0)
+        energies = sp.energies + b * sp.slopes
+        e0 = energies.min()
 
         def log_z(beta):
-            ens = gibbs_weights(sp, b, 1.0 / beta)
-            return ens.log_z_shifted - beta * ens.energy_origin
+            return np.log(np.exp(-beta * (energies - e0)).sum()) - beta * e0
 
         beta = 1.0 / kt
         h = 1e-6 * beta
         u_fd = -(log_z(beta + h) - log_z(beta - h)) / (2 * h)
-        u = gibbs_weights(sp, b, kt).mean_energy()
+        u = float(np.dot(energies, gibbs_weights(sp, b, kt).weights))
         assert u == pytest.approx(u_fd, rel=1e-5)
 
 
