@@ -40,11 +40,23 @@ def _rows(table):
 
 
 def _write_csv(path: Path, table):
-    """Write a header and one line per row: integer columns as %d, all others as %.12g."""
-    fmt = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.12g" for col in table.values())
-    lines = [",".join(table)]
-    lines.extend(fmt % row for row in _rows(table))
-    path.write_text("\n".join(lines) + "\n")
+    """Write a header and one line per row: integer columns as %d, all others as %.12g.
+
+    A column with at most half as many distinct bit patterns as rows is
+    formatted once per pattern (bits, not values: -0.0 and 0.0 print apart).
+    """
+    specs, columns = [], []
+    for col in table.values():
+        spec = "%d" if np.issubdtype(col.dtype, np.integer) else "%.12g"
+        bits, index = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+        if 2 * bits.size <= col.size:
+            spec, col = "%s", np.array([spec % v for v in bits.view(col.dtype).tolist()], dtype=object)[index]
+        specs.append(spec)
+        columns.append(col.tolist())
+    fmt = ",".join(specs) + "\n"
+    with path.open("w") as out:  # line by line: no copy of the whole text
+        out.write(",".join(table) + "\n")
+        out.writelines(fmt % row for row in zip(*columns))
 
 
 def _parse_range(spec: str, name: str):

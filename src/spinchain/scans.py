@@ -1,8 +1,9 @@
 """Parameter sweeps, critical-point detection, and figure datasets.
 
-A scan is three steps: the (grid points x eigenstates) Boltzmann weight
-matrix W, times the X-state feature table F of every pair, both owned by
-`thermal.pair_states`, then the closed-form measures elementwise. It
+A scan is three steps: the Boltzmann sums of the X-state feature table F
+of every pair over each magnetization sector, once per kT; their
+field-weighted ratio at each (B, kT) point, both owned by
+`thermal.pair_states`; then the closed-form measures elementwise. It
 returns C, E, I and M as arrays indexed (B, kT, pair); `scan_table`
 flattens them into the columns B, kT, i, j, d, C, E, I, M, with rows
 B-major, then kT, then pair.

@@ -205,10 +205,9 @@ def render_heatmap(x, y, z, xlabel: str = "", ylabel: str = "", title: str = "",
     cols = [(f"{a:.2f}", f"{b - a:.2f}") for a, b in zip(xe, xe[1:])]
     for (a, b), row in zip(zip(ye, ye[1:]), colors):
         y_top, h = f"{min(a, b):.2f}", f"{abs(a - b):.2f}"
-        parts += [
-            f'<rect x="{cx}" y="{y_top}" width="{w}" height="{h}" fill="#{rgb:06x}"/>\n'
-            for (cx, w), rgb in zip(cols, row)
-        ]
+        # One template per row: all but the cells' fills, left as %06x.
+        cells = "".join([f'<rect x="{cx}" y="{y_top}" width="{w}" height="{h}" fill="#%06x"/>\n' for cx, w in cols])
+        parts.append(cells % tuple(row))
     _axes_frame(parts, xaxis, yaxis, xlabel, ylabel, width, height)
     # Color scale legend: min and max of z.
     parts.append(

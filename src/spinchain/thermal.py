@@ -16,8 +16,9 @@ energies and one spectrum serves every (B, kT) point and every pair of a
 scan. Every eigenstate lies in one S_z sector, so the average of its pair
 states (i, i+d) and (i+d, i) over the translates i is an X-state fixed by
 five real numbers (p00, p01, p10, p11, z). A thermal pair RDM is the
-Boltzmann-weighted sum of those five numbers over the eigenstates, which
-`pair_states` forms as W @ F on a whole (B, kT) grid.
+Boltzmann-weighted sum of those five numbers over the eigenstates. On a
+whole (B, kT) grid, `pair_states` sums each of the N+1 magnetization
+sectors once per kT and weighs the sector sums by the field at each point.
 
 Only the sector n_up = N // 2 is diagonalized, in momentum blocks that the
 ring's reflection makes real symmetric (the reflection-adapted momentum
@@ -52,10 +53,6 @@ ALPHA = 1e-3 / np.pi
 
 # Largest allowed distance of an eigenvector's <S^2> from S(S+1).
 SPIN_TOL = 1e-8
-
-# Entries of W formed at once (8 MiB of float64). Without chunking, N=14
-# on the 14,520-point default grid would need about 1.9 GB for W alone.
-WEIGHT_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -319,6 +316,14 @@ def _member_rows(n: int, energies, two_s, s, zz):
     return energies[multiplet], two_m, f
 
 
+def _check_levels(spectrum: ChainSpectrum, b_values: np.ndarray):
+    """Raise ParameterError if the span 2 (max|E| + N B) of the levels overflows at the largest |B|."""
+    b_max = float(np.abs(b_values).max(initial=0.0))
+    span = 2.0 * (float(np.abs(spectrum.energies).max()) + float(np.abs(spectrum.slopes).max()) * b_max)
+    if not np.isfinite(span):
+        raise ParameterError(f"the levels overflow float64 at B={b_max:g} (they span 2(max|E| + N B))")
+
+
 def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray) -> np.ndarray:
     """Thermal weights of every eigenstate, one row per (B, kT) point.
 
@@ -332,10 +337,7 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     the span 2 (max|E| + N B) of the levels overflows raises ParameterError.
     Returns W, columns in the spectrum's flat eigenstate order.
     """
-    b_max = float(np.abs(b_values).max(initial=0.0))
-    span = 2.0 * (float(np.abs(spectrum.energies).max()) + float(np.abs(spectrum.slopes).max()) * b_max)
-    if not np.isfinite(span):
-        raise ParameterError(f"the levels overflow float64 at B={b_max:g} (they span 2(max|E| + N B))")
+    _check_levels(spectrum, b_values)
     shifted = spectrum.energies + np.multiply.outer(b_values, spectrum.slopes)
     e0 = shifted.min(axis=1)
     shifted -= e0[:, None]
@@ -359,20 +361,45 @@ def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEn
 
 
 def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarray:
-    """Thermal pair states W @ F, shape (B, kT, pairs, 5): W the `weight_rows`
-    of the grid points, B-major, formed WEIGHT_CHUNK_ENTRIES entries at a time,
-    and F the `pair_features` of the pairs. Stacked over pairs, W @ F is one
-    (eigenstates x 5) product per pair, so a pair's bits do not depend on the
-    other pairs; those of one wide (eigenstates x 5 * pairs) product do.
+    """Thermal pair states, shape (B, kT, pairs, 5), from the `pair_features` F
+    of the pairs.
+
+    The field shifts each energy by B s, s one of the N+1 slopes, so for
+    kT > 0 every slope sector is summed once per kT: G_s = sum_i x_i F_i and
+    Z_s = sum_i x_i over its rows, x_i = exp(-(E_i - e0_s)/kT) with e0_s the
+    sector's lowest E. A point (B, kT) is then sum_s w_s G_s / sum_s w_s Z_s,
+    w_s = exp(-(e0_s + B s - E0)/kT) and E0 = min_s(e0_s + B s), so no
+    exponent is positive and the denominator is at least 1. The kT = 0
+    columns are W @ F, W the `weight_rows` of their points, B-major. Every
+    product is stacked over pairs, one per pair, so a pair's bits do not
+    depend on the other pairs; those of one wide product over all pairs do.
+    A field for which the levels overflow raises ParameterError.
     """
-    b, kt = (axis.ravel() for axis in np.meshgrid(b_values, kt_values, indexing="ij"))
+    b_values, kt_values = np.asarray(b_values, float), np.asarray(kt_values, float)
+    _check_levels(spectrum, b_values)
     f = pair_features(spectrum, pairs).transpose(1, 0, 2)  # (pairs, eigenstates, 5)
-    states = np.empty((b.size, len(pairs), 5))
-    step = max(1, WEIGHT_CHUNK_ENTRIES // f.shape[1])
-    for start in range(0, b.size, step):
-        chunk = slice(start, start + step)
-        states[chunk] = (weight_rows(spectrum, b[chunk], kt[chunk]) @ f).transpose(1, 0, 2)
-    return states.reshape(len(b_values), len(kt_values), len(pairs), 5)
+    states = np.empty((b_values.size, kt_values.size, len(pairs), 5))
+    cold = kt_values == 0.0
+    if cold.any():
+        b, kt = (axis.ravel() for axis in np.meshgrid(b_values, kt_values[cold], indexing="ij"))
+        cold_states = weight_rows(spectrum, b, kt) @ f  # (pairs, points, 5)
+        states[:, cold] = cold_states.transpose(1, 0, 2).reshape(b_values.size, -1, len(pairs), 5)
+    hot = -kt_values[~cold, None]  # -kT of the kT > 0 columns
+    starts = np.flatnonzero(np.diff(spectrum.slopes, prepend=spectrum.slopes[0] - 1))  # each sector's first row
+    e0, g, z = [], [], []
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(starts, [*starts[1:], f.shape[1]]):
+            e0.append(spectrum.energies[lo:hi].min())
+            x = np.divide(spectrum.energies[lo:hi] - e0[-1], hot)  # (kT, rows of the sector)
+            np.exp(x, out=x)
+            g.append(x @ f[:, lo:hi])
+            z.append(x.sum(axis=1))
+        level = np.array(e0) + np.multiply.outer(b_values, spectrum.slopes[starts])  # (B, sectors)
+        w = np.exp((level - level.min(axis=1, keepdims=True)) / hot[:, None])  # (kT, B, sectors)
+    states_hot = w @ np.stack(g, axis=2)  # (pairs, kT, B, 5)
+    states_hot /= w @ np.stack(z, axis=1)[:, :, None]
+    states[:, ~cold] = states_hot.transpose(2, 1, 0, 3)
+    return states
 
 
 def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:

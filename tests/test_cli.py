@@ -236,6 +236,20 @@ class TestGridCommand:
         _write_csv(out, table)
         assert out.read_text() == "d,x\n1,-0\n-2,0.333333333333\n3,1e-300\n40,2\n"
 
+    def test_csv_repeated_columns_match_the_row_wise_format(self, tmp_path):
+        # Columns with few distinct bit patterns are formatted once per pattern;
+        # -0.0 and 0.0 stay apart, and the text equals the row-wise format.
+        out = tmp_path / "t.csv"
+        table = {
+            "i": np.array([3, 3, -1, 3, -1, 3]),
+            "b": np.array([0.0, -0.0, 0.0, -0.0, 0.0, 0.0]),
+            "x": np.array([-0.0, 1 / 3, 1e-300, 2.0, 0.1, -5.5]),
+        }
+        _write_csv(out, table)
+        want = "".join("%d,%.12g,%.12g\n" % row for row in zip(*(col.tolist() for col in table.values())))
+        assert out.read_text() == "i,b,x\n" + want
+        assert [line.split(",")[1] for line in want.splitlines()] == ["0", "-0", "0", "-0", "0", "0"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "scan.csv"
@@ -299,17 +313,17 @@ class TestFigureCommand:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_outputs_across_blas_thread_counts(self, tmp_path):
-        # The README's reproducibility contract. The N=14 blocks may round
-        # differently with 1 and 2 BLAS threads, so the grid's measures may move
-        # in the last digits, by at most 1e-11; the figures' blocks are too
-        # small for threaded BLAS, so they stay byte-identical. OpenBLAS reads
-        # its thread count when numpy loads, so each setting runs in its own
-        # interpreter.
+        # The README's reproducibility contract, on the default-range N=14
+        # grid. The N=14 blocks may round differently with 1 and 2 BLAS
+        # threads, so the grid's measures may move in the last digits, by at
+        # most 1e-11; the figures' blocks are too small for threaded BLAS, so
+        # they stay byte-identical. OpenBLAS reads its thread count when numpy
+        # loads, so each setting runs in its own interpreter.
         code = (
             "import sys\nfrom spinchain.cli import main\nout = sys.argv[1]\n"
             "seps = [a for d in '1234567' for a in ('--sep', d)]\n"
-            "assert main(['grid', '--n', '14', '--j', '1', *seps, '--b-range', '0:4.8:13',\n"
-            "             '--kt-range', '0.05:2:6:geom', '--out', out + '/grid.csv']) == 0\n"
+            "assert main(['grid', '--n', '14', '--j', '1', *seps, '--b-range', '0:6:121',\n"
+            "             '--kt-range', '0.01:10:120:geom', '--out', out + '/grid.csv']) == 0\n"
             "for fig in '12345':\n"
             "    assert main(['figure', '--id', fig, '--outdir', out, '--svg']) == 0\n"
         )
@@ -319,11 +333,11 @@ class TestFigureCommand:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
             subprocess.run([sys.executable, "-c", code, str(tmp_path / threads)], env=env, check=True, timeout=300)
-        one, two = (np.array([row.split(",") for row in (tmp_path / t / "grid.csv").read_text().splitlines()])
-                    for t in ("1", "2"))
-        assert one.shape == two.shape == (1 + 13 * 6 * 7, 9)
-        assert (one[:, :5] == two[:, :5]).all()  # header, B, kT, i, j, d
-        assert np.abs(one[1:, 5:].astype(float) - two[1:, 5:].astype(float)).max() <= 1e-11
+        one, two = ((tmp_path / t / "grid.csv").read_text().splitlines() for t in ("1", "2"))
+        assert len(one) == len(two) == 1 + 121 * 120 * 7
+        assert [row.rsplit(",", 4)[0] for row in one] == [row.rsplit(",", 4)[0] for row in two]  # header, B, kT, i, j, d
+        one, two = (np.loadtxt(rows[1:], delimiter=",", usecols=(5, 6, 7, 8)) for rows in (one, two))
+        assert np.abs(one - two).max() <= 1e-11
         for name in (f"fig{k}.{ext}" for k in range(1, 6) for ext in ("csv", "svg")):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 

@@ -1,8 +1,9 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinchain import (
@@ -19,7 +20,7 @@ from spinchain import (
 )
 from spinchain import scans, thermal
 from spinchain.scans import FIGURE_COLUMNS, SCAN_COLUMNS
-from spinchain.thermal import ChainSpectrum, pair_features, weight_rows
+from spinchain.thermal import pair_features, weight_rows
 
 
 @lru_cache(maxsize=None)
@@ -31,6 +32,16 @@ def spectrum(n, j):
 def crossings(n, j):
     """Staircase crossing fields of an antiferromagnet; none for J <= 0."""
     return [c.b_value for c in magnetization_staircase(n, j).crossings] if j > 0 else []
+
+
+@st.composite
+def thermal_grids(draw):
+    """(N, J, extra B values, extra kT values > 0, pairs) of a small ring."""
+    n, j = draw(st.integers(2, 10)), draw(st.sampled_from([1.0, -1.0, 0.5]))
+    b_extra = draw(st.lists(st.floats(0.01, 8.0), max_size=3))
+    kt_extra = draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda t: (t[0], (t[0] + t[1]) % n))
+    return n, j, b_extra, kt_extra, draw(st.lists(pair, min_size=1, max_size=3, unique=True))
 
 
 class TestScanGrid:
@@ -168,53 +179,53 @@ class TestScanPairMeasures:
         with pytest.raises(ParameterError, match="J=1.0"):
             scan_pair_measures(ferro, spectrum=diagonalize_chain(4, 1.0))
 
-    def test_weight_chunks_bound_w_for_largest_ring_on_default_grid(self, monkeypatch):
-        # N=14 has 2**14 eigenstates; the default grid has 121 x 120 points.
-        # Unchunked, W would hold 2.4e8 float64 entries (about 1.9 GB). A
-        # stand-in spectrum of that size and a `weight_rows` that records its
-        # points and returns zeros show the chunks `pair_states` forms.
-        n_states, b_values, kt_values = 2**14, np.linspace(0.0, 6.0, 121), np.geomspace(0.01, 10.0, 120)
-        zeros = np.zeros(n_states)
-        fake = ChainSpectrum(14, 1.0, zeros, zeros, np.zeros((n_states, 1, 5)))
+    def test_weight_rows_see_only_the_zero_temperature_points(self, monkeypatch):
+        # The kT = 0 columns are the `weight_rows` of their points, B-major,
+        # times F, bit for bit; no kT > 0 point reaches `weight_rows`.
+        sp, b_values, pairs = spectrum(6, 1.0), np.array([0.0, 1.0, 2.5, 4.0]), [(0, 1), (0, 3)]
         seen = []
 
-        def record(spectrum, b, kt):
-            seen.append((b, kt))
-            return np.zeros((len(b), n_states))
+        def spy(spectrum, b, kt):
+            seen.append((b, kt, weight_rows(spectrum, b, kt)))
+            return seen[-1][2]
 
-        monkeypatch.setattr(thermal, "weight_rows", record)
-        thermal.pair_states(fake, b_values, kt_values, [(0, 1)])
-        sizes = [len(b) for b, _ in seen]
-        assert len(sizes) > 1 and max(sizes) * n_states <= thermal.WEIGHT_CHUNK_ENTRIES
-        assert thermal.WEIGHT_CHUNK_ENTRIES * 8 <= 64 * 2**20
-        # The chunks cover the grid once, in order, B-major.
-        b, kt = (np.concatenate(axis) for axis in zip(*seen))
-        assert np.array_equal(b, np.repeat(b_values, 120)) and np.array_equal(kt, np.tile(kt_values, 121))
+        monkeypatch.setattr(thermal, "weight_rows", spy)
+        states = thermal.pair_states(sp, b_values, np.array([0.0, 0.3, 1.0]), pairs)
+        (b, kt, w), = seen
+        assert np.array_equal(b, b_values) and np.array_equal(kt, np.zeros(4))
+        want = (w @ pair_features(sp, pairs).transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert np.array_equal(states[:, 0], want)
+        seen.clear()
+        thermal.pair_states(sp, b_values, np.array([0.3, 1.0]), pairs)
+        assert seen == []
+
+    def test_pair_states_memory_for_largest_ring_on_default_grid(self):
+        # N=14 has 2**14 eigenstates and the default grid 121 x 120 points, so a
+        # (points x eigenstates) weight matrix would take about 1.9 GB.
+        sp, pairs = spectrum(14, 1.0), [(0, d) for d in range(1, 8)]
+        tracemalloc.start()
+        try:
+            states = thermal.pair_states(sp, np.linspace(0.0, 6.0, 121), np.geomspace(0.01, 10.0, 120), pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (121, 120, 7, 5)
+        assert peak <= 64 * 2**20
 
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(2, 10), j=st.sampled_from([1.0, -1.0, 0.5]), data=st.data())
-    def test_chunked_scan_matches_single_chunk(self, n, j, data):
-        # `pair_states` forms W @ F a few W rows at a time; it must agree with
-        # the one-shot product over the flattened grid, B-major, on B grids
+    @given(case=thermal_grids())
+    @example(case=(6, 1.0, [], [1e-300, 0.5], [(0, 1), (0, 3)]))
+    @example(case=(7, 1e9, [5e8, 3e9], [1e-300, 1e8, 2e9], [(0, 1), (2, 5)]))
+    @example(case=(8, 1e-12, [1e-12, 5e-12], [1e-13, 3e-12, 1.0], [(0, 4), (1, 3)]))
+    def test_pair_states_match_one_shot_product(self, case):
+        # `pair_states` sums each slope sector once per kT > 0; it must agree
+        # with the one-shot W @ F over the flattened grid, B-major, on B grids
         # through 0 and the staircase crossings and kT grids through 0.
+        n, j, b_extra, kt_extra, pairs = case
         sp = spectrum(n, j)
-        b_values = np.unique([0.0, *crossings(n, j), *data.draw(st.lists(st.floats(0.01, 8.0), max_size=3))])
-        kt_values = np.unique([0.0, *data.draw(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3))])
-        pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(lambda t: (t[0], (t[0] + t[1]) % n))
-        pairs = data.draw(st.lists(pair, min_size=1, max_size=3, unique=True))
-        n_points = b_values.size * kt_values.size
-        entries = data.draw(st.integers(1, (n_points - 1) * sp.energies.size))  # two chunks or more
-        calls = []
-
-        def spy(spectrum, b, kt):
-            calls.append(len(b))
-            return weight_rows(spectrum, b, kt)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(thermal, "WEIGHT_CHUNK_ENTRIES", entries)
-            mp.setattr(thermal, "weight_rows", spy)
-            got = thermal.pair_states(sp, b_values, kt_values, pairs)
-        assert len(calls) > 1 and sum(calls) == n_points
+        b_values = np.unique([0.0, *crossings(n, j), *b_extra])
+        kt_values = np.unique([0.0, *kt_extra])
+        got = thermal.pair_states(sp, b_values, kt_values, pairs)
         b, kt = np.repeat(b_values, kt_values.size), np.tile(kt_values, b_values.size)
         want = (weight_rows(sp, b, kt) @ pair_features(sp, pairs).transpose(1, 0, 2)).transpose(1, 0, 2)
         assert got.shape == (b_values.size, kt_values.size, len(pairs), 5)

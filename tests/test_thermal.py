@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from spinchain import (
 )
 from spinchain.basis import separation
 from spinchain.measures import correlation_matrix, x_state_eigenvalues
-from spinchain.thermal import PairDensityMatrix, pair_features, weight_rows
+from spinchain.thermal import PairDensityMatrix, pair_features, pair_states, weight_rows
 from oracles import (
     SX, SY, SZ, all_sector_spectrum, build_sector_hamiltonian, dense_gibbs_state, dense_pair_rdm, member_rows, site_operator,
 )
@@ -467,6 +468,18 @@ class TestGibbsWeights:
         w = weight_rows(sp, np.zeros(2), np.array([1e-320, 0.0]))
         assert np.array_equal(w[0], w[1])
         assert w[1].tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("kt", [1e-300, 5e-324])
+    def test_pair_states_at_tiny_temperature_silently(self, kt):
+        # Gaps of order J = 1e9 over these kT overflow (E - e0)/kT in the
+        # per-sector sums and in the sector weights alike: weight 0, with no
+        # overflow warning, and finite states.
+        sp = diagonalize_chain(6, 1e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = pair_states(sp, np.array([0.0, 1e9, 3e9]), np.array([kt]), [(0, 1), (0, 3)])
+        assert np.isfinite(states).all()
+        assert np.abs(states[..., :4].sum(axis=-1) - 1.0).max() <= 1e-12
 
     def test_weights_form_simplex(self):
         sp = diagonalize_chain(5, 1.0)
