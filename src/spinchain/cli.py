@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import MAX_SPINS
 from .errors import NumericError, ParameterError, SpinChainError
 from .scans import (
     FIGURE_IDS,
@@ -32,11 +33,6 @@ from .scans import (
     scan_table,
 )
 from .svgplot import render_plot_payload
-
-
-def _rows(table):
-    """Rows of a table of equal-length column arrays, as Python scalars."""
-    return zip(*(col.tolist() for col in table.values()))
 
 
 def _write_csv(path: Path, table):
@@ -157,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid = sub.add_parser("grid", help="scan pair measures over a (B, kT) grid")
     grid.add_argument("--config", help="JSON config file; flags override its values")
-    grid.add_argument("--n", type=int, help="number of spins (2..14)")
+    grid.add_argument("--n", type=int, help=f"number of spins (2..{MAX_SPINS})")
     grid.add_argument("--j", type=float, help="exchange coupling J")
     grid.add_argument("--b-range", type=lambda s: _parse_range(s, "--b-range"), help="MIN:MAX:STEPS")
     grid.add_argument(
@@ -223,7 +219,8 @@ def _cmd_grid(args, parser):
     if (args.format or "csv") == "csv":
         _write_csv(out, table)
     else:
-        _emit_json({"columns": list(table), "rows": [list(row) for row in _rows(table)]}, out)
+        rows = zip(*(col.tolist() for col in table.values()))
+        _emit_json({"columns": list(table), "rows": [list(row) for row in rows]}, out)
     if args.svg:
         Path(args.svg).write_text(render_plot_payload(_grid_plot(grid, measures["E"])))
 
@@ -304,8 +301,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "config"):
-        _apply_config(args, parser)
+    _apply_config(args, parser)
     try:
         check_threads_env()
         payload = _COMMANDS[args.command](args, parser)

@@ -95,12 +95,12 @@ class ScanGrid:
 
     @classmethod
     def from_separations(cls, n_spins, coupling, b_values, kt_values, separations):
-        """Grid over the representative pair (0, d) for each separation d."""
-        grid = cls(n_spins, coupling, b_values, kt_values, tuple((0, d) for d in separations))
-        seps = [d for _, d in grid.pairs]
-        if max(seps) > n_spins // 2:
-            raise ParameterError(f"separations {seps} out of range for N={n_spins}")
-        return grid
+        """Grid over the representative pair (0, d) for each separation d = 1..N//2."""
+        ModelParams(n_spins, coupling)
+        separations = list(separations)
+        if not all(isinstance(d, (int, np.integer)) and 1 <= d <= n_spins // 2 for d in separations):
+            raise ParameterError(f"separations {separations} out of range for N={n_spins}")
+        return cls(n_spins, coupling, b_values, kt_values, tuple((0, d) for d in separations))
 
 
 def scan_pair_measures(grid: ScanGrid, spectrum: ChainSpectrum | None = None) -> dict:

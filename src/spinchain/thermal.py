@@ -325,7 +325,8 @@ def _check_levels(spectrum: ChainSpectrum, b_values: np.ndarray):
 
 
 def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray) -> np.ndarray:
-    """Thermal weights of every eigenstate, one row per (B, kT) point.
+    """Thermal weights of every eigenstate, one row per (B, kT) point, for
+    `gibbs_weights`, the kT = 0 columns of `pair_states` and the tests' W @ F.
 
     Each row's energies are shifted by its ground energy before
     exponentiation, so no weight overflows; an exponent that overflows to
@@ -339,18 +340,14 @@ def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.nda
     """
     _check_levels(spectrum, b_values)
     shifted = spectrum.energies + np.multiply.outer(b_values, spectrum.slopes)
-    e0 = shifted.min(axis=1)
-    shifted -= e0[:, None]
+    e0 = shifted.min(axis=1, keepdims=True)
+    shifted -= e0
     cold = kt_values == 0.0
     w = np.empty_like(shifted)
-    w[cold] = shifted[cold] <= (DEGENERACY_TOL * np.abs(e0[cold]))[:, None]
-    # Exponentiate in place: W is the largest array a scan forms.
-    hot = ~cold[:, None]
+    w[cold] = shifted[cold] <= DEGENERACY_TOL * np.abs(e0[cold])
     with np.errstate(over="ignore"):
-        np.divide(shifted, -kt_values[:, None], out=shifted, where=hot)
-        np.exp(shifted, out=w, where=hot)
-    w /= w.sum(axis=1)[:, None]
-    return w
+        w[~cold] = np.exp(shifted[~cold] / -kt_values[~cold, None])
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEnsemble:
@@ -361,8 +358,7 @@ def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEn
 
 
 def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarray:
-    """Thermal pair states, shape (B, kT, pairs, 5), from the `pair_features` F
-    of the pairs.
+    """Thermal pair states (B, kT, pairs, 5) from the pairs' `pair_features` F.
 
     The field shifts each energy by B s, s one of the N+1 slopes, so for
     kT > 0 every slope sector is summed once per kT: G_s = sum_i x_i F_i and
@@ -370,10 +366,10 @@ def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarr
     sector's lowest E. A point (B, kT) is then sum_s w_s G_s / sum_s w_s Z_s,
     w_s = exp(-(e0_s + B s - E0)/kT) and E0 = min_s(e0_s + B s), so no
     exponent is positive and the denominator is at least 1. The kT = 0
-    columns are W @ F, W the `weight_rows` of their points, B-major. Every
-    product is stacked over pairs, one per pair, so a pair's bits do not
-    depend on the other pairs; those of one wide product over all pairs do.
-    A field for which the levels overflow raises ParameterError.
+    columns share one weight row per B, W @ F for W the `weight_rows` at
+    (B, 0). Every product is stacked over pairs, one per pair, so a pair's
+    bits do not depend on the other pairs; those of one wide product over
+    all pairs do. A field for which the levels overflow raises ParameterError.
     """
     b_values, kt_values = np.asarray(b_values, float), np.asarray(kt_values, float)
     _check_levels(spectrum, b_values)
@@ -381,9 +377,7 @@ def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarr
     states = np.empty((b_values.size, kt_values.size, len(pairs), 5))
     cold = kt_values == 0.0
     if cold.any():
-        b, kt = (axis.ravel() for axis in np.meshgrid(b_values, kt_values[cold], indexing="ij"))
-        cold_states = weight_rows(spectrum, b, kt) @ f  # (pairs, points, 5)
-        states[:, cold] = cold_states.transpose(1, 0, 2).reshape(b_values.size, -1, len(pairs), 5)
+        states[:, cold] = (weight_rows(spectrum, b_values, np.zeros_like(b_values)) @ f).transpose(1, 0, 2)[:, None]
     hot = -kt_values[~cold, None]  # -kT of the kT > 0 columns
     starts = np.flatnonzero(np.diff(spectrum.slopes, prepend=spectrum.slopes[0] - 1))  # each sector's first row
     e0, g, z = [], [], []

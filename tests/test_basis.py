@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from spinchain import ModelParams, ParameterError, ScanGrid, diagonalize_chain, enumerate_sector, gibbs_weights
+from spinchain import (
+    MAX_SPINS,
+    ModelParams,
+    ParameterError,
+    ScanGrid,
+    diagonalize_chain,
+    enumerate_sector,
+    gibbs_weights,
+)
 
 from oracles import exchange_partners
 
@@ -26,7 +34,7 @@ def test_large_sector_count_matches_factorial_oracle():
     assert enumerate_sector(13, 6).dim == binomial(13, 6) == 1716
 
 
-@pytest.mark.parametrize("n", range(2, 15))
+@pytest.mark.parametrize("n", range(2, MAX_SPINS + 1))
 def test_sector_sizes_sum_to_full_space(n):
     total = sum(enumerate_sector(n, k).dim for k in range(n + 1))
     assert total == 2**n

@@ -386,7 +386,7 @@ class TestJsonCommands:
         assert run(["critical", "--n", "6", "--j", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["B_c_closed_form"] == 4.0
 
-    def test_invalid_model_parameters_exit_2(self, tmp_path):
+    def test_invalid_model_parameters_exit_2(self, tmp_path, capsys):
         assert run(["staircase", "--n", "20", "--j", "1"]) == 2
         assert run(["staircase", "--n", "6", "--j", "-1"]) == 2
         assert run(["elength", "--n", "6", "--j", "1", "--b", "-1", "--kt", "0.1"]) == 2
@@ -394,6 +394,9 @@ class TestJsonCommands:
         grid = ["grid", "--n", "4", "--j", "1", "--b-range", "0:1:2", "--kt-range", "1:1:1", "--out", str(out)]
         assert run(grid + ["--pair", "0,1", "--pair", "0,1"]) == 2
         assert run(grid + ["--sep", "1", "--sep", "1"]) == 2
+        for d in ("0", "-1", "3", "5"):
+            assert run(grid + [f"--sep={d}"]) == 2
+            assert f"separations [{d}] out of range for N=4" in capsys.readouterr().err
         assert not out.exists()
 
 

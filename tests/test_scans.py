@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import lru_cache
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinchain import (
+    MAX_SPINS,
     NumericError,
     ParameterError,
     ScanGrid,
@@ -67,8 +69,10 @@ class TestScanGrid:
                 ScanGrid(4, 1.0, axis, [0.1], ((0, 1),))
         with pytest.raises(ParameterError):
             ScanGrid(4, 1.0, np.array([0.0]), np.array([0.1]), ((0, 4),))
-        with pytest.raises(ParameterError):
-            ScanGrid.from_separations(4, 1.0, [0.0], [0.1], (3,))
+        # A separation outside 1..N//2 is named as such.
+        for d in (0, -1, 3, 5, 1.0):
+            with pytest.raises(ParameterError, match=rf"separations \[{d}\] out of range for N=4"):
+                ScanGrid.from_separations(4, 1.0, [0.0], [0.1], (d,))
         with pytest.raises(ParameterError):
             ScanGrid(4, 1.0, np.array([-1.0, 0.5]), np.array([0.1]), ((0, 1),))
         with pytest.raises(ParameterError):
@@ -166,6 +170,18 @@ class TestScanPairMeasures:
             alone = scan((d,))[d]
             for grid_values in (forward[d], backward[d]):
                 assert all(np.array_equal(a, g) for a, g in zip(alone, grid_values))
+
+    @pytest.mark.parametrize("kt0", [0.0, 0.5])
+    def test_point_values_bounded_across_grid_shapes(self, kt0):
+        # BLAS picks its kernel, and so its summation order, by the size of
+        # the products, so a point's last bits may depend on how many other
+        # points share its grid (up to 1.1e-16 here, as the README states).
+        sp = spectrum(10, -1.5)
+        alone = thermal.pair_states(sp, [0.0], [kt0], [(0, 1)])[0, 0]
+        for n_b, n_kt in itertools.product((1, 3, 200), (1, 3, 40)):
+            kt = np.array([kt0]) if n_kt == 1 else np.r_[0.0, 0.5, np.linspace(1.0, 2.0, n_kt - 2)]
+            states = thermal.pair_states(sp, np.linspace(0.0, 6.0, n_b), kt, [(0, 1)])
+            np.testing.assert_allclose(states[0, np.flatnonzero(kt == kt0)[0]], alone, rtol=0, atol=1e-15)
 
     def test_kt_zero_routed_through_ground_manifold(self):
         grid = ScanGrid(2, 1.0, np.array([0.0]), np.array([0.0]), ((0, 1),))
@@ -329,7 +345,7 @@ class TestStaircase:
         with pytest.raises(ParameterError):
             magnetization_staircase(6, -1.0)
 
-    @pytest.mark.parametrize("n", range(2, 15))
+    @pytest.mark.parametrize("n", range(2, MAX_SPINS + 1))
     def test_each_crossing_lowers_n_up_by_one(self, n):
         st = magnetization_staircase(n, 1.0)
         assert [(c.from_n_up, c.to_n_up) for c in st.crossings] == [(k, k - 1) for k in range(n // 2, 0, -1)]
