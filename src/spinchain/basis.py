@@ -31,6 +31,18 @@ def check_real(name: str, value, finite: bool = True):
         raise ParameterError(f"{name} must be a {'finite ' if finite else ''}real number, got {value!r}")
 
 
+def check_axis(name: str, values) -> np.ndarray:
+    """`values` as a float64 array; ParameterError unless it is a nonempty
+    finite 1-D sequence of real numbers."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not real numbers
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{name} must be a nonempty finite 1-D sequence of real numbers")
+    return arr
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the isotropic Heisenberg ring in a uniform field.

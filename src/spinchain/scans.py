@@ -1,7 +1,7 @@
 """Parameter sweeps, critical-point detection, and figure datasets.
 
-A scan is three steps: the Boltzmann sums of the X-state feature table F
-of every pair over each magnetization sector, once per kT; their
+A scan is three steps: the Boltzmann sums of the X-state features F of
+every pair over each magnetization sector, once per kT; their
 field-weighted ratio at each (B, kT) point, both owned by
 `thermal.pair_states`; then the closed-form measures elementwise. It
 returns C, E, I and M as arrays indexed (B, kT, pair); `scan_table`
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, check_pair, check_real, separation
+from .basis import ModelParams, check_axis, check_pair, check_real, separation
 from .errors import NumericError, ParameterError
 from .measures import STATE_TOL, x_state_eigenvalues, x_state_measures
 from .thermal import ChainSpectrum, diagonalize_chain, pair_states
@@ -70,12 +70,7 @@ class ScanGrid:
 
     def __post_init__(self):
         for name, axis in (("b_values", self.b_values), ("kt_values", self.kt_values)):
-            try:
-                arr = np.asarray(axis, dtype=np.float64)
-            except (TypeError, ValueError):  # ragged, or not real numbers
-                arr = None
-            if arr is None or arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-                raise ParameterError(f"{name} must be a nonempty finite 1-D sequence of real numbers")
+            arr = check_axis(name, axis)
             if arr.size > 1 and not np.all(np.diff(arr) > 0):
                 raise ParameterError(f"{name} must be strictly ascending")
             object.__setattr__(self, name, arr)

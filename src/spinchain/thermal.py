@@ -9,16 +9,18 @@ with the site and bit conventions of `basis`; J > 0 is the antiferromagnet.
 and the field enters only through each eigenstate's Zeeman slope.
 
 The full 2^N density matrix is never materialized. The chain is
-diagonalized once per (N, J) into one flat table over all 2^N eigenstates:
-each eigenstate's exchange energy, its Zeeman slope, and the X-state
-features of its pairs at separation d = 1..N//2, so the field only shifts
-energies and one spectrum serves every (B, kT) point and every pair of a
-scan. Every eigenstate lies in one S_z sector, so the average of its pair
-states (i, i+d) and (i+d, i) over the translates i is an X-state fixed by
-five real numbers (p00, p01, p10, p11, z). A thermal pair RDM is the
+diagonalized once per (N, J) into its SU(2) multiplets and one flat row per
+eigenstate: each eigenstate's exchange energy, its Zeeman slope and the
+multiplet it belongs to, so the field only shifts energies and one spectrum
+serves every (B, kT) point and every pair of a scan. Every eigenstate lies
+in one S_z sector, so the average of its pair states (i, i+d) and (i+d, i)
+over the translates i is an X-state fixed by five real numbers (p00, p01,
+p10, p11, z), which `_expand_sectors` reads off its multiplet's pair
+correlations one sector at a time. A thermal pair RDM is the
 Boltzmann-weighted sum of those five numbers over the eigenstates. On a
 whole (B, kT) grid, `pair_states` sums each of the N+1 magnetization
-sectors once per kT and weighs the sector sums by the field at each point.
+sectors once per kT as its rows are expanded, and weighs the sector sums by
+the field at each point.
 
 Only the sector n_up = N // 2 is diagonalized, in momentum blocks that the
 ring's reflection makes real symmetric (the reflection-adapted momentum
@@ -28,17 +30,19 @@ the ring conserves total spin, so each of its eigenvectors stands for a
 whole SU(2) multiplet, and the Wigner-Eckart theorem gives every member's
 energy and pair features.
 The blocks and those pair correlations come from the same separation
-operators. The spectrum keeps no eigenvectors: only
-`diagonalize_chain` sees them and knows how the eigenstates are blocked.
+operators. The blocks are folded and solved one at a time, and the
+spectrum keeps no eigenvectors: only `diagonalize_chain` sees them and
+knows how the eigenstates are blocked.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModelParams, check_pair, enumerate_sector, separation
+from .basis import ModelParams, check_axis, check_pair, enumerate_sector, separation
 from .errors import NumericError, ParameterError
 from .measures import PairDensityMatrix
 
@@ -57,22 +61,35 @@ SPIN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ChainSpectrum:
-    """Exchange Hamiltonian of a ring, diagonalized into one flat eigen-table.
+    """Exchange Hamiltonian of a ring, diagonalized into its SU(2) multiplets.
 
     `energies` and `slopes` hold each eigenstate's exchange energy and its
     Zeeman slope 2*n_up - N, so its energy at field B is
     energies + B * slopes. Rows are grouped by magnetization sector,
-    n_up = 0..N, and ascend in energy within each sector. `features` is the
-    (eigenstates, N//2, 5) table of each eigenstate's X-state features at
-    separation d = 1..N//2, in the same rows: the average of its pair states
-    (i, i+d) over the N translates i. No eigenvectors are kept.
+    n_up = 0..N, and ascend in energy within each sector. Row k is a member
+    of multiplet `multiplet[k]`. The multiplets ascend in energy, and `s`,
+    `zz` and `rank2`, one row per multiplet and one column per separation
+    d = 1..N//2, hold their pair correlations (see `diagonalize_chain`),
+    from which `features` and `pair_features` expand each eigenstate's
+    X-state features. No eigenvectors are kept.
     """
 
     n_spins: int
     coupling: float
     energies: np.ndarray
     slopes: np.ndarray
-    features: np.ndarray
+    multiplet: np.ndarray
+    s: np.ndarray
+    zz: np.ndarray
+    rank2: np.ndarray
+
+    @property
+    def features(self) -> np.ndarray:
+        """The (eigenstates, N//2, 5) table of each eigenstate's X-state
+        features at separation d = 1..N//2, in the rows of `energies`: the
+        average of its pair states (i, i+d) over the N translates i. It is
+        expanded anew, sector by sector, on every access."""
+        return pair_features(self, [(0, d) for d in range(1, self.n_spins // 2 + 1)])
 
 
 @dataclass(frozen=True)
@@ -98,23 +115,38 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     block (q, z), so its multiplets are copies of those of (q, z). The block
     eigenvectors are eigenvectors of H = J H_1 for every J, so each gives its
     multiplet's S, its energy E = J (lambda - ALPHA S(S+1)) and its pair
-    correlations (see `_multiplets`), and the splitting ALPHA S(S+1) never
-    sinks under the roundoff of a large |J|. `_member_rows` expands every multiplet into the
-    rows of its 2S + 1 members. No eigenvector is kept.
+    correlations s and zz (see `_multiplets`), and the splitting
+    ALPHA S(S+1) never sinks under the roundoff of a large |J|.
+
+    The multiplets are sorted by E (ties keep the block order), and each has
+    one row per member m, in the sector n_up = m + N/2. By the
+    Wigner-Eckart theorem a member's averaged <sigma^z sigma^z> is
+    s/3 + (zz - s/3) (3m^2 - S(S+1)) / (3 m0^2 - S(S+1)), from the member
+    m0 = -(N % 2)/2 that was solved, so `rank2` holds
+    (zz - s/3) / (3 m0^2 - S(S+1)), and 0 where the denominator is (S < 1).
+    No eigenvector is kept.
     A J for which the span 4N|J| of the levels overflows raises ParameterError.
     """
     ModelParams(n_spins=n_spins, coupling=coupling)
     if not np.isfinite(4.0 * n_spins * coupling):
         raise ParameterError(f"the N={n_spins} Hamiltonian overflows float64 at J={coupling} (levels span 4N|J|)")
     energies, two_s, s, zz = _multiplets(n_spins, _middle_blocks(n_spins))
-    energies, slopes, features = _member_rows(n_spins, coupling * energies, two_s, s, zz)
-    return ChainSpectrum(n_spins=n_spins, coupling=coupling, energies=energies, slopes=slopes, features=features)
+    energies = coupling * energies
+    order = np.argsort(energies, kind="stable")
+    energies, two_s, s, zz = energies[order], two_s[order], s[order], zz[order]
+    denom = 0.75 * (n_spins % 2) - two_s * (two_s + 2.0) / 4.0
+    rank2 = np.divide(zz - s / 3.0, denom[:, None], out=np.zeros_like(zz), where=(denom != 0.0)[:, None])
+    # Row k is member `sector[k] - N/2` of multiplet `multiplet[k]`.
+    sector, multiplet = np.nonzero(two_s >= np.abs(2 * np.arange(n_spins + 1) - n_spins)[:, None])
+    return ChainSpectrum(n_spins, coupling, energies[multiplet], 2 * sector - n_spins, multiplet, s, zz, rank2)
 
 
 def _middle_blocks(n: int):
-    """Yield (matrix, operators, zz_rows, copies, z) for each symmetry block
-    of H_1 + ALPHA S^2 on the sector n_up = N // 2 that `eigh` solves, H_1
-    the ring at J = 1. Every block is a real symmetric float64 matrix.
+    """Iterator over (matrix, operators, zz_rows, copies, z) for each
+    symmetry block of H_1 + ALPHA S^2 on the sector n_up = N // 2 that
+    `eigh` solves, H_1 the ring at J = 1. Every block is a real symmetric
+    float64 matrix, folded only when the iterator reaches it; the arrays
+    that label the sector's orbits are gone by then.
 
     With O_d the sum of sigma^i . sigma^j over the pairs i < j at separation
     d, H_1 + ALPHA S^2 = (m + ALPHA/2) O_1 + (ALPHA/2) sum_{d>=2} O_d + 3N ALPHA/4,
@@ -154,7 +186,7 @@ def _middle_blocks(n: int):
     conjugate of block (q, z), so it has the same real block, spectrum and
     correlations, and `copies` is 2 for 0 < q < N/2, else 1. Blocks come in
     the order of q and then z = 1, -1, skipping those with no
-    representative; the yielded `z` is 0 for odd N, whose blocks have no Z.
+    representative; a block's `z` is 0 for odd N, whose blocks have no Z.
     """
     states = enumerate_sector(n, n // 2).states
     full = (1 << n) - 1
@@ -203,10 +235,9 @@ def _middle_blocks(n: int):
     group = np.arange(len(images))
     chi_t = (4 * block_q[:, None] * (group % n) + 2 * n * block_minus[:, None] * (group // n)) % (4 * n)
     block_reps = ~(fixed & (chi_t != 0)[:, :, None]).any(axis=1)
-    for q, minus, chi, inside in zip(block_q.tolist(), block_minus.tolist(), chi_t, block_reps):
+
+    def fold(q, minus, chi, inside):
         d = np.count_nonzero(inside)
-        if d == 0:
-            continue
         cut = n // 2 * d * d
         # Each representative's position in the block; a term of one outside it lands on `cut`.
         pos = np.where(inside, np.cumsum(inside) - 1, cut)
@@ -220,7 +251,10 @@ def _middle_blocks(n: int):
         flat[:, :: d + 1] += diagonal.T
         matrix = coeff @ flat
         matrix[:: d + 1] += 0.75 * n * ALPHA
-        yield matrix.reshape(d, d), flat.reshape(n // 2, d, d), diagonal, 1 if 2 * q % n == 0 else 2, (1 - 2 * minus) * (n % 2 == 0)
+        return matrix.reshape(d, d), flat.reshape(n // 2, d, d), diagonal, 1 if 2 * q % n == 0 else 2, (1 - 2 * minus) * (n % 2 == 0)
+
+    kept = block_reps.any(axis=1)
+    return map(fold, block_q[kept].tolist(), block_minus[kept].tolist(), chi_t[kept], block_reps[kept])
 
 
 def eigh_symmetric(matrix: np.ndarray):
@@ -228,12 +262,15 @@ def eigh_symmetric(matrix: np.ndarray):
     matrix, as `np.linalg.eigh`.
 
     Returns (values, vectors): ascending eigenvalues and the orthonormal
-    eigenvector columns, complex for a complex input.
+    eigenvector columns, complex for a complex input. A matrix that is not
+    square, not finite or not Hermitian raises ParameterError.
     """
     a = np.asarray(matrix)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ParameterError(f"expected a non-empty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ParameterError("matrix must be finite")
     scale = max(1.0, np.abs(a).max())
     if not np.abs(a - a.conj().T).max() <= 1e-12 * scale:
         raise ParameterError("matrix is not Hermitian within 1e-12 relative tolerance")
@@ -258,13 +295,12 @@ def _multiplets(n: int, blocks):
     read off the same sums, and a value more than SPIN_TOL from the nearest
     S(S+1) raises NumericError. For even N, the S_z = 0 member of a spin-S
     multiplet has the Z eigenvalue (-1)^(S + N/2), so an eigenvector of a
-    block of the other z also raises NumericError.
+    block of the other z also raises NumericError. The blocks are solved as
+    they arrive, so each is released before the next one is folded.
     """
     solved = []
-    for matrix, operators, zz_rows, copies, z in blocks:
-        values, u = eigh_symmetric(matrix)
-        dot = (u * (operators @ u)).sum(axis=1).T
-        solved += [(values, dot, (u * u).T @ zz_rows, np.full(values.size, z))] * copies
+    for rows in map(_solve_block, blocks):
+        solved += rows
     values, dot, zz, z = (np.concatenate(parts) for parts in zip(*solved))
     x = 0.75 * n + 0.5 * dot.sum(axis=1)
     two_s = np.rint(np.sqrt(1.0 + 4.0 * x) - 1.0)
@@ -279,41 +315,58 @@ def _multiplets(n: int, blocks):
     return values - ALPHA * s_s1, two_s, dot / pairs_at, zz / pairs_at
 
 
-def _member_rows(n: int, energies, two_s, s, zz):
-    """Energies, Zeeman slopes and X-state features of every member m of
-    every multiplet, grouped by sector n_up = m + N/2 = 0..N and ascending
-    in energy within each sector (ties keep the multiplets' order).
+def _solve_block(block):
+    """Eigenvalues, <O_d> and summed zz rows of the eigenvectors of one
+    `_middle_blocks` block, with its z, as a list of `copies` equal rows.
+    <O_d> is formed one separation d at a time, so no product of all the
+    O_d with the eigenvectors is held at once."""
+    matrix, operators, zz_rows, copies, z = block
+    values, u = eigh_symmetric(matrix)
+    dot = np.stack([(u * (o_d @ u)).sum(axis=0) for o_d in operators], axis=1)
+    return [(values, dot, (u * u).T @ zz_rows, np.full(values.size, z))] * copies
 
-    By the Wigner-Eckart theorem the averaged <sigma^z sigma^z> of member m
-    is s/3 + (zz - s/3) (3m^2 - S(S+1)) / (3 m0^2 - S(S+1)), from the member
-    m0 = -(N % 2)/2 that was solved; it is evaluated as zz plus the change
-    of the rank-2 term, so member m0 keeps zz exactly, and that change is 0
-    where the denominator is (S < 1). A row is then p01 = p10 =
+
+def _expand_sectors(spectrum: ChainSpectrum, pairs):
+    """Iterator over (rows, f) for each sector n_up = 0..N in turn: the
+    slice of the sector's rows in the spectrum's flat table, and their
+    X-state features f (rows, pairs, 5), each pair (i, j) read at its
+    separation d. A sector's rows are expanded only when the iterator
+    reaches it, and the iterator keeps none of them. A pair that is not two
+    distinct sites raises ParameterError.
+
+    Member m's averaged <sigma^z sigma^z> (see `diagonalize_chain`) is
+    evaluated as zz plus the change 3 (m^2 - m0^2) rank2 of the rank-2
+    term, so member m0 keeps zz exactly. A row is then p01 = p10 =
     (1 - <sigma^z sigma^z>)/4, z = (s - <sigma^z sigma^z>)/4 and p00, p11 =
     (1 + <sigma^z sigma^z>)/4 -+ m/N. Populations that vanish in a whole
     sector (p11 for n_up <= 1, p00 for n_up >= N - 1, and all but one for
     n_up = 0 and N) are set to exactly 0, and roundoff below 0 is clamped.
     """
-    order = np.argsort(energies, kind="stable")
-    energies, two_s, s, zz = energies[order], two_s[order], s[order], zz[order]
-    s_s1 = two_s * (two_s + 2.0) / 4.0
-    denom = 0.75 * (n % 2) - s_s1
-    rank2 = np.divide(zz - s / 3.0, denom[:, None], out=np.zeros_like(zz), where=(denom != 0.0)[:, None])
-    # Row k is member `sector[k] - N/2` of multiplet `multiplet[k]`.
-    sector, multiplet = np.nonzero(two_s >= np.abs(2 * np.arange(n + 1) - n)[:, None])
-    two_m = 2 * sector - n
-    zz_m = zz[multiplet] + rank2[multiplet] * (0.75 * (two_m**2 - n % 2))[:, None]
-    f = np.empty(zz_m.shape + (5,))
-    f[..., 0] = (1.0 + zz_m) / 4.0 - (two_m / (2.0 * n))[:, None]
-    f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
-    f[..., 3] = (1.0 + zz_m) / 4.0 + (two_m / (2.0 * n))[:, None]
-    f[..., 4] = (s[multiplet] - zz_m) / 4.0
-    f[sector <= 1, :, 3] = 0.0
-    f[sector >= n - 1, :, 0] = 0.0
-    f[sector == 0] = [1.0, 0.0, 0.0, 0.0, 0.0]
-    f[sector == n] = [0.0, 0.0, 0.0, 1.0, 0.0]
-    np.maximum(f[..., :4], 0.0, out=f[..., :4])
-    return energies[multiplet], two_m, f
+    n = spectrum.n_spins
+    for i, j in pairs:
+        check_pair(n, i, j)
+    columns = [separation(n, i, j) - 1 for i, j in pairs]
+    s, zz, rank2 = spectrum.s[:, columns], spectrum.zz[:, columns], spectrum.rank2[:, columns]
+    bounds = np.searchsorted(spectrum.slopes, np.arange(-n, n + 3, 2)).tolist()
+
+    def expand(n_up, lo, hi):
+        two_m, k = 2 * n_up - n, spectrum.multiplet[lo:hi]
+        zz_m = zz[k] + rank2[k] * (0.75 * (two_m**2 - n % 2))
+        f = np.empty(zz_m.shape + (5,))
+        f[..., 0] = (1.0 + zz_m) / 4.0 - two_m / (2.0 * n)
+        f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
+        f[..., 3] = (1.0 + zz_m) / 4.0 + two_m / (2.0 * n)
+        f[..., 4] = (s[k] - zz_m) / 4.0
+        if n_up <= 1:
+            f[..., 3] = 0.0
+        if n_up >= n - 1:
+            f[..., 0] = 0.0
+        if n_up in (0, n):
+            f[:] = [1.0, 0.0, 0.0, 0.0, 0.0] if n_up == 0 else [0.0, 0.0, 0.0, 1.0, 0.0]
+        np.maximum(f[..., :4], 0.0, out=f[..., :4])
+        return slice(lo, hi), f
+
+    return map(expand, range(n + 1), bounds[:-1], bounds[1:])
 
 
 def _check_levels(spectrum: ChainSpectrum, b_values: np.ndarray):
@@ -358,37 +411,47 @@ def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEn
 
 
 def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarray:
-    """Thermal pair states (B, kT, pairs, 5) from the pairs' `pair_features` F.
+    """Thermal pair states (B, kT, pairs, 5) from the pairs' X-state features F.
 
     The field shifts each energy by B s, s one of the N+1 slopes, so for
-    kT > 0 every slope sector is summed once per kT: G_s = sum_i x_i F_i and
-    Z_s = sum_i x_i over its rows, x_i = exp(-(E_i - e0_s)/kT) with e0_s the
-    sector's lowest E. A point (B, kT) is then sum_s w_s G_s / sum_s w_s Z_s,
+    kT > 0 every slope sector is summed once per kT, as `_expand_sectors`
+    expands its rows: G_s = sum_i x_i F_i and Z_s = sum_i x_i over its rows,
+    x_i = exp(-(E_i - e0_s)/kT) with e0_s the sector's lowest E. A point
+    (B, kT) is then sum_s w_s G_s / sum_s w_s Z_s,
     w_s = exp(-(e0_s + B s - E0)/kT) and E0 = min_s(e0_s + B s), so no
-    exponent is positive and the denominator is at least 1. The kT = 0
-    columns share one weight row per B, W @ F for W the `weight_rows` at
-    (B, 0). Every product is stacked over pairs, one per pair, so a pair's
-    bits do not depend on the other pairs; those of one wide product over
-    all pairs do. A field for which the levels overflow raises ParameterError.
+    exponent is positive and the denominator is at least 1; no kT > 0
+    column forms F over all eigenstates at once. The kT = 0 columns share
+    one weight row per B, W @ F for W the `weight_rows` at (B, 0) and F the
+    `pair_features`. Every product is stacked over pairs, one per pair, so
+    a pair's bits do not depend on the other pairs; those of one wide
+    product over all pairs do. Axes that are not nonempty finite 1-D
+    sequences of B >= 0 and kT >= 0, and a field for which the levels
+    overflow, raise ParameterError.
     """
-    b_values, kt_values = np.asarray(b_values, float), np.asarray(kt_values, float)
+    b_values, kt_values = check_axis("b_values", b_values), check_axis("kt_values", kt_values)
+    ModelParams(spectrum.n_spins, spectrum.coupling, field=b_values.min(), kt=kt_values.min())
     _check_levels(spectrum, b_values)
-    f = pair_features(spectrum, pairs).transpose(1, 0, 2)  # (pairs, eigenstates, 5)
     states = np.empty((b_values.size, kt_values.size, len(pairs), 5))
     cold = kt_values == 0.0
     if cold.any():
+        f = pair_features(spectrum, pairs).transpose(1, 0, 2)  # (pairs, eigenstates, 5)
         states[:, cold] = (weight_rows(spectrum, b_values, np.zeros_like(b_values)) @ f).transpose(1, 0, 2)[:, None]
+        del f  # not held through the kT > 0 sums
+    if cold.all():
+        return states
     hot = -kt_values[~cold, None]  # -kT of the kT > 0 columns
-    starts = np.flatnonzero(np.diff(spectrum.slopes, prepend=spectrum.slopes[0] - 1))  # each sector's first row
-    e0, g, z = [], [], []
+
+    def sums(rows, f):
+        e0 = spectrum.energies[rows].min()
+        x = np.divide(spectrum.energies[rows] - e0, hot)  # (kT, rows of the sector)
+        np.exp(x, out=x)
+        return e0, x @ f.transpose(1, 0, 2), x.sum(axis=1)
+
     with np.errstate(over="ignore"):
-        for lo, hi in zip(starts, [*starts[1:], f.shape[1]]):
-            e0.append(spectrum.energies[lo:hi].min())
-            x = np.divide(spectrum.energies[lo:hi] - e0[-1], hot)  # (kT, rows of the sector)
-            np.exp(x, out=x)
-            g.append(x @ f[:, lo:hi])
-            z.append(x.sum(axis=1))
-        level = np.array(e0) + np.multiply.outer(b_values, spectrum.slopes[starts])  # (B, sectors)
+        # starmap drops each sector's rows before the next one is expanded.
+        e0, g, z = zip(*itertools.starmap(sums, _expand_sectors(spectrum, pairs)))
+        slopes = np.arange(-spectrum.n_spins, spectrum.n_spins + 1, 2)
+        level = np.array(e0) + np.multiply.outer(b_values, slopes)  # (B, sectors)
         w = np.exp((level - level.min(axis=1, keepdims=True)) / hot[:, None])  # (kT, B, sectors)
     states_hot = w @ np.stack(g, axis=2)  # (pairs, kT, B, 5)
     states_hot /= w @ np.stack(z, axis=1)[:, :, None]
@@ -400,12 +463,13 @@ def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
     """X-state features for each site pair (i, j) in every eigenstate.
 
     Returns a table of shape (eigenstates, pairs, 5), rows in the
-    spectrum's flat eigenstate order. The five features are the pair
-    populations p00, p01, p10, p11 (first slot site i, |0> = spin down) and
-    the coherence z = <01|rho|10>. No other pair-RDM entry of an eigenstate
-    of total S_z is nonzero.
+    spectrum's flat eigenstate order, filled sector by sector from
+    `_expand_sectors`. The five features are the pair populations p00, p01,
+    p10, p11 (first slot site i, |0> = spin down) and the coherence
+    z = <01|rho|10>. No other pair-RDM entry of an eigenstate of total S_z
+    is nonzero.
 
-    Each pair reads the spectrum's column for its separation d. A single
+    Each pair reads its eigenstates' features at its separation d. A single
     row is the average of its eigenstate's (member m of an SU(2) multiplet)
     pair states (i, i+d) and (i+d, i) over the translates i, so it is a
     valid pair state but not necessarily (i, j)'s own. The thermal state is invariant under
@@ -413,9 +477,10 @@ def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
     equals that of the pair (i, j) itself up to roundoff; in particular its
     p01 equals its p10, so the order of i and j needs no swap.
     """
-    for i, j in pairs:
-        check_pair(spectrum.n_spins, i, j)
-    return spectrum.features[:, [separation(spectrum.n_spins, i, j) - 1 for i, j in pairs]]
+    table = np.empty((spectrum.energies.size, len(pairs), 5))
+    for rows, f in _expand_sectors(spectrum, pairs):
+        table[rows] = f
+    return table
 
 
 def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:

@@ -13,8 +13,13 @@ matrix, and each eigenvector's pair features read straight off its
 amplitudes. It is the reference for the multiplet-expanded spectrum and its
 feature table, for any ordered pair, and reaches larger N.
 
-`member_rows` is the multiplet expansion of `thermal._member_rows` as one
-pass per sector n_up.
+`sector_spectrum` is one sector's dense `eigh` and pair features, which
+`all_sector_spectrum` runs on every sector and the few-magnon tests on the
+small sectors of any N.
+
+`member_rows` is the multiplet expansion of `diagonalize_chain` and
+`thermal._expand_sectors` written out on its own: the sort, the rank-2 term
+and one plain pass per sector n_up.
 
 `heat_color` is the heatmap colour map as a scalar search over its stops.
 """
@@ -199,16 +204,21 @@ def all_sector_spectrum(n, j, pairs=()):
     energies and slopes. The features of the ordered `pairs` are read off
     each sector's eigenvectors right after its `eigh`, so only one sector's
     eigenvectors are held at a time."""
-    params = ModelParams(n, j)
     energies, slopes, features = [], [], []
     for n_up in range(n + 1):
-        sh = build_sector_hamiltonian(params, n_up)
-        values, vectors = np.linalg.eigh(sh.matrix)
+        values, f = sector_spectrum(n, j, n_up, pairs)
         energies.append(values)
         slopes.append(np.full(values.size, 2 * n_up - n))
-        features.append(_sector_features(sh.basis.states, vectors, pairs))
-        del sh, vectors
+        features.append(f)
     return AllSectorSpectrum(np.concatenate(energies), np.concatenate(slopes), np.concatenate(features))
+
+
+def sector_spectrum(n, j, n_up, pairs=()):
+    """Ascending energies and pair features (eigenstates, pairs, 5) of the
+    sector n_up from one dense `eigh` of `build_sector_hamiltonian`."""
+    sh = build_sector_hamiltonian(ModelParams(n, j), n_up)
+    values, vectors = np.linalg.eigh(sh.matrix)
+    return values, _sector_features(sh.basis.states, vectors, pairs)
 
 
 def _sector_features(states, v, pairs):
@@ -227,7 +237,7 @@ def _sector_features(states, v, pairs):
 def member_rows(n, energies, two_s, s, zz):
     """Energies, slopes and X-state features of every member of every
     multiplet, built sector by sector with the formulas of
-    `thermal._member_rows`."""
+    `diagonalize_chain` and `thermal._expand_sectors`."""
     order = np.argsort(energies, kind="stable")
     energies, two_s, s, zz = energies[order], two_s[order], s[order], zz[order]
     s_s1 = two_s * (two_s + 2.0) / 4.0

@@ -132,8 +132,8 @@ class TestGridCommand:
     def test_unhealthy_pair_state_exits_1(self, tmp_path, monkeypatch, capsys):
         from spinchain import thermal
 
-        real = thermal.pair_features
-        monkeypatch.setattr(thermal, "pair_features", lambda sp, pairs: 1.5 * real(sp, pairs))
+        real = thermal._expand_sectors
+        monkeypatch.setattr(thermal, "_expand_sectors", lambda sp, pairs: ((rows, 1.5 * f) for rows, f in real(sp, pairs)))
         code = run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2", "--kt-range", "0.5:1:2",
                     "--sep", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1

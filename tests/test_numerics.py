@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,15 @@ class TestEighSymmetric:
     def test_rejects_non_hermitian_complex(self):
         with pytest.raises(ParameterError, match="Hermitian"):
             eigh_symmetric([[0.0, 1.0j], [1.0j, 0.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+    def test_rejects_non_finite_matrix_first(self, value):
+        # Before the symmetry test, whose subtraction inf - inf would warn.
+        a = np.array([[0.0, 1.0], [1.0, value]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="matrix must be finite"):
+                eigh_symmetric(a)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ParameterError):

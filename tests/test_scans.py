@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -215,6 +217,45 @@ class TestScanPairMeasures:
         thermal.pair_states(sp, b_values, np.array([0.3, 1.0]), pairs)
         assert seen == []
 
+    def test_kt_positive_columns_expand_one_sector_at_a_time(self, monkeypatch):
+        # The kT > 0 columns sum each sector's rows as they are expanded:
+        # they never join the feature table of every eigenstate
+        # (`pair_features`, which `ChainSpectrum.features` also calls), each
+        # expansion holds one sector's rows, and a sector's rows are gone
+        # before the next sector's arrive.
+        n, pairs = 10, [(0, 1), (2, 5), (0, 5)]
+        sp, b_values, kt_values = spectrum(n, 1.0), np.linspace(0.0, 5.0, 7), np.array([0.05, 0.5, 2.0])
+        want = thermal.pair_states(sp, b_values, kt_values, pairs)
+        real, expanded = thermal._expand_sectors, []
+
+        def seen(rows, f):
+            assert all(ref() is None for _, ref in expanded), "an earlier sector's rows are still held"
+            expanded.append((f.shape, weakref.ref(f)))
+            return rows, f
+
+        def spy(spectrum, pairs):
+            return itertools.starmap(seen, real(spectrum, pairs))
+
+        def joined(spectrum, pairs):
+            raise AssertionError("a kT > 0 column formed the feature table of every eigenstate")
+
+        monkeypatch.setattr(thermal, "_expand_sectors", spy)
+        monkeypatch.setattr(thermal, "pair_features", joined)
+        assert np.array_equal(thermal.pair_states(sp, b_values, kt_values, pairs), want)
+        assert [shape for shape, _ in expanded] == [(math.comb(n, k), len(pairs), 5) for k in range(n + 1)]
+        assert all(ref() is None for _, ref in expanded)
+
+    @pytest.mark.parametrize(
+        "b_values,kt_values",
+        [([1.0], [-0.1]), ([-1.0], [1.0]), ([np.nan], [1.0]), ([1.0], [np.inf]), ([[0.0, 1.0]], [1.0]), ([1.0], [])],
+        ids=["negative-kT", "negative-B", "nan-B", "inf-kT", "2-D-B", "empty-kT"],
+    )
+    def test_pair_states_rejects_axes_outside_domain(self, b_values, kt_values):
+        # One check per call holds the grid's axes to the rule of `ScanGrid`
+        # and `ModelParams`: nonempty, finite, 1-D, B >= 0 and kT >= 0.
+        with pytest.raises(ParameterError):
+            thermal.pair_states(spectrum(6, 1.0), b_values, kt_values, [(0, 1)])
+
     def test_pair_states_memory_for_largest_ring_on_default_grid(self):
         # N=14 has 2**14 eigenstates and the default grid 121 x 120 points, so a
         # (points x eigenstates) weight matrix would take about 1.9 GB.
@@ -249,14 +290,14 @@ class TestScanPairMeasures:
 
     def test_unhealthy_pair_state_names_first_failing_point(self, monkeypatch):
         grid = ScanGrid(2, 1.0, np.array([0.0, 1.0]), np.array([0.5]), ((0, 1),))
-        real = thermal.pair_features
+        real = thermal._expand_sectors
 
         def corrupted(spectrum, pairs):
-            f = real(spectrum, pairs)
-            f[..., 4] *= 3.0  # coherence too large for a positive state
-            return f
+            for rows, f in real(spectrum, pairs):
+                f[..., 4] *= 3.0  # coherence too large for a positive state
+                yield rows, f
 
-        monkeypatch.setattr(thermal, "pair_features", corrupted)
+        monkeypatch.setattr(thermal, "_expand_sectors", corrupted)
         with pytest.raises(NumericError, match=r"B=0\.0, kT=0\.5"):
             scan_pair_measures(grid)
 

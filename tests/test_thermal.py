@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,8 @@ from spinchain.basis import separation
 from spinchain.measures import correlation_matrix, x_state_eigenvalues
 from spinchain.thermal import PairDensityMatrix, pair_features, pair_states, weight_rows
 from oracles import (
-    SX, SY, SZ, all_sector_spectrum, build_sector_hamiltonian, dense_gibbs_state, dense_pair_rdm, member_rows, site_operator,
+    SX, SY, SZ, all_sector_spectrum, build_sector_hamiltonian, dense_gibbs_state, dense_pair_rdm, member_rows,
+    sector_spectrum, site_operator,
 )
 
 SINGLET_RHO = np.array(
@@ -238,14 +240,30 @@ class TestDiagonalizeChain:
     @pytest.mark.parametrize("j", [1.0, -1.0])
     @pytest.mark.parametrize("n", range(2, 13))
     def test_member_rows_match_the_per_sector_loop(self, n, j):
-        # One array pass over all members does the per-sector loop's
-        # arithmetic, so the rows are bit-identical.
+        # The spectrum's rows and the sector expansion of its features do
+        # the per-sector loop's arithmetic, so they are bit-identical.
         from spinchain import thermal
 
         energies, two_s, s, zz = thermal._multiplets(n, thermal._middle_blocks(n))
-        got = thermal._member_rows(n, j * energies, two_s, s, zz)
-        for mine, ref in zip(got, member_rows(n, j * energies, two_s, s, zz)):
+        sp = diagonalize_chain(n, j)
+        for mine, ref in zip((sp.energies, sp.slopes, sp.features), member_rows(n, j * energies, two_s, s, zz)):
             assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
+
+    def test_spectrum_memory_is_one_block_and_the_rows(self):
+        # The blocks are folded and solved one at a time, <O_d> one
+        # separation at a time, and the spectrum keeps each row's multiplet
+        # instead of a feature table (2^14 x 7 x 5 floats, 4.4 MiB): at N=14
+        # the traced peak stays under 6 MiB and what is kept under 2 MiB.
+        diagonalize_chain(4, 1.0)  # lazy imports and caches stay outside the traced call
+        tracemalloc.start()
+        try:
+            sp = diagonalize_chain(14, 1.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sp.energies.size == 2**14
+        assert peak <= 6 * 2**20
+        assert kept <= 2 * 2**20
 
     @pytest.mark.parametrize("n", range(3, 14, 2))
     def test_odd_ground_level_is_a_momentum_doublet(self, n):
@@ -314,6 +332,52 @@ class TestDiagonalizeChain:
         ]
         for got, want, k in rules:
             assert np.abs(got - want).max() <= 1e-12 * dim * abs(j) ** k
+
+
+class TestFewMagnonSectors:
+    # The sectors with few magnons, n_up <= 3 and their mirrors, are small at
+    # any N, and there the Wigner-Eckart expansion reaches farthest from the
+    # solved member m0, so a dense solve of each checks the rows of every N.
+
+    @pytest.mark.parametrize("j", [1.0, -1.0, 0.5])
+    @pytest.mark.parametrize("n", range(4, MAX_SPINS + 1))
+    def test_match_dense_sector_solve(self, n, j):
+        # Sorted energies and per-sector thermal averages
+        # sum_i x_i F_i / sum_i x_i, x_i = exp(-(E_i - e0)/kT). A degenerate
+        # level's projector is translation-invariant, so however the dense
+        # solve picks its basis, the averages of the pair (0, d) are those of
+        # the table's translation averages.
+        def average(energies, f, kt):
+            x = np.exp((energies.min() - energies) / kt)
+            return np.tensordot(x, f, axes=1) / x.sum()
+
+        sp = diagonalize_chain(n, j)
+        features, rows = sp.features, sector_rows(sp)
+        pairs = [(0, d) for d in range(1, n // 2 + 1)]
+        for n_up in sorted({0, 1, 2, 3, n - 3, n - 2, n - 1, n}):
+            values, f = sector_spectrum(n, j, n_up, pairs)
+            energies = sp.energies[rows[n_up]]
+            assert np.abs(energies - values).max() <= 1e-12 * n * abs(j)
+            for kt in abs(j) * np.array([0.2, 1.0, 5.0]):
+                got, want = average(energies, features[rows[n_up]], kt), average(values, f, kt)
+                assert np.abs(got - want).max() <= 1e-12, (n_up, kt)
+
+    @pytest.mark.parametrize("j", [1.0, -1.0, 0.5])
+    @pytest.mark.parametrize("n", range(3, MAX_SPINS + 1))
+    def test_one_magnon_closed_forms(self, n, j):
+        # The sector n_up = 1 holds the one-magnon states of Bethe (1931),
+        # the paper's W-window states: E_k = J(N - 4) + 4J cos k for
+        # k = 2 pi q / N, with <sigma^z sigma^z> = 1 - 4/N and the coherence
+        # z = cos(kd)/N at every separation d.
+        sp = diagonalize_chain(n, j)
+        k = 2 * np.pi * np.arange(n) / n
+        energies = j * (n - 4) + 4 * j * np.cos(k)
+        order = np.argsort(energies, kind="stable")
+        one = sp.slopes == 2 - n
+        p00, p01, p10, p11, z = np.moveaxis(sp.features[one], -1, 0)
+        assert np.abs(sp.energies[one] - energies[order]).max() <= 1e-12 * n * abs(j)
+        assert np.abs(p00 + p11 - p01 - p10 - (1 - 4 / n)).max() <= 1e-12
+        assert np.abs(z - np.cos(np.outer(k[order], np.arange(1, n // 2 + 1))) / n).max() <= 1e-12
 
 
 def group_images(a, n):
