@@ -1,12 +1,12 @@
 """Parameter sweeps, critical-point detection, and figure datasets.
 
 A scan is three steps: the Boltzmann sums of the X-state features F of
-every pair over each magnetization sector, once per kT; their
-field-weighted ratio at each (B, kT) point, both owned by
-`thermal.pair_states`; then the closed-form measures elementwise. It
-returns C, E, I and M as arrays indexed (B, kT, pair); `scan_table`
-flattens them into the columns B, kT, i, j, d, C, E, I, M, with rows
-B-major, then kT, then pair.
+every pair over each magnetization sector, once per kT > 0 and, at
+kT = 0, over its ground window once per B; their ratio at each (B, kT)
+point, field-weighted for kT > 0, both owned by `thermal.pair_states`;
+then the closed-form measures elementwise. It returns C, E, I and M as
+arrays indexed (B, kT, pair); `scan_table` flattens them into the columns
+B, kT, i, j, d, C, E, I, M, with rows B-major, then kT, then pair.
 """
 
 from __future__ import annotations

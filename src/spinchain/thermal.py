@@ -19,8 +19,8 @@ p10, p11, z), which `_expand_sectors` reads off its multiplet's pair
 correlations one sector at a time. A thermal pair RDM is the
 Boltzmann-weighted sum of those five numbers over the eigenstates. On a
 whole (B, kT) grid, `pair_states` sums each of the N+1 magnetization
-sectors once per kT as its rows are expanded, and weighs the sector sums by
-the field at each point.
+sectors as its rows are expanded: once per kT > 0, weighed by the field at
+each point, and at kT = 0 over its ground window, once per B.
 
 Only the sector n_up = N // 2 is diagonalized, in momentum blocks that the
 ring's reflection makes real symmetric (the reflection-adapted momentum
@@ -379,7 +379,7 @@ def _check_levels(spectrum: ChainSpectrum, b_values: np.ndarray):
 
 def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray) -> np.ndarray:
     """Thermal weights of every eigenstate, one row per (B, kT) point, for
-    `gibbs_weights`, the kT = 0 columns of `pair_states` and the tests' W @ F.
+    `gibbs_weights` and the tests' W @ F.
 
     Each row's energies are shifted by its ground energy before
     exponentiation, so no weight overflows; an exponent that overflows to
@@ -413,49 +413,48 @@ def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEn
 def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarray:
     """Thermal pair states (B, kT, pairs, 5) from the pairs' X-state features F.
 
-    The field shifts each energy by B s, s one of the N+1 slopes, so for
-    kT > 0 every slope sector is summed once per kT, as `_expand_sectors`
-    expands its rows: G_s = sum_i x_i F_i and Z_s = sum_i x_i over its rows,
-    x_i = exp(-(E_i - e0_s)/kT) with e0_s the sector's lowest E. A point
-    (B, kT) is then sum_s w_s G_s / sum_s w_s Z_s,
-    w_s = exp(-(e0_s + B s - E0)/kT) and E0 = min_s(e0_s + B s), so no
-    exponent is positive and the denominator is at least 1; no kT > 0
-    column forms F over all eigenstates at once. The kT = 0 columns share
-    one weight row per B, W @ F for W the `weight_rows` at (B, 0) and F the
-    `pair_features`. Every product is stacked over pairs, one per pair, so
-    a pair's bits do not depend on the other pairs; those of one wide
-    product over all pairs do. Axes that are not nonempty finite 1-D
-    sequences of B >= 0 and kT >= 0, and a field for which the levels
-    overflow, raise ParameterError.
+    The field shifts each energy by B s, s one of the N+1 slopes, so one pass
+    over the sectors of `_expand_sectors` sums each sector's rows, and no
+    column forms F over all eigenstates. With e0_s a sector's first and lowest
+    E and E0 = min_s(e0_s + B s), each kT > 0 gets G_s = sum_i x_i F_i and
+    Z_s = sum_i x_i, x_i = exp(-(E_i - e0_s)/kT), and a point (B, kT) is
+    sum_s w_s G_s / sum_s w_s Z_s, w_s = exp(-(e0_s + B s - E0)/kT): no
+    exponent is positive and the denominator is at least 1. Each kT = 0 point
+    is the sum of the F_i in the ground window E_i + B s - E0 <=
+    DEGENERACY_TOL |E0| of `weight_rows` over their count, both summed sector
+    by sector. Every product is stacked over pairs, one per pair, so a pair's
+    bits do not depend on the other pairs; those of one wide product over all
+    pairs do. Axes that are not nonempty finite 1-D sequences of B >= 0 and
+    kT >= 0, and a field for which the levels overflow, raise ParameterError.
     """
     b_values, kt_values = check_axis("b_values", b_values), check_axis("kt_values", kt_values)
     ModelParams(spectrum.n_spins, spectrum.coupling, field=b_values.min(), kt=kt_values.min())
     _check_levels(spectrum, b_values)
-    states = np.empty((b_values.size, kt_values.size, len(pairs), 5))
+    slopes = np.arange(-spectrum.n_spins, spectrum.n_spins + 1, 2)
+    level = spectrum.energies[np.searchsorted(spectrum.slopes, slopes)] + np.multiply.outer(b_values, slopes)
+    ground = level.min(axis=1, keepdims=True)  # E0 at each B
     cold = kt_values == 0.0
-    if cold.any():
-        f = pair_features(spectrum, pairs).transpose(1, 0, 2)  # (pairs, eigenstates, 5)
-        states[:, cold] = (weight_rows(spectrum, b_values, np.zeros_like(b_values)) @ f).transpose(1, 0, 2)[:, None]
-        del f  # not held through the kT > 0 sums
-    if cold.all():
-        return states
     hot = -kt_values[~cold, None]  # -kT of the kT > 0 columns
+    at_zero = slice(None) if cold.any() else slice(0)  # the B rows of the kT = 0 columns, if any
 
     def sums(rows, f):
-        e0 = spectrum.energies[rows].min()
-        x = np.divide(spectrum.energies[rows] - e0, hot)  # (kT, rows of the sector)
+        f = f.transpose(1, 0, 2)  # (pairs, rows of the sector, 5)
+        x = np.divide(spectrum.energies[rows] - spectrum.energies[rows.start], hot)  # (kT, rows)
         np.exp(x, out=x)
-        return e0, x @ f.transpose(1, 0, 2), x.sum(axis=1)
+        window = spectrum.energies[rows] + b_values[at_zero, None] * spectrum.slopes[rows.start]
+        window -= ground[at_zero]
+        window = window <= DEGENERACY_TOL * np.abs(ground[at_zero])  # (B, rows)
+        return x @ f, x.sum(axis=1), window @ f, np.count_nonzero(window, axis=1)
 
     with np.errstate(over="ignore"):
         # starmap drops each sector's rows before the next one is expanded.
-        e0, g, z = zip(*itertools.starmap(sums, _expand_sectors(spectrum, pairs)))
-        slopes = np.arange(-spectrum.n_spins, spectrum.n_spins + 1, 2)
-        level = np.array(e0) + np.multiply.outer(b_values, slopes)  # (B, sectors)
-        w = np.exp((level - level.min(axis=1, keepdims=True)) / hot[:, None])  # (kT, B, sectors)
+        g, z, g_cold, z_cold = zip(*itertools.starmap(sums, _expand_sectors(spectrum, pairs)))
+        w = np.exp((level - ground) / hot[:, None])  # (kT, B, sectors)
+    states = np.empty((b_values.size, kt_values.size, len(pairs), 5))
     states_hot = w @ np.stack(g, axis=2)  # (pairs, kT, B, 5)
     states_hot /= w @ np.stack(z, axis=1)[:, :, None]
     states[:, ~cold] = states_hot.transpose(2, 1, 0, 3)
+    states[at_zero, cold] = (sum(g_cold) / sum(z_cold)[:, None]).transpose(1, 0, 2)[:, None]
     return states
 
 

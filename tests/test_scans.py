@@ -197,35 +197,15 @@ class TestScanPairMeasures:
         with pytest.raises(ParameterError, match="J=1.0"):
             scan_pair_measures(ferro, spectrum=diagonalize_chain(4, 1.0))
 
-    def test_weight_rows_see_only_the_zero_temperature_points(self, monkeypatch):
-        # The kT = 0 columns are the `weight_rows` of their points, B-major,
-        # times F, bit for bit; no kT > 0 point reaches `weight_rows`.
-        sp, b_values, pairs = spectrum(6, 1.0), np.array([0.0, 1.0, 2.5, 4.0]), [(0, 1), (0, 3)]
-        seen = []
-
-        def spy(spectrum, b, kt):
-            seen.append((b, kt, weight_rows(spectrum, b, kt)))
-            return seen[-1][2]
-
-        monkeypatch.setattr(thermal, "weight_rows", spy)
-        states = thermal.pair_states(sp, b_values, np.array([0.0, 0.3, 1.0]), pairs)
-        (b, kt, w), = seen
-        assert np.array_equal(b, b_values) and np.array_equal(kt, np.zeros(4))
-        want = (w @ pair_features(sp, pairs).transpose(1, 0, 2)).transpose(1, 0, 2)
-        assert np.array_equal(states[:, 0], want)
-        seen.clear()
-        thermal.pair_states(sp, b_values, np.array([0.3, 1.0]), pairs)
-        assert seen == []
-
     def test_kt_positive_columns_expand_one_sector_at_a_time(self, monkeypatch):
-        # The kT > 0 columns sum each sector's rows as they are expanded:
-        # they never join the feature table of every eigenstate
-        # (`pair_features`, which `ChainSpectrum.features` also calls), each
+        # Every column, kT = 0 included, sums each sector's rows as they are
+        # expanded: no column joins the feature table of every eigenstate
+        # (`pair_features`, which `ChainSpectrum.features` also calls) or
+        # the weight matrix of every eigenstate (`weight_rows`), each
         # expansion holds one sector's rows, and a sector's rows are gone
         # before the next sector's arrive.
         n, pairs = 10, [(0, 1), (2, 5), (0, 5)]
-        sp, b_values, kt_values = spectrum(n, 1.0), np.linspace(0.0, 5.0, 7), np.array([0.05, 0.5, 2.0])
-        want = thermal.pair_states(sp, b_values, kt_values, pairs)
+        sp, b_values = spectrum(n, 1.0), np.linspace(0.0, 5.0, 7)
         real, expanded = thermal._expand_sectors, []
 
         def seen(rows, f):
@@ -236,14 +216,19 @@ class TestScanPairMeasures:
         def spy(spectrum, pairs):
             return itertools.starmap(seen, real(spectrum, pairs))
 
-        def joined(spectrum, pairs):
-            raise AssertionError("a kT > 0 column formed the feature table of every eigenstate")
+        def joined(*args):
+            raise AssertionError("a column formed a table over every eigenstate")
 
-        monkeypatch.setattr(thermal, "_expand_sectors", spy)
-        monkeypatch.setattr(thermal, "pair_features", joined)
-        assert np.array_equal(thermal.pair_states(sp, b_values, kt_values, pairs), want)
-        assert [shape for shape, _ in expanded] == [(math.comb(n, k), len(pairs), 5) for k in range(n + 1)]
-        assert all(ref() is None for _, ref in expanded)
+        for kt_values in (np.array([0.05, 0.5, 2.0]), np.array([0.0, 0.05, 0.5, 2.0])):
+            want = thermal.pair_states(sp, b_values, kt_values, pairs)
+            expanded.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(thermal, "_expand_sectors", spy)
+                patch.setattr(thermal, "pair_features", joined)
+                patch.setattr(thermal, "weight_rows", joined)
+                assert np.array_equal(thermal.pair_states(sp, b_values, kt_values, pairs), want)
+            assert [shape for shape, _ in expanded] == [(math.comb(n, k), len(pairs), 5) for k in range(n + 1)]
+            assert all(ref() is None for _, ref in expanded)
 
     @pytest.mark.parametrize(
         "b_values,kt_values",
@@ -258,16 +243,19 @@ class TestScanPairMeasures:
 
     def test_pair_states_memory_for_largest_ring_on_default_grid(self):
         # N=14 has 2**14 eigenstates and the default grid 121 x 120 points, so a
-        # (points x eigenstates) weight matrix would take about 1.9 GB.
+        # (points x eigenstates) weight matrix would take about 1.9 GB. A kT = 0
+        # column sums each sector's ground window, so it forms no (B x
+        # eigenstates) weight matrix or feature table either (together 52 MiB).
         sp, pairs = spectrum(14, 1.0), [(0, d) for d in range(1, 8)]
-        tracemalloc.start()
-        try:
-            states = thermal.pair_states(sp, np.linspace(0.0, 6.0, 121), np.geomspace(0.01, 10.0, 120), pairs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert states.shape == (121, 120, 7, 5)
-        assert peak <= 64 * 2**20
+        for kt_values, bound_mib in ((np.geomspace(0.01, 10.0, 120), 64), (np.linspace(0.0, 2.0, 21), 16)):
+            tracemalloc.start()
+            try:
+                states = thermal.pair_states(sp, np.linspace(0.0, 6.0, 121), kt_values, pairs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert states.shape == (121, kt_values.size, 7, 5)
+            assert peak <= bound_mib * 2**20, f"{peak / 2**20:.1f} MiB on {kt_values.size} kT values"
 
     @settings(max_examples=100, deadline=None)
     @given(case=thermal_grids())

@@ -286,8 +286,9 @@ class TestDiagonalizeChain:
     @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
     @pytest.mark.parametrize("n", range(2, 13))
     def test_pair_states_match_all_sector_path(self, n, j):
-        # One eigh per sector, without the SU(2) and spin-flip symmetries,
-        # must give the same W @ F pair states for every ordered pair, at
+        # The scan's pair states, summed sector by sector from the SU(2)
+        # multiplets, must match the W @ F of one eigh per sector, without
+        # the SU(2) and spin-flip symmetries, for every ordered pair, at
         # kT = 0 too. For J > 0 the B values include the staircase
         # crossings, where the kT = 0 ground manifold spans two sectors.
         pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
@@ -295,11 +296,11 @@ class TestDiagonalizeChain:
         b_values = [0.0, 0.3, 1.7, 4.5]
         if j > 0:
             b_values += [c.b_value for c in magnetization_staircase(n, j).crossings]
-        b = np.repeat(b_values, 3)
-        kt = np.tile([0.0, 0.05, 1.0], len(b_values))
-        got = weight_rows(sp, b, kt) @ pair_features(sp, pairs).transpose(1, 0, 2)
+        kt_values = [0.0, 0.05, 1.0]
+        got = pair_states(sp, b_values, kt_values, pairs)
+        b, kt = np.repeat(b_values, len(kt_values)), np.tile(kt_values, len(b_values))
         want = weight_rows(ref, b, kt) @ ref.features.transpose(1, 0, 2)
-        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(got - want.transpose(1, 0, 2).reshape(got.shape)).max() < 1e-12
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n", [13, 14])
