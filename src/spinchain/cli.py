@@ -1,10 +1,10 @@
 """Command-line interface: scans, figure datasets, and critical-point queries.
 
 Exit codes: 0 success, 1 numeric failure (named grid point), 2 argument
-or configuration errors. A command writes the same bytes for the same
-numpy/BLAS build and the same BLAS thread count; across thread counts an
-N=14 grid stays within 1e-11. SPINCHAIN_THREADS must be a positive integer
-if set, but has no effect.
+or configuration errors, a grid too large for memory among them. A command
+writes the same bytes for the same numpy/BLAS build and the same BLAS thread
+count; across thread counts an N=14 grid stays within 1e-11.
+SPINCHAIN_THREADS must be a positive integer if set, but has no effect.
 """
 
 from __future__ import annotations
@@ -55,33 +55,34 @@ def _write_csv(path: Path, table):
         out.writelines(fmt % row for row in zip(*columns))
 
 
-def _parse_range(spec: str, name: str):
-    """MIN:MAX:STEPS[:geom] -> sample array (STEPS points, inclusive ends)."""
+def _parse_range(spec: str):
+    """MIN:MAX:STEPS[:geom] -> sample array (STEPS points, inclusive ends).
+    A range too large to allocate is an argument error too. argparse names
+    the flag in front of each message."""
     parts = spec.split(":")
     geometric = False
     if len(parts) == 4:
         if parts[3] != "geom":
-            raise argparse.ArgumentTypeError(f"{name}: unknown scale {parts[3]!r}, expected 'geom'")
+            raise argparse.ArgumentTypeError(f"unknown scale {parts[3]!r}, expected 'geom'")
         geometric = True
         parts = parts[:3]
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"{name}: expected MIN:MAX:STEPS[:geom], got {spec!r}")
+        raise argparse.ArgumentTypeError(f"expected MIN:MAX:STEPS[:geom], got {spec!r}")
     try:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{name}: could not parse {spec!r}")
+        raise argparse.ArgumentTypeError(f"could not parse {spec!r}")
     if steps < 1:
-        raise argparse.ArgumentTypeError(f"{name}: STEPS must be >= 1")
+        raise argparse.ArgumentTypeError("STEPS must be >= 1")
     # inf or nan in MIN or MAX makes the span non-finite too.
     if not math.isfinite(hi - lo):
-        raise argparse.ArgumentTypeError(f"{name}: MIN, MAX and MAX - MIN must be finite")
+        raise argparse.ArgumentTypeError("MIN, MAX and MAX - MIN must be finite")
     if geometric and (lo <= 0 or hi <= 0):
-        raise argparse.ArgumentTypeError(f"{name}: geometric range requires MIN > 0 and MAX > 0")
-    if steps == 1:
-        return np.array([lo])
-    if geometric:
-        return np.geomspace(lo, hi, steps)
-    return np.linspace(lo, hi, steps)
+        raise argparse.ArgumentTypeError("geometric range requires MIN > 0 and MAX > 0")
+    try:
+        return (np.geomspace if geometric else np.linspace)(lo, hi, steps)
+    except MemoryError:
+        raise argparse.ArgumentTypeError(f"{steps} steps do not fit in memory")
 
 
 def check_threads_env():
@@ -155,10 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--config", help="JSON config file; flags override its values")
     grid.add_argument("--n", type=int, help=f"number of spins (2..{MAX_SPINS})")
     grid.add_argument("--j", type=float, help="exchange coupling J")
-    grid.add_argument("--b-range", type=lambda s: _parse_range(s, "--b-range"), help="MIN:MAX:STEPS")
-    grid.add_argument(
-        "--kt-range", type=lambda s: _parse_range(s, "--kt-range"), help="MIN:MAX:STEPS[:geom]"
-    )
+    grid.add_argument("--b-range", type=_parse_range, help="MIN:MAX:STEPS[:geom]")
+    grid.add_argument("--kt-range", type=_parse_range, help="MIN:MAX:STEPS[:geom]")
     grid.add_argument("--pair", type=_parse_pair, action="append", help="site pair I,J (repeatable)")
     grid.add_argument("--sep", type=int, action="append", help="pair separation D (repeatable)")
     grid.add_argument("--out", help="output table path")
@@ -184,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     el.add_argument("--kt", type=float, required=True)
 
     lip = sub.add_parser("lipschitz", parents=[json_cmd], help="max kT |dE|/|dB| over a grid (JSON)")
-    lip.add_argument("--b-range", type=lambda s: _parse_range(s, "--b-range"), required=True)
-    lip.add_argument("--kt-range", type=lambda s: _parse_range(s, "--kt-range"), required=True)
+    lip.add_argument("--b-range", type=_parse_range, required=True, help="MIN:MAX:STEPS[:geom]")
+    lip.add_argument("--kt-range", type=_parse_range, required=True, help="MIN:MAX:STEPS[:geom]")
     lip.add_argument("--pair", type=_parse_pair, default=(0, 1))
 
     return parser
@@ -316,6 +315,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"spinchain: i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid too large to scan
+        print(f"spinchain: the grid does not fit in memory: {exc}", file=sys.stderr)
         return 2
 
 

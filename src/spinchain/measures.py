@@ -23,16 +23,6 @@ STATE_TOL = 1e-10
 # entanglement length well-defined against roundoff).
 FLUSH_TOL = 1e-12
 
-# Spin-flip matrix sigma_y (x) sigma_y, antidiagonal in the standard basis.
-_SPIN_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
-
 # Single-qubit Paulis in the {|down>, |up>} ordering used by this package.
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128)
@@ -41,6 +31,8 @@ PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 _PAULI_PRODUCTS = np.array(
     [[np.kron(sa, sb) for sb in (PAULI_X, PAULI_Y, PAULI_Z)] for sa in (PAULI_X, PAULI_Y, PAULI_Z)]
 )
+# Spin-flip matrix sigma_y (x) sigma_y, real and antidiagonal in the standard basis.
+_SPIN_FLIP = _PAULI_PRODUCTS[1, 1].real
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .basis import ModelParams, check_axis, check_pair, check_real, separation
 from .errors import NumericError, ParameterError
 from .measures import STATE_TOL, x_state_eigenvalues, x_state_measures
-from .thermal import ChainSpectrum, diagonalize_chain, pair_states
+from .thermal import ChainSpectrum, Sectors, diagonalize_chain, pair_states
 
 SCAN_COLUMNS = ("B", "kT", "i", "j", "d", "C", "E", "I", "M")
 
@@ -166,19 +166,18 @@ def magnetization_staircase(n_spins: int, coupling: float) -> StaircaseResult:
     """Exact ground-sector crossing sequence as B increases from 0.
 
     Within sector k the ground energy is eps_k + B(2k - N), linear in B,
-    where eps_k is the lowest energy of sector k in the `diagonalize_chain`
-    table, so eps_{N-k} = eps_k exactly by the global spin flip. At B = 0
-    the ground sector is N//2 (Lieb-Mattis for even N), and each crossing
-    lowers n_up by one: sector k gives way to k - 1 at
-    B_k = (eps_{k-1} - eps_k) / 2. Raises NumericError unless
+    where eps_k is the first and lowest energy of sector k in the
+    `diagonalize_chain` table (`thermal.Sectors`), so eps_{N-k} = eps_k
+    exactly by the global spin flip. At B = 0 the ground sector is N//2
+    (Lieb-Mattis for even N), and each crossing lowers n_up by one: sector k
+    gives way to k - 1 at B_k = (eps_{k-1} - eps_k) / 2. Raises NumericError unless
     0 < B_{N//2} < ... < B_1, which fails exactly when the lower envelope
     of the sector lines starts elsewhere or skips a sector.
     """
     ModelParams(n_spins=n_spins, coupling=coupling)
     if coupling <= 0:
         raise ParameterError("magnetization staircase requires antiferromagnetic J > 0")
-    sp = diagonalize_chain(n_spins, coupling)
-    eps = np.array([sp.energies[sp.slopes == 2 * k - n_spins].min() for k in range(n_spins + 1)])
+    eps = Sectors(diagonalize_chain(n_spins, coupling)).e0
     crossings = tuple(
         Crossing(b_value=float((eps[k - 1] - eps[k]) / 2.0), from_n_up=k, to_n_up=k - 1)
         for k in range(n_spins // 2, 0, -1)

@@ -347,10 +347,9 @@ def _expand_sectors(spectrum: ChainSpectrum, pairs):
         check_pair(n, i, j)
     columns = [separation(n, i, j) - 1 for i, j in pairs]
     s, zz, rank2 = spectrum.s[:, columns], spectrum.zz[:, columns], spectrum.rank2[:, columns]
-    bounds = np.searchsorted(spectrum.slopes, np.arange(-n, n + 3, 2)).tolist()
 
-    def expand(n_up, lo, hi):
-        two_m, k = 2 * n_up - n, spectrum.multiplet[lo:hi]
+    def expand(n_up, rows):
+        two_m, k = 2 * n_up - n, spectrum.multiplet[rows]
         zz_m = zz[k] + rank2[k] * (0.75 * (two_m**2 - n % 2))
         f = np.empty(zz_m.shape + (5,))
         f[..., 0] = (1.0 + zz_m) / 4.0 - two_m / (2.0 * n)
@@ -364,50 +363,67 @@ def _expand_sectors(spectrum: ChainSpectrum, pairs):
         if n_up in (0, n):
             f[:] = [1.0, 0.0, 0.0, 0.0, 0.0] if n_up == 0 else [0.0, 0.0, 0.0, 1.0, 0.0]
         np.maximum(f[..., :4], 0.0, out=f[..., :4])
-        return slice(lo, hi), f
+        return rows, f
 
-    return map(expand, range(n + 1), bounds[:-1], bounds[1:])
-
-
-def _check_levels(spectrum: ChainSpectrum, b_values: np.ndarray):
-    """Raise ParameterError if the span 2 (max|E| + N B) of the levels overflows at the largest |B|."""
-    b_max = float(np.abs(b_values).max(initial=0.0))
-    span = 2.0 * (float(np.abs(spectrum.energies).max()) + float(np.abs(spectrum.slopes).max()) * b_max)
-    if not np.isfinite(span):
-        raise ParameterError(f"the levels overflow float64 at B={b_max:g} (they span 2(max|E| + N B))")
+    return map(expand, range(n + 1), Sectors(spectrum).rows)
 
 
-def weight_rows(spectrum: ChainSpectrum, b_values: np.ndarray, kt_values: np.ndarray) -> np.ndarray:
-    """Thermal weights of every eigenstate, one row per (B, kT) point, for
-    `gibbs_weights` and the tests' W @ F.
+class Sectors:
+    """The flat table's magnetization sectors and the one weight rule of every
+    thermal sum over them, at each field B of `b_values`.
 
-    Each row's energies are shifted by its ground energy before
-    exponentiation, so no weight overflows; an exponent that overflows to
-    -inf (a gap far beyond kT) gives the weight 0. A kT = 0 row mixes all
-    eigenstates within DEGENERACY_TOL |E_ground| of the ground energy
-    uniformly (this covers exact level crossings such as B = B_c). The
-    window scales with the levels, so it is the same for every J; the ground
-    energy is 0 only at J = B = 0, where every level is 0. A field for which
-    the span 2 (max|E| + N B) of the levels overflows raises ParameterError.
-    Returns W, columns in the spectrum's flat eigenstate order.
+    Sector k (n_up = 0..N, slope s = 2k - N) holds the rows `rows[k]`, which
+    ascend in E, so its first row is its ground energy e0[k]. With E0 =
+    min_s(e0_s + B s) (`ground`), row i of sector s weighs x_i w_s at kT > 0:
+    x_i = exp(-(E_i - e0_s)/kT) (`boltzmann`), w_s = exp(-(e0_s + B s - E0)/kT)
+    (`field`), no exponent positive. At kT = 0 it weighs 1 inside the window
+    E_i + B s - E0 <= DEGENERACY_TOL |E0| (`window`), which scales with the
+    levels and so covers exact crossings such as B = B_c for every J, and 0
+    outside. Only `energies` and `slopes` are read. A field for which the span
+    2 (max|E| + N B) of the levels overflows raises ParameterError.
     """
-    _check_levels(spectrum, b_values)
-    shifted = spectrum.energies + np.multiply.outer(b_values, spectrum.slopes)
-    e0 = shifted.min(axis=1, keepdims=True)
-    shifted -= e0
-    cold = kt_values == 0.0
-    w = np.empty_like(shifted)
-    w[cold] = shifted[cold] <= DEGENERACY_TOL * np.abs(e0[cold])
+
+    def __init__(self, spectrum, b_values=np.zeros(0)):
+        n, b_max = int(spectrum.slopes[-1]), float(np.abs(b_values).max(initial=0.0))  # N: the last row's slope
+        if not np.isfinite(2.0 * (float(np.abs(spectrum.energies).max()) + n * b_max)):
+            raise ParameterError(f"the levels overflow float64 at B={b_max:g} (they span 2(max|E| + N B))")
+        bounds = np.searchsorted(spectrum.slopes, np.arange(-n, n + 3, 2)).tolist()
+        self.rows, self.e0 = list(map(slice, bounds[:-1], bounds[1:])), spectrum.energies[bounds[:-1]]
+        self.energies, self.b_values, self.slopes = spectrum.energies, b_values, np.arange(-n, n + 1, 2)
+        self.level = self.e0 + np.multiply.outer(b_values, self.slopes)  # (B, sectors)
+        self.ground = self.level.min(axis=1, keepdims=True)
+
+    def field(self, kt):
+        """w_s at each (kT > 0, B, sector)."""
+        return _boltzmann(self.level - self.ground, kt[:, None, None])
+
+    def boltzmann(self, k, kt):
+        """x_i at each (kT > 0, row of sector k)."""
+        return _boltzmann(self.energies[self.rows[k]] - self.e0[k], kt[:, None])
+
+    def window(self, k, b=slice(None)):
+        """Whether each (B of the rows `b`, row of sector k) lies in the kT = 0 window."""
+        gap = self.energies[self.rows[k]] + self.b_values[b, None] * self.slopes[k] - self.ground[b]
+        return gap <= DEGENERACY_TOL * np.abs(self.ground[b])
+
+
+def _boltzmann(gap, kt):
+    """exp(-gap/kT); an exponent that overflows to -inf (a gap far beyond kT) gives 0, silently."""
     with np.errstate(over="ignore"):
-        w[~cold] = np.exp(shifted[~cold] / -kt_values[~cold, None])
-    return w / w.sum(axis=1, keepdims=True)
+        x = np.divide(gap, -kt)
+    return np.exp(x, out=x)
 
 
 def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEnsemble:
-    """Thermal weights over all eigenstates at field B >= 0 and temperature kT >= 0."""
+    """Thermal weights over all eigenstates at field B >= 0 and temperature kT >= 0,
+    built sector by sector by the rule of `Sectors` and normalized to sum 1."""
     ModelParams(n_spins=spectrum.n_spins, coupling=spectrum.coupling, field=b_field, kt=kt)
-    w = weight_rows(spectrum, np.array([b_field], float), np.array([kt], float))[0]
-    return GibbsEnsemble(spectrum=spectrum, field=b_field, kt=kt, weights=w)
+    sectors, kts = Sectors(spectrum, np.array([b_field], float)), np.array([kt], float)
+    if kt == 0.0:
+        w = np.concatenate([sectors.window(k)[0] for k in range(len(sectors.rows))]).astype(float)
+    else:
+        w = np.concatenate([sectors.boltzmann(k, kts)[0] * w_s for k, w_s in enumerate(sectors.field(kts)[0, 0])])
+    return GibbsEnsemble(spectrum=spectrum, field=b_field, kt=kt, weights=w / w.sum())
 
 
 def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarray:
@@ -415,41 +431,31 @@ def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarr
 
     The field shifts each energy by B s, s one of the N+1 slopes, so one pass
     over the sectors of `_expand_sectors` sums each sector's rows, and no
-    column forms F over all eigenstates. With e0_s a sector's first and lowest
-    E and E0 = min_s(e0_s + B s), each kT > 0 gets G_s = sum_i x_i F_i and
-    Z_s = sum_i x_i, x_i = exp(-(E_i - e0_s)/kT), and a point (B, kT) is
-    sum_s w_s G_s / sum_s w_s Z_s, w_s = exp(-(e0_s + B s - E0)/kT): no
-    exponent is positive and the denominator is at least 1. Each kT = 0 point
-    is the sum of the F_i in the ground window E_i + B s - E0 <=
-    DEGENERACY_TOL |E0| of `weight_rows` over their count, both summed sector
-    by sector. Every product is stacked over pairs, one per pair, so a pair's
-    bits do not depend on the other pairs; those of one wide product over all
-    pairs do. Axes that are not nonempty finite 1-D sequences of B >= 0 and
-    kT >= 0, and a field for which the levels overflow, raise ParameterError.
+    column forms F over all eigenstates. By the rule of `Sectors`, each
+    kT > 0 gets G_s = sum_i x_i F_i and Z_s = sum_i x_i, and a point (B, kT)
+    is sum_s w_s G_s / sum_s w_s Z_s: no exponent is positive and the
+    denominator is at least 1. Each kT = 0 point is the sum of the F_i in the
+    ground window over their count, both summed sector by sector. Every
+    product is stacked over pairs, one per pair, so a pair's bits do not
+    depend on the other pairs; those of one wide product over all pairs do.
+    Axes that are not nonempty finite 1-D sequences of B >= 0 and kT >= 0,
+    and a field for which the levels overflow, raise ParameterError.
     """
     b_values, kt_values = check_axis("b_values", b_values), check_axis("kt_values", kt_values)
     ModelParams(spectrum.n_spins, spectrum.coupling, field=b_values.min(), kt=kt_values.min())
-    _check_levels(spectrum, b_values)
-    slopes = np.arange(-spectrum.n_spins, spectrum.n_spins + 1, 2)
-    level = spectrum.energies[np.searchsorted(spectrum.slopes, slopes)] + np.multiply.outer(b_values, slopes)
-    ground = level.min(axis=1, keepdims=True)  # E0 at each B
-    cold = kt_values == 0.0
-    hot = -kt_values[~cold, None]  # -kT of the kT > 0 columns
+    sectors = Sectors(spectrum, b_values)
+    cold, hot = kt_values == 0.0, kt_values[kt_values > 0.0]
     at_zero = slice(None) if cold.any() else slice(0)  # the B rows of the kT = 0 columns, if any
 
-    def sums(rows, f):
-        f = f.transpose(1, 0, 2)  # (pairs, rows of the sector, 5)
-        x = np.divide(spectrum.energies[rows] - spectrum.energies[rows.start], hot)  # (kT, rows)
-        np.exp(x, out=x)
-        window = spectrum.energies[rows] + b_values[at_zero, None] * spectrum.slopes[rows.start]
-        window -= ground[at_zero]
-        window = window <= DEGENERACY_TOL * np.abs(ground[at_zero])  # (B, rows)
+    def sums(k, sector):
+        f = sector[1].transpose(1, 0, 2)  # (pairs, rows of the sector, 5)
+        x = sectors.boltzmann(k, hot)  # (kT, rows)
+        window = sectors.window(k, at_zero)  # (B, rows)
         return x @ f, x.sum(axis=1), window @ f, np.count_nonzero(window, axis=1)
 
-    with np.errstate(over="ignore"):
-        # starmap drops each sector's rows before the next one is expanded.
-        g, z, g_cold, z_cold = zip(*itertools.starmap(sums, _expand_sectors(spectrum, pairs)))
-        w = np.exp((level - ground) / hot[:, None])  # (kT, B, sectors)
+    # map drops each sector's rows before the next one is expanded.
+    g, z, g_cold, z_cold = zip(*map(sums, itertools.count(), _expand_sectors(spectrum, pairs)))
+    w = sectors.field(hot)  # (kT, B, sectors)
     states = np.empty((b_values.size, kt_values.size, len(pairs), 5))
     states_hot = w @ np.stack(g, axis=2)  # (pairs, kT, B, 5)
     states_hot /= w @ np.stack(z, axis=1)[:, :, None]

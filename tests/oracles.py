@@ -17,6 +17,11 @@ feature table, for any ordered pair, and reaches larger N.
 `all_sector_spectrum` runs on every sector and the few-magnon tests on the
 small sectors of any N.
 
+`weight_rows` is the thermal weight of every eigenstate at each (B, kT)
+point in one (points x eigenstates) array, each row exponentiated against
+its own ground energy: the W of the W @ F that the package's sector sums
+(`thermal.gibbs_weights`, `thermal.pair_states`) are checked against.
+
 `member_rows` is the multiplet expansion of `diagonalize_chain` and
 `thermal._expand_sectors` written out on its own: the sort, the rank-2 term
 and one plain pass per sector n_up.
@@ -29,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from spinchain.basis import ModelParams, SectorBasis, enumerate_sector
+from spinchain.thermal import DEGENERACY_TOL
 
 # Same basis convention as the package: |0> = down, site i = bit i.
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -189,6 +195,32 @@ def dense_pair_rdm(rho, n, i, j):
     return out
 
 
+def weight_rows(spectrum, b_values: np.ndarray, kt_values: np.ndarray) -> np.ndarray:
+    """Thermal weights of every eigenstate, one row per (B, kT) point, for
+    the tests' W @ F.
+
+    Each row's energies are shifted by its ground energy before
+    exponentiation, so no weight overflows; an exponent that overflows to
+    -inf (a gap far beyond kT) gives the weight 0. A kT = 0 row mixes all
+    eigenstates within DEGENERACY_TOL |E_ground| of the ground energy
+    uniformly (this covers exact level crossings such as B = B_c). The
+    window scales with the levels, so it is the same for every J; the ground
+    energy is 0 only at J = B = 0, where every level is 0. Only the
+    spectrum's `energies` and `slopes` are read, so it takes an
+    `all_sector_spectrum` as well. Returns W, columns in the spectrum's flat
+    eigenstate order.
+    """
+    shifted = spectrum.energies + np.multiply.outer(b_values, spectrum.slopes)
+    e0 = shifted.min(axis=1, keepdims=True)
+    shifted -= e0
+    cold = kt_values == 0.0
+    w = np.empty_like(shifted)
+    w[cold] = shifted[cold] <= DEGENERACY_TOL * np.abs(e0[cold])
+    with np.errstate(over="ignore"):
+        w[~cold] = np.exp(shifted[~cold] / -kt_values[~cold, None])
+    return w / w.sum(axis=1, keepdims=True)
+
+
 class AllSectorSpectrum(NamedTuple):
     """Energies, Zeeman slopes and pair features (eigenstates, pairs, 5) in
     the package's flat eigenstate order."""
@@ -200,8 +232,8 @@ class AllSectorSpectrum(NamedTuple):
 
 def all_sector_spectrum(n, j, pairs=()):
     """Reference spectrum from one dense `eigh` per magnetization sector
-    n_up = 0..N, with no SU(2) or momentum blocking. `weight_rows` reads its
-    energies and slopes. The features of the ordered `pairs` are read off
+    n_up = 0..N, with no SU(2) or momentum blocking, whose energies and slopes
+    `weight_rows` reads. The features of the ordered `pairs` are read off
     each sector's eigenvectors right after its `eigh`, so only one sector's
     eigenvectors are held at a time."""
     energies, slopes, features = [], [], []

@@ -77,7 +77,7 @@ def test_zeeman_antisymmetry_under_spin_flip(n):
 
 def test_out_of_range_arguments_rejected():
     with pytest.raises(ParameterError):
-        enumerate_sector(15, 2)
+        enumerate_sector(MAX_SPINS + 1, 2)
     with pytest.raises(ParameterError):
         enumerate_sector(6, 7)
     with pytest.raises(ParameterError):

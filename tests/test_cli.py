@@ -129,6 +129,31 @@ class TestGridCommand:
         err = capsys.readouterr().err
         assert err.startswith("spinchain: ") and "B=1e+308" in err and "overflow float64" in err
 
+    def test_grid_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # A range of 10^15 steps asks numpy for 8 PB, which it refuses
+        # without touching memory: an argument error, not a traceback.
+        out = tmp_path / "x.csv"
+        assert run(["grid", "--n", "4", "--j", "1", "--sep", "1", "--b-range", "0:6:1000000000000000",
+                    "--kt-range", "0.1:1:2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith("1000000000000000 steps do not fit in memory")
+
+        # Axes that fit but a scan that does not, as numpy reports it.
+        def too_large(grid):
+            raise MemoryError("Unable to allocate 224. GiB for an array with shape (100000, 100000, 3) and data type float64")
+
+        monkeypatch.setattr(spinchain.cli, "scan_pair_measures", too_large)
+        assert run(["grid", "--n", "2", "--j", "1", "--sep", "1", "--b-range", "0:6:3",
+                    "--kt-range", "0.01:10:3:geom", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spinchain: ") and err.count("\n") == 1 and "224. GiB" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["grid", "lipschitz"])
+    def test_every_range_flag_documents_geom(self, command, capsys):
+        # `_parse_range` accepts `:geom` on every range, so each range's help says so.
+        assert run([command, "--help"]) == 0
+        assert capsys.readouterr().out.count("MIN:MAX:STEPS[:geom]") == 2
+
     def test_unhealthy_pair_state_exits_1(self, tmp_path, monkeypatch, capsys):
         from spinchain import thermal
 

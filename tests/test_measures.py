@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    MAX_SPINS,
     DomainError,
     MeasurementError,
     ModelParams,
@@ -298,7 +299,7 @@ class TestChsh:
 
 
 class TestWState:
-    @pytest.mark.parametrize("n", [1, 3.0, 15, 70])
+    @pytest.mark.parametrize("n", [1, 3.0, MAX_SPINS + 1, 70])
     def test_rejects_bad_spin_count(self, n):
         with pytest.raises(ParameterError):
             w_state(n)

@@ -24,7 +24,8 @@ from spinchain import (
 )
 from spinchain import scans, thermal
 from spinchain.scans import FIGURE_COLUMNS, SCAN_COLUMNS
-from spinchain.thermal import pair_features, weight_rows
+from spinchain.thermal import pair_features
+from oracles import weight_rows
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +202,7 @@ class TestScanPairMeasures:
         # Every column, kT = 0 included, sums each sector's rows as they are
         # expanded: no column joins the feature table of every eigenstate
         # (`pair_features`, which `ChainSpectrum.features` also calls) or
-        # the weight matrix of every eigenstate (`weight_rows`), each
+        # the weights of every eigenstate (`gibbs_weights`), each
         # expansion holds one sector's rows, and a sector's rows are gone
         # before the next sector's arrive.
         n, pairs = 10, [(0, 1), (2, 5), (0, 5)]
@@ -225,7 +226,7 @@ class TestScanPairMeasures:
             with monkeypatch.context() as patch:
                 patch.setattr(thermal, "_expand_sectors", spy)
                 patch.setattr(thermal, "pair_features", joined)
-                patch.setattr(thermal, "weight_rows", joined)
+                patch.setattr(thermal, "gibbs_weights", joined)
                 assert np.array_equal(thermal.pair_states(sp, b_values, kt_values, pairs), want)
             assert [shape for shape, _ in expanded] == [(math.comb(n, k), len(pairs), 5) for k in range(n + 1)]
             assert all(ref() is None for _, ref in expanded)

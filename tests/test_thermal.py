@@ -21,10 +21,10 @@ from spinchain import (
 )
 from spinchain.basis import separation
 from spinchain.measures import correlation_matrix, x_state_eigenvalues
-from spinchain.thermal import PairDensityMatrix, pair_features, pair_states, weight_rows
+from spinchain.thermal import PairDensityMatrix, pair_features, pair_states
 from oracles import (
     SX, SY, SZ, all_sector_spectrum, build_sector_hamiltonian, dense_gibbs_state, dense_pair_rdm, member_rows,
-    sector_spectrum, site_operator,
+    sector_spectrum, site_operator, weight_rows,
 )
 
 SINGLET_RHO = np.array(
@@ -279,7 +279,7 @@ class TestDiagonalizeChain:
             assert rows.size == 2
             assert np.array_equal(sp.features[rows[0]], sp.features[rows[1]])
             ground += rows.tolist()
-        w = weight_rows(sp, np.zeros(1), np.zeros(1))[0]
+        w = gibbs_weights(sp, 0.0, 0.0).weights
         assert np.flatnonzero(w).tolist() == ground
         assert np.all(w[ground] == 0.25)
 
@@ -530,9 +530,29 @@ class TestGibbsWeights:
         # kT = 1e-320 sends every excited exponent to -inf: weight 0, with no
         # overflow warning (the suite turns RuntimeWarning into an error).
         sp = diagonalize_chain(2, 1.0)
-        w = weight_rows(sp, np.zeros(2), np.array([1e-320, 0.0]))
+        w = [gibbs_weights(sp, 0.0, kt).weights for kt in (1e-320, 0.0)]
         assert np.array_equal(w[0], w[1])
         assert w[1].tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("j", [1.0, -1.0, 0.5])
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_weights_match_one_shot_weight_rows(self, n, j):
+        # `gibbs_weights` builds its row sector by sector, x_i w_s; the
+        # oracle exponentiates each E_i + B s - E0 at once. They must agree
+        # within 1e-15 on B through 0 and, for J > 0, every staircase
+        # crossing, where the kT = 0 window spans two sectors, and keep the
+        # same kT = 0 window rows.
+        sp = diagonalize_chain(n, j)
+        b_values = [0.0, 0.3, 1.7, 4.5]
+        if j > 0:
+            b_values += [c.b_value for c in magnetization_staircase(n, j).crossings]
+        kt_values = [0.0, 1e-3, 0.05, 1.0]
+        b, kt = np.repeat(b_values, len(kt_values)), np.tile(kt_values, len(b_values))
+        for (b_field, t), want in zip(zip(b, kt), weight_rows(sp, b, kt)):
+            got = gibbs_weights(sp, b_field, t).weights
+            assert np.abs(got - want).max() <= 1e-15, (b_field, t)
+            if t == 0.0:
+                assert np.array_equal(got > 0.0, want > 0.0), b_field
 
     @pytest.mark.parametrize("kt", [1e-300, 5e-324])
     def test_pair_states_at_tiny_temperature_silently(self, kt):
