@@ -15,7 +15,7 @@ multiplet it belongs to, so the field only shifts energies and one spectrum
 serves every (B, kT) point and every pair of a scan. Every eigenstate lies
 in one S_z sector, so the average of its pair states (i, i+d) and (i+d, i)
 over the translates i is an X-state fixed by five real numbers (p00, p01,
-p10, p11, z), which `_expand_sectors` reads off its multiplet's pair
+p10, p11, z), which `Sectors.expand` reads off its multiplet's pair
 correlations one sector at a time. A thermal pair RDM is the
 Boltzmann-weighted sum of those five numbers over the eigenstates. On a
 whole (B, kT) grid, `pair_states` sums each of the N+1 magnetization
@@ -37,7 +37,6 @@ knows how the eigenstates are blocked.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +69,8 @@ class ChainSpectrum:
     of multiplet `multiplet[k]`. The multiplets ascend in energy, and `s`,
     `zz` and `rank2`, one row per multiplet and one column per separation
     d = 1..N//2, hold their pair correlations (see `diagonalize_chain`),
-    from which `features` and `pair_features` expand each eigenstate's
-    X-state features. No eigenvectors are kept.
+    from which `Sectors.expand` expands each eigenstate's X-state features
+    one sector at a time. No eigenvectors are kept.
     """
 
     n_spins: int
@@ -86,10 +85,23 @@ class ChainSpectrum:
     @property
     def features(self) -> np.ndarray:
         """The (eigenstates, N//2, 5) table of each eigenstate's X-state
-        features at separation d = 1..N//2, in the rows of `energies`: the
-        average of its pair states (i, i+d) over the N translates i. It is
-        expanded anew, sector by sector, on every access."""
-        return pair_features(self, [(0, d) for d in range(1, self.n_spins // 2 + 1)])
+        features at separation d = 1..N//2, in the rows of `energies`,
+        joined anew from `Sectors.expand` on every access; no thermal sum
+        forms it.
+
+        The five features are the pair populations p00, p01, p10, p11
+        (first slot site i, |0> = spin down) and the coherence
+        z = <01|rho|10>. No other pair-RDM entry of an eigenstate of total
+        S_z is nonzero. A row is the average of its eigenstate's (member m
+        of an SU(2) multiplet) pair states (i, i+d) and (i+d, i) over the
+        translates i, so it is a valid pair state but not necessarily that
+        of one pair (i, j). The thermal state is invariant under translation
+        and reflection of the ring, so a thermal sum of these rows equals
+        that of any pair (i, j) at separation d up to roundoff; in
+        particular its p01 equals its p10, so the order of i and j needs no
+        swap.
+        """
+        return np.concatenate(list(Sectors(self).expand([(0, d) for d in range(1, self.n_spins // 2 + 1)])))
 
 
 @dataclass(frozen=True)
@@ -326,72 +338,73 @@ def _solve_block(block):
     return [(values, dot, (u * u).T @ zz_rows, np.full(values.size, z))] * copies
 
 
-def _expand_sectors(spectrum: ChainSpectrum, pairs):
-    """Iterator over (rows, f) for each sector n_up = 0..N in turn: the
-    slice of the sector's rows in the spectrum's flat table, and their
-    X-state features f (rows, pairs, 5), each pair (i, j) read at its
-    separation d. A sector's rows are expanded only when the iterator
-    reaches it, and the iterator keeps none of them. A pair that is not two
-    distinct sites raises ParameterError.
-
-    Member m's averaged <sigma^z sigma^z> (see `diagonalize_chain`) is
-    evaluated as zz plus the change 3 (m^2 - m0^2) rank2 of the rank-2
-    term, so member m0 keeps zz exactly. A row is then p01 = p10 =
-    (1 - <sigma^z sigma^z>)/4, z = (s - <sigma^z sigma^z>)/4 and p00, p11 =
-    (1 + <sigma^z sigma^z>)/4 -+ m/N. Populations that vanish in a whole
-    sector (p11 for n_up <= 1, p00 for n_up >= N - 1, and all but one for
-    n_up = 0 and N) are set to exactly 0, and roundoff below 0 is clamped.
-    """
-    n = spectrum.n_spins
-    for i, j in pairs:
-        check_pair(n, i, j)
-    columns = [separation(n, i, j) - 1 for i, j in pairs]
-    s, zz, rank2 = spectrum.s[:, columns], spectrum.zz[:, columns], spectrum.rank2[:, columns]
-
-    def expand(n_up, rows):
-        two_m, k = 2 * n_up - n, spectrum.multiplet[rows]
-        zz_m = zz[k] + rank2[k] * (0.75 * (two_m**2 - n % 2))
-        f = np.empty(zz_m.shape + (5,))
-        f[..., 0] = (1.0 + zz_m) / 4.0 - two_m / (2.0 * n)
-        f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
-        f[..., 3] = (1.0 + zz_m) / 4.0 + two_m / (2.0 * n)
-        f[..., 4] = (s[k] - zz_m) / 4.0
-        if n_up <= 1:
-            f[..., 3] = 0.0
-        if n_up >= n - 1:
-            f[..., 0] = 0.0
-        if n_up in (0, n):
-            f[:] = [1.0, 0.0, 0.0, 0.0, 0.0] if n_up == 0 else [0.0, 0.0, 0.0, 1.0, 0.0]
-        np.maximum(f[..., :4], 0.0, out=f[..., :4])
-        return rows, f
-
-    return map(expand, range(n + 1), Sectors(spectrum).rows)
-
-
 class Sectors:
-    """The flat table's magnetization sectors and the one weight rule of every
-    thermal sum over them, at each field B of `b_values`.
+    """The flat table's magnetization sectors, the walk over them and the one
+    weight rule of every thermal sum over them, at each field B of `b_values`.
 
     Sector k (n_up = 0..N, slope s = 2k - N) holds the rows `rows[k]`, which
-    ascend in E, so its first row is its ground energy e0[k]. With E0 =
-    min_s(e0_s + B s) (`ground`), row i of sector s weighs x_i w_s at kT > 0:
+    ascend in E, so its first row is its ground energy e0[k]; `expand` yields
+    their pair features one sector at a time. With E0 = min_s(e0_s + B s)
+    (`ground`), row i of sector s weighs x_i w_s at kT > 0:
     x_i = exp(-(E_i - e0_s)/kT) (`boltzmann`), w_s = exp(-(e0_s + B s - E0)/kT)
     (`field`), no exponent positive. At kT = 0 it weighs 1 inside the window
     E_i + B s - E0 <= DEGENERACY_TOL |E0| (`window`), which scales with the
     levels and so covers exact crossings such as B = B_c for every J, and 0
-    outside. Only `energies` and `slopes` are read. A field for which the span
-    2 (max|E| + N B) of the levels overflows raises ParameterError.
+    outside. The weight rule reads only `n_spins`, `energies` and `slopes`. A
+    field for which the span 2 (max|E| + N B) of the levels overflows raises
+    ParameterError.
     """
 
-    def __init__(self, spectrum, b_values=np.zeros(0)):
-        n, b_max = int(spectrum.slopes[-1]), float(np.abs(b_values).max(initial=0.0))  # N: the last row's slope
+    def __init__(self, spectrum, b_values=()):
+        n, b_values = spectrum.n_spins, np.asarray(b_values, float)
+        b_max = float(np.abs(b_values).max(initial=0.0))
         if not np.isfinite(2.0 * (float(np.abs(spectrum.energies).max()) + n * b_max)):
             raise ParameterError(f"the levels overflow float64 at B={b_max:g} (they span 2(max|E| + N B))")
         bounds = np.searchsorted(spectrum.slopes, np.arange(-n, n + 3, 2)).tolist()
         self.rows, self.e0 = list(map(slice, bounds[:-1], bounds[1:])), spectrum.energies[bounds[:-1]]
-        self.energies, self.b_values, self.slopes = spectrum.energies, b_values, np.arange(-n, n + 1, 2)
+        self.spectrum, self.energies, self.b_values, self.slopes = spectrum, spectrum.energies, b_values, np.arange(-n, n + 1, 2)
         self.level = self.e0 + np.multiply.outer(b_values, self.slopes)  # (B, sectors)
         self.ground = self.level.min(axis=1, keepdims=True)
+
+    def expand(self, pairs):
+        """Iterator over the X-state features (rows, pairs, 5) of each sector
+        n_up = 0..N in turn, in the order of `rows`, each pair (i, j) read at
+        its separation d (see `ChainSpectrum.features`). A sector is expanded
+        only when the iterator reaches it, and the iterator keeps none. A pair
+        that is not two distinct sites raises ParameterError at once.
+
+        Member m's averaged <sigma^z sigma^z> (see `diagonalize_chain`) is
+        evaluated as zz plus the change 3 (m^2 - m0^2) rank2 of the rank-2
+        term, so member m0 keeps zz exactly. A row is then p01 = p10 =
+        (1 - <sigma^z sigma^z>)/4, z = (s - <sigma^z sigma^z>)/4 and p00, p11 =
+        (1 + <sigma^z sigma^z>)/4 -+ m/N. Populations that vanish in a whole
+        sector (p11 for n_up <= 1, p00 for n_up >= N - 1, and all but one for
+        n_up = 0 and N) are set to exactly 0, and roundoff below 0 is clamped.
+        """
+        sp, n = self.spectrum, self.spectrum.n_spins
+        for i, j in pairs:
+            check_pair(n, i, j)
+        columns = [separation(n, i, j) - 1 for i, j in pairs]
+        s, zz, rank2 = sp.s[:, columns], sp.zz[:, columns], sp.rank2[:, columns]
+
+        def expand(n_up, rows):
+            two_m, k = 2 * n_up - n, sp.multiplet[rows]
+            zz_m = zz[k] + rank2[k] * (0.75 * (two_m**2 - n % 2))
+            f = np.empty(zz_m.shape + (5,))
+            f[..., 0] = (1.0 + zz_m) / 4.0 - two_m / (2.0 * n)
+            f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
+            f[..., 3] = (1.0 + zz_m) / 4.0 + two_m / (2.0 * n)
+            f[..., 4] = (s[k] - zz_m) / 4.0
+            if n_up <= 1:
+                f[..., 3] = 0.0
+            if n_up >= n - 1:
+                f[..., 0] = 0.0
+            if n_up in (0, n):
+                f[:] = [1.0, 0.0, 0.0, 0.0, 0.0] if n_up == 0 else [0.0, 0.0, 0.0, 1.0, 0.0]
+            np.maximum(f[..., :4], 0.0, out=f[..., :4])
+            return f
+
+        return map(expand, range(n + 1), self.rows)
 
     def field(self, kt):
         """w_s at each (kT > 0, B, sector)."""
@@ -418,7 +431,7 @@ def gibbs_weights(spectrum: ChainSpectrum, b_field: float, kt: float) -> GibbsEn
     """Thermal weights over all eigenstates at field B >= 0 and temperature kT >= 0,
     built sector by sector by the rule of `Sectors` and normalized to sum 1."""
     ModelParams(n_spins=spectrum.n_spins, coupling=spectrum.coupling, field=b_field, kt=kt)
-    sectors, kts = Sectors(spectrum, np.array([b_field], float)), np.array([kt], float)
+    sectors, kts = Sectors(spectrum, [b_field]), np.array([kt], float)
     if kt == 0.0:
         w = np.concatenate([sectors.window(k)[0] for k in range(len(sectors.rows))]).astype(float)
     else:
@@ -430,10 +443,10 @@ def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarr
     """Thermal pair states (B, kT, pairs, 5) from the pairs' X-state features F.
 
     The field shifts each energy by B s, s one of the N+1 slopes, so one pass
-    over the sectors of `_expand_sectors` sums each sector's rows, and no
-    column forms F over all eigenstates. By the rule of `Sectors`, each
-    kT > 0 gets G_s = sum_i x_i F_i and Z_s = sum_i x_i, and a point (B, kT)
-    is sum_s w_s G_s / sum_s w_s Z_s: no exponent is positive and the
+    of `Sectors.expand` sums each sector's rows, and no column forms F over
+    all eigenstates. By the rule of `Sectors`, each kT > 0 gets
+    G_s = sum_i x_i F_i and Z_s = sum_i x_i, and a point (B, kT) is
+    sum_s w_s G_s / sum_s w_s Z_s: no exponent is positive and the
     denominator is at least 1. Each kT = 0 point is the sum of the F_i in the
     ground window over their count, both summed sector by sector. Every
     product is stacked over pairs, one per pair, so a pair's bits do not
@@ -447,14 +460,14 @@ def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarr
     cold, hot = kt_values == 0.0, kt_values[kt_values > 0.0]
     at_zero = slice(None) if cold.any() else slice(0)  # the B rows of the kT = 0 columns, if any
 
-    def sums(k, sector):
-        f = sector[1].transpose(1, 0, 2)  # (pairs, rows of the sector, 5)
+    def sums(k, f):
+        f = f.transpose(1, 0, 2)  # (pairs, rows of the sector, 5)
         x = sectors.boltzmann(k, hot)  # (kT, rows)
         window = sectors.window(k, at_zero)  # (B, rows)
         return x @ f, x.sum(axis=1), window @ f, np.count_nonzero(window, axis=1)
 
     # map drops each sector's rows before the next one is expanded.
-    g, z, g_cold, z_cold = zip(*map(sums, itertools.count(), _expand_sectors(spectrum, pairs)))
+    g, z, g_cold, z_cold = zip(*map(sums, range(spectrum.n_spins + 1), sectors.expand(pairs)))
     w = sectors.field(hot)  # (kT, B, sectors)
     states = np.empty((b_values.size, kt_values.size, len(pairs), 5))
     states_hot = w @ np.stack(g, axis=2)  # (pairs, kT, B, 5)
@@ -464,35 +477,12 @@ def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarr
     return states
 
 
-def pair_features(spectrum: ChainSpectrum, pairs) -> np.ndarray:
-    """X-state features for each site pair (i, j) in every eigenstate.
-
-    Returns a table of shape (eigenstates, pairs, 5), rows in the
-    spectrum's flat eigenstate order, filled sector by sector from
-    `_expand_sectors`. The five features are the pair populations p00, p01,
-    p10, p11 (first slot site i, |0> = spin down) and the coherence
-    z = <01|rho|10>. No other pair-RDM entry of an eigenstate of total S_z
-    is nonzero.
-
-    Each pair reads its eigenstates' features at its separation d. A single
-    row is the average of its eigenstate's (member m of an SU(2) multiplet)
-    pair states (i, i+d) and (i+d, i) over the translates i, so it is a
-    valid pair state but not necessarily (i, j)'s own. The thermal state is invariant under
-    translation and reflection of the ring, so a thermal sum of these rows
-    equals that of the pair (i, j) itself up to roundoff; in particular its
-    p01 equals its p10, so the order of i and j needs no swap.
-    """
-    table = np.empty((spectrum.energies.size, len(pairs), 5))
-    for rows, f in _expand_sectors(spectrum, pairs):
-        table[rows] = f
-    return table
-
-
 def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:
     """Reduced density matrix of sites (i, j) in the thermal state: the
-    Boltzmann-weighted sum of the eigenstates' pair features as a 4x4 X-matrix."""
-    n = ensemble.spectrum.n_spins
-    p00, p01, p10, p11, z = ensemble.weights @ pair_features(ensemble.spectrum, [(i, j)])[:, 0]
+    Boltzmann-weighted sum of the eigenstates' pair features as a 4x4 X-matrix,
+    summed one sector at a time."""
+    n, sectors = ensemble.spectrum.n_spins, Sectors(ensemble.spectrum)
+    p00, p01, p10, p11, z = sum(ensemble.weights[rows] @ f[:, 0] for rows, f in zip(sectors.rows, sectors.expand([(i, j)])))
     rho = np.diag([p00, p01, p10, p11])
     rho[1, 2] = rho[2, 1] = z
     return PairDensityMatrix(sites=(i, j), matrix=rho, separation=separation(n, i, j)).validate()

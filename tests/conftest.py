@@ -41,5 +41,5 @@ def skipped_sector(monkeypatch):
     minima eps = [0, -0.2, -1.5, -0.2, 0] skip a sector: sector 1 lies above
     the chord from sector 2 to sector 0, so the ground state would jump from
     n_up = 2 straight to 0."""
-    spectrum = SimpleNamespace(energies=np.array([0.0, -0.2, -1.5, -0.2, 0.0]), slopes=np.arange(-4, 5, 2))
+    spectrum = SimpleNamespace(n_spins=4, energies=np.array([0.0, -0.2, -1.5, -0.2, 0.0]), slopes=np.arange(-4, 5, 2))
     monkeypatch.setattr(scans, "diagonalize_chain", lambda n, j: spectrum)

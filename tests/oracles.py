@@ -23,7 +23,7 @@ its own ground energy: the W of the W @ F that the package's sector sums
 (`thermal.gibbs_weights`, `thermal.pair_states`) are checked against.
 
 `member_rows` is the multiplet expansion of `diagonalize_chain` and
-`thermal._expand_sectors` written out on its own: the sort, the rank-2 term
+`thermal.Sectors.expand` written out on its own: the sort, the rank-2 term
 and one plain pass per sector n_up.
 
 `heat_color` is the heatmap colour map as a scalar search over its stops.
@@ -269,7 +269,7 @@ def _sector_features(states, v, pairs):
 def member_rows(n, energies, two_s, s, zz):
     """Energies, slopes and X-state features of every member of every
     multiplet, built sector by sector with the formulas of
-    `diagonalize_chain` and `thermal._expand_sectors`."""
+    `diagonalize_chain` and `thermal.Sectors.expand`."""
     order = np.argsort(energies, kind="stable")
     energies, two_s, s, zz = energies[order], two_s[order], s[order], zz[order]
     s_s1 = two_s * (two_s + 2.0) / 4.0

@@ -99,6 +99,17 @@ class TestGridCommand:
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             assert "RuntimeWarning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "b_range,message",
+        [("0:1:2:lin", "unknown scale 'lin', expected 'geom'"), ("a:1:2", "could not parse 'a:1:2'"),
+         ("0:1:0", "STEPS must be >= 1")],
+        ids=["unknown-scale", "unparsable-number", "no-steps"],
+    )
+    def test_range_error_names_its_flag(self, tmp_path, capsys, b_range, message):
+        assert run(["grid", "--n", "2", "--j", "1", f"--b-range={b_range}", "--kt-range", "1:1:1",
+                    "--sep", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"spinchain grid: error: argument --b-range: {message}"
+
     def test_negative_field_exits_2(self, tmp_path):
         assert run(["grid", "--n", "2", "--j", "1", "--b-range=-1:1:3", "--kt-range", "1:1:1",
                     "--sep", "1", "--out", str(tmp_path / "x.csv")]) == 2
@@ -111,6 +122,19 @@ class TestGridCommand:
             capsys.readouterr()
             assert run([command, "--n", "4", "--j", "1"]) == 2
             assert capsys.readouterr().out == ""
+
+    def test_non_integer_threads_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPINCHAIN_THREADS", "abc")
+        assert run(["critical", "--n", "4", "--j", "1"]) == 2
+        assert capsys.readouterr() == ("", "spinchain: SPINCHAIN_THREADS must be a positive integer, got 'abc'\n")
+
+    def test_output_under_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2", "--kt-range", "1:1:1",
+                    "--sep", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spinchain: i/o error: ") and err.count("\n") == 1 and str(out) in err
+        assert not out.parent.exists()
 
     def test_overflowing_coupling_exits_2(self, tmp_path, capsys):
         # Finite, but the Hamiltonian's levels overflow float64.
@@ -157,8 +181,8 @@ class TestGridCommand:
     def test_unhealthy_pair_state_exits_1(self, tmp_path, monkeypatch, capsys):
         from spinchain import thermal
 
-        real = thermal._expand_sectors
-        monkeypatch.setattr(thermal, "_expand_sectors", lambda sp, pairs: ((rows, 1.5 * f) for rows, f in real(sp, pairs)))
+        real = thermal.Sectors.expand
+        monkeypatch.setattr(thermal.Sectors, "expand", lambda self, pairs: (1.5 * f for f in real(self, pairs)))
         code = run(["grid", "--n", "2", "--j", "1", "--b-range", "0:1:2", "--kt-range", "0.5:1:2",
                     "--sep", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1
@@ -312,6 +336,23 @@ class TestGridCommand:
         assert run(["grid", "--config", str(cfg), "--out", str(tmp_path / "scan.csv")]) == 2
         assert "error:" in capsys.readouterr().err.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "text,message", [(None, "No such file"), ("{bad", "Expecting property name")], ids=["missing", "invalid-json"]
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert run(["grid", "--config", str(cfg), "--out", str(tmp_path / "scan.csv")]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"spinchain: error: cannot read config {cfg}: ") and message in last
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "colour": "red"}))
+        assert run(["grid", "--config", str(cfg), "--out", str(tmp_path / "scan.csv")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "spinchain: error: unknown config key 'colour'"
+
 
 class TestFigureCommand:
     def test_unknown_id_exits_2(self, tmp_path):
@@ -405,6 +446,10 @@ class TestJsonCommands:
         data = json.loads(capsys.readouterr().out)
         assert data["satisfied"] is True
         assert data["max_ratio"] <= 1.0 + 1e-6
+
+    def test_lipschitz_at_zero_temperature_exits_2(self, capsys):
+        assert run(["lipschitz", "--n", "2", "--j", "1", "--b-range", "0:1:3", "--kt-range", "0:1:2"]) == 2
+        assert capsys.readouterr() == ("", "spinchain: lipschitz check requires kT > 0\n")
 
     def test_output_file_instead_of_stdout(self, tmp_path):
         out = tmp_path / "crit.json"

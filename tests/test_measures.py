@@ -114,6 +114,14 @@ def test_matrix_off_the_state_contract_rejected(measure, rho):
         measure(rho)
 
 
+def test_pair_state_that_is_not_4x4_rejected():
+    rho = np.eye(3) / 3
+    with pytest.raises(StateValidityError, match="4x4"):
+        PairDensityMatrix(sites=(0, 1), matrix=rho, separation=1).validate()
+    with pytest.raises(ParameterError, match="4x4"):
+        concurrence(rho)
+
+
 @pytest.mark.parametrize("measure", STATE_FUNCTIONS.values(), ids=STATE_FUNCTIONS.keys())
 def test_roundoff_within_the_state_tolerance_accepted(measure):
     rho = np.diag([0.5 + 5e-12, 0.5, 0.0, -5e-12])

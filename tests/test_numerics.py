@@ -5,6 +5,7 @@ import pytest
 
 from spinchain import (
     DomainError,
+    NumericError,
     ParameterError,
     StateValidityError,
     binary_entropy,
@@ -65,6 +66,15 @@ class TestEighSymmetric:
             eigh_symmetric([[0.0, np.nan], [np.nan, 0.0]])
         with pytest.raises(ParameterError):
             eigh_symmetric(np.zeros((0, 0)))
+
+
+    def test_solver_failure_is_a_numeric_error(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NumericError, match="eigensolver failed on 2x2 matrix: Eigenvalues did not converge"):
+            eigh_symmetric(np.eye(2))
 
 
 class TestBinaryEntropy:

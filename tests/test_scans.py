@@ -23,8 +23,8 @@ from spinchain import (
     scan_pair_measures,
 )
 from spinchain import scans, thermal
+from spinchain.basis import separation
 from spinchain.scans import FIGURE_COLUMNS, SCAN_COLUMNS
-from spinchain.thermal import pair_features
 from oracles import weight_rows
 
 
@@ -200,22 +200,22 @@ class TestScanPairMeasures:
 
     def test_kt_positive_columns_expand_one_sector_at_a_time(self, monkeypatch):
         # Every column, kT = 0 included, sums each sector's rows as they are
-        # expanded: no column joins the feature table of every eigenstate
-        # (`pair_features`, which `ChainSpectrum.features` also calls) or
-        # the weights of every eigenstate (`gibbs_weights`), each
-        # expansion holds one sector's rows, and a sector's rows are gone
-        # before the next sector's arrive.
+        # expanded by one `Sectors`: no column joins the feature table of
+        # every eigenstate (`ChainSpectrum.features`) or the weights of every
+        # eigenstate (`gibbs_weights`), each expansion holds one sector's
+        # rows, and a sector's rows are gone before the next sector's arrive.
         n, pairs = 10, [(0, 1), (2, 5), (0, 5)]
         sp, b_values = spectrum(n, 1.0), np.linspace(0.0, 5.0, 7)
-        real, expanded = thermal._expand_sectors, []
+        real, expanded, walks = thermal.Sectors.expand, [], []
 
-        def seen(rows, f):
+        def seen(f):
             assert all(ref() is None for _, ref in expanded), "an earlier sector's rows are still held"
             expanded.append((f.shape, weakref.ref(f)))
-            return rows, f
+            return f
 
-        def spy(spectrum, pairs):
-            return itertools.starmap(seen, real(spectrum, pairs))
+        def spy(self, pairs):
+            walks.append(self)
+            return map(seen, real(self, pairs))
 
         def joined(*args):
             raise AssertionError("a column formed a table over every eigenstate")
@@ -223,11 +223,13 @@ class TestScanPairMeasures:
         for kt_values in (np.array([0.05, 0.5, 2.0]), np.array([0.0, 0.05, 0.5, 2.0])):
             want = thermal.pair_states(sp, b_values, kt_values, pairs)
             expanded.clear()
+            walks.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(thermal, "_expand_sectors", spy)
-                patch.setattr(thermal, "pair_features", joined)
+                patch.setattr(thermal.Sectors, "expand", spy)
+                patch.setattr(thermal.ChainSpectrum, "features", property(joined))
                 patch.setattr(thermal, "gibbs_weights", joined)
                 assert np.array_equal(thermal.pair_states(sp, b_values, kt_values, pairs), want)
+            assert len(walks) == 1
             assert [shape for shape, _ in expanded] == [(math.comb(n, k), len(pairs), 5) for k in range(n + 1)]
             assert all(ref() is None for _, ref in expanded)
 
@@ -273,20 +275,21 @@ class TestScanPairMeasures:
         kt_values = np.unique([0.0, *kt_extra])
         got = thermal.pair_states(sp, b_values, kt_values, pairs)
         b, kt = np.repeat(b_values, kt_values.size), np.tile(kt_values, b_values.size)
-        want = (weight_rows(sp, b, kt) @ pair_features(sp, pairs).transpose(1, 0, 2)).transpose(1, 0, 2)
+        f = sp.features[:, [separation(n, i, j) - 1 for i, j in pairs]]
+        want = (weight_rows(sp, b, kt) @ f.transpose(1, 0, 2)).transpose(1, 0, 2)
         assert got.shape == (b_values.size, kt_values.size, len(pairs), 5)
         assert np.abs(got - want.reshape(got.shape)).max() < 1e-13
 
     def test_unhealthy_pair_state_names_first_failing_point(self, monkeypatch):
         grid = ScanGrid(2, 1.0, np.array([0.0, 1.0]), np.array([0.5]), ((0, 1),))
-        real = thermal._expand_sectors
+        real = thermal.Sectors.expand
 
-        def corrupted(spectrum, pairs):
-            for rows, f in real(spectrum, pairs):
+        def corrupted(self, pairs):
+            for f in real(self, pairs):
                 f[..., 4] *= 3.0  # coherence too large for a positive state
-                yield rows, f
+                yield f
 
-        monkeypatch.setattr(thermal, "_expand_sectors", corrupted)
+        monkeypatch.setattr(thermal.Sectors, "expand", corrupted)
         with pytest.raises(NumericError, match=r"B=0\.0, kT=0\.5"):
             scan_pair_measures(grid)
 
@@ -429,6 +432,11 @@ class TestLipschitz:
     def test_requires_multiple_b_samples(self):
         grid = ScanGrid(2, 1.0, np.array([1.0]), np.array([0.5]), ((0, 1),))
         with pytest.raises(ParameterError):
+            lipschitz_check(grid)
+
+    def test_requires_positive_temperatures(self):
+        grid = ScanGrid(2, 1.0, np.array([0.0, 1.0]), np.array([0.0, 0.5]), ((0, 1),))
+        with pytest.raises(ParameterError, match="kT > 0"):
             lipschitz_check(grid)
 
 

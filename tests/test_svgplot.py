@@ -6,7 +6,7 @@ import pytest
 
 from oracles import HEAT_STOPS, heat_color
 from spinchain import ParameterError, svgplot
-from spinchain.svgplot import render_heatmap, render_line_plot
+from spinchain.svgplot import render_heatmap, render_line_plot, render_plot_payload
 
 
 @pytest.mark.parametrize("x", [1e-300, 1.0, 1e17, 1e300])
@@ -85,3 +85,20 @@ def test_line_plot_rejects_non_finite_values(axis, bad):
 def test_line_plot_rejects_a_series_without_one_y_per_x(series):
     with pytest.raises(ParameterError, match="same nonzero number"):
         render_line_plot(series)
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.0], [-1.0, 2.0]])
+def test_log_axis_rejects_non_positive_x(x):
+    with pytest.raises(ParameterError, match="positive"):
+        render_line_plot([{"label": "a", "x": x, "y": [0.1, 0.2]}], logx=True)
+
+
+@pytest.mark.parametrize("z", [[[0.0, 0.5]], [[0.0, 0.5], [0.2]], []], ids=["rows", "columns", "empty"])
+def test_heatmap_rejects_misshaped_z(z):
+    with pytest.raises(ParameterError, match="shaped"):
+        render_heatmap([0.0, 1.0], [0.0, 1.0], z)
+
+
+def test_plot_payload_rejects_unknown_kind():
+    with pytest.raises(ParameterError, match="'pie'"):
+        render_plot_payload({"kind": "pie"})

@@ -21,7 +21,7 @@ from spinchain import (
 )
 from spinchain.basis import separation
 from spinchain.measures import correlation_matrix, x_state_eigenvalues
-from spinchain.thermal import PairDensityMatrix, pair_features, pair_states
+from spinchain.thermal import PairDensityMatrix, pair_states
 from oracles import (
     SX, SY, SZ, all_sector_spectrum, build_sector_hamiltonian, dense_gibbs_state, dense_pair_rdm, member_rows,
     sector_spectrum, site_operator, weight_rows,
@@ -73,7 +73,7 @@ class TestDiagonalizeChain:
         sp = diagonalize_chain(n, 0.7)
         rows = sector_rows(sp)
         pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
-        f = pair_features(sp, pairs)
+        f = sp.features[:, [separation(n, i, k) - 1 for i, k in pairs]]
         for n_up in range(n + 1):
             assert np.all(np.diff(sp.energies[rows[n_up]]) >= 0), n_up
             assert np.all(sp.slopes[rows[n_up]] == 2 * n_up - n)
@@ -104,8 +104,8 @@ class TestDiagonalizeChain:
         assert np.all(f[n_up <= 1][..., 3] == 0.0)
         assert np.all(f[n_up >= n - 1][..., 0] == 0.0)
         assert f[..., :4].min() >= 0.0
-        # p01 and p10 are one value, bit for bit, so `pair_features` needs no
-        # swap for the order of a pair's sites.
+        # p01 and p10 are one value, bit for bit, so `Sectors.expand` needs
+        # no swap for the order of a pair's sites.
         assert np.array_equal(f[..., 1], f[..., 2])
 
     @pytest.mark.parametrize("j", [1.0, -1.0, 0.5, 0.0])
@@ -675,6 +675,39 @@ class TestPairRdm:
         rho = pair_rdm(gibbs_weights(sp, 1.5, 0.8), 0, 2).matrix
         mz = np.diag([-2.0, 0.0, 0.0, 2.0])
         assert np.abs(rho @ mz - mz @ rho).max() < 1e-10
+
+    @pytest.mark.parametrize("j", [1.0, -1.0, 0.5])
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_sector_sums_match_one_shot_product(self, n, j):
+        # `pair_rdm` sums the weights against each sector's features as
+        # `Sectors.expand` yields them: only the last bits may differ from
+        # the one-shot product of the weights with the whole feature table.
+        sp = diagonalize_chain(n, j)
+        features = sp.features
+        for b in (0.0, 1.7, 4.0, 4.5):
+            for kt in (0.0, 0.05, 1.0):
+                ens = gibbs_weights(sp, b, kt)
+                for d in range(1, n // 2 + 1):
+                    p00, p01, p10, p11, z = ens.weights @ features[:, d - 1]
+                    want = np.diag([p00, p01, p10, p11])
+                    want[1, 2] = want[2, 1] = z
+                    assert np.abs(pair_rdm(ens, 0, d).matrix - want).max() < 1e-14, (b, kt, d)
+
+    def test_memory_is_one_sector_at_a_time(self):
+        # At N=14 the features of every eigenstate for one pair, a
+        # (2^14, 1, 5) table, take 0.63 MiB; summed sector by sector, the
+        # traced peak stays under 0.75 MiB.
+        sp = diagonalize_chain(14, 1.0)
+        for b, kt in ((0.0, 1.0), (4.0, 0.0)):
+            ens = gibbs_weights(sp, b, kt)
+            pair_rdm(ens, 0, 3)  # lazy imports and caches stay outside the traced call
+            tracemalloc.start()
+            try:
+                pair_rdm(ens, 0, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.75 * 2**20, f"{peak / 2**20:.2f} MiB at B={b}, kT={kt}"
 
     def test_nan_pair_state_fails_validation(self):
         rho = SINGLET_RHO.copy()
