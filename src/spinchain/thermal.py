@@ -30,9 +30,10 @@ the ring conserves total spin, so each of its eigenvectors stands for a
 whole SU(2) multiplet, and the Wigner-Eckart theorem gives every member's
 energy and pair features.
 The blocks and those pair correlations come from the same separation
-operators. The blocks are folded and solved one at a time, and the
-spectrum keeps no eigenvectors: only `diagonalize_chain` sees them and
-knows how the eigenstates are blocked.
+operators, held as one list of exchange terms grouped by separation. The
+blocks are folded from it and solved one at a time, each operator formed
+one separation at a time, and the spectrum keeps no eigenvectors: only
+`diagonalize_chain` sees them and knows how the eigenstates are blocked.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
 
 
 def _middle_blocks(n: int):
-    """Iterator over (matrix, operators, zz_rows, copies, z) for each
+    """Iterator over (matrix, exchange, zz_rows, copies, z) for each
     symmetry block of H_1 + ALPHA S^2 on the sector n_up = N // 2 that
     `eigh` solves, H_1 the ring at J = 1. Every block is a real symmetric
     float64 matrix, folded only when the iterator reaches it; the arrays
@@ -191,21 +192,30 @@ def _middle_blocks(n: int):
     symmetric-basis element <b|O_d|a> of character e^(i pi t_g / 2N) adds
     |v[b, s] <b|O_d|a> v[a, s']| cos(pi (t[a, s'] - t[b, s] + t_g) / 2N),
     read off a table of the 4N cosines, to the cell of slot s of b and slot
-    s' of a; only the terms between two representatives of the block are
-    folded. Each O_d block is kept dense in `operators`, its sigma^z sigma^z
-    diagonal, equal at a and a', also as zz_rows[:, d-1], and `_multiplets`
-    reads the pair correlations off them. Block (N - q, z) is the complex
-    conjugate of block (q, z), so it has the same real block, spectrum and
-    correlations, and `copies` is 2 for 0 < q < N/2, else 1. Blocks come in
-    the order of q and then z = 1, -1, skipping those with no
-    representative; a block's `z` is 0 for odd N, whose blocks have no Z.
+    s' of a. Both t[a, s] and t_g = 4 q l + 2 N f [z = -1], for g = T^l Z^f,
+    are affine in (q, [z = -1]), so each such term, one per exchange and
+    pair of nonzero slots, stores its cosine index once as
+    p0 + q pq + [z = -1] pz (mod 4N), and serves every block.
+
+    That term list, sorted by d, is the only form the blocks take. A block's
+    `matrix` sums the terms between two of its representatives, each times
+    the coefficient of its O_d, and adds the diagonal. After `eigh`,
+    `exchange` yields the block's exchange part of each O_d in turn, O_d
+    less its sigma^z sigma^z diagonal, built from that d's slice of the
+    terms only when the iterator reaches it. That diagonal, equal at a and
+    a', is zz_rows[:, d-1], and `_multiplets` reads the pair correlations
+    off both. Block (N - q, z) is the complex conjugate of block (q, z), so
+    it has the same real block, spectrum and correlations, and `copies` is
+    2 for 0 < q < N/2, else 1. Blocks come in the order of q and then
+    z = 1, -1, skipping those with no representative; a block's `z` is 0
+    for odd N, whose blocks have no Z.
     """
     states = enumerate_sector(n, n // 2).states
     full = (1 << n) - 1
     shifts = np.arange(n)[:, None]
-    translates = ((states << shifts) | (states >> (n - shifts))) & full
     # Row l + N f of `images` is T^l Z^f applied to every pattern.
-    images = np.concatenate((translates, translates ^ full)) if n % 2 == 0 else translates
+    images = ((states << shifts) | (states >> (n - shifts))) & full
+    images = np.concatenate((images, images ^ full)) if n % 2 == 0 else images
     least = images.min(axis=0)
     reps = np.flatnonzero(least == states)
     fixed = images[:, reps] == states[reps]  # the stabilizer of each representative
@@ -218,8 +228,14 @@ def _middle_blocks(n: int):
     mirrored = ((states[reps, None] >> np.arange(n)) & 1) @ (1 << np.arange(n)[::-1])
     partner = orbit[np.searchsorted(states, mirrored)]
     f, m = np.divmod(np.argmax(images[:, reps[partner]] == mirrored, axis=0), n)
+    group = np.arange(len(images))
+    del images  # |G| x C(N, N//2) patterns, which the terms below do not need
+    # The pairs i < j in the order of their separation d, so that the exchanges, and
+    # the terms folded from them, come grouped by d.
     i, j = np.triu_indices(n, 1)
     sep = np.minimum(j - i, n - j + i)
+    order = np.argsort(sep, kind="stable")
+    i, j, sep = i[order], j[order], sep[order]
     by_sep = (sep == np.arange(1, n // 2 + 1)[:, None]).astype(float)
     aligned = 1.0 - 2.0 * (((states[reps] >> i[:, None]) ^ (states[reps] >> j[:, None])) & 1)
     zz_rows = (by_sep @ aligned).T
@@ -228,45 +244,48 @@ def _middle_blocks(n: int):
     up = (states[reps] >> np.stack([j, i], axis=1)[..., None]) & 1
     bond, _, a = np.nonzero(up & (aligned < 0)[:, None])
     target = np.searchsorted(states, states[reps[a]] ^ ((1 << i) | (1 << j))[bond])
-    at, b, l, g = sep[bond] - 1, orbit[target], shift[target], flip[target]
+    b, at = orbit[target], (sep[bond] - 1).astype(np.int32)
     coeff = np.full(n // 2, ALPHA / 2)
     coeff[0] += 2 if n == 2 else 1
     own = np.arange(reps.size)
     lower, mirror = (own < partner)[:, None], (own == partner)[:, None]
-    slots = np.stack([np.minimum(own, partner), np.maximum(own, partner)], axis=1)
+    slots = np.stack([np.minimum(own, partner), np.maximum(own, partner)], axis=1).astype(np.int32)
     v_abs = np.where(mirror, [1.0, 0.0], np.sqrt(0.5))
     magnitude = 2.0 * np.sqrt(members[a] / members[b])[:, None, None] * v_abs[b][:, :, None] * v_abs[a][:, None, :]
-    # One fold term per nonzero magnitude: exchange e between slot sb of b and slot sa of a.
+    # Slot s of a has t[a, s] = t0[a, s] + q tq[a] + [z = -1] tz[a], t_phi / 2 taken 0, 1 or 2
+    # times, and T^l Z^f the character index 4 q l + 2 N f [z = -1] (see the docstring).
+    scale = 2 * (own > partner) + (own == partner)
+    t0, tq, tz = np.where(lower, [0, n], np.where(mirror, 0, [0, -n])).astype(np.int32), 2 * scale * m, n * scale * f
+    pq = ((tq[a] - tq[b] + 4 * shift[target]) % (4 * n)).astype(np.int32)
+    pz = ((tz[a] - tz[b] + 2 * n * flip[target]) % (4 * n)).astype(np.int32)
+    a, b = a.astype(np.int32), b.astype(np.int32)
+    # One term per nonzero magnitude: exchange e between slot sb of b and slot sa of a.
     e, sb, sa = np.nonzero(magnitude)
-    magnitude, at, a, b, element = magnitude[e, sb, sa], at[e], a[e], b[e], (l + n * g)[e]
-    row, col = slots[b, sb], slots[a, sa]
+    magnitude, at, pq, pz, a, b = magnitude[e, sb, sa], at[e], pq[e], pz[e], a[e], b[e]
+    row, col, p0 = slots[b, sb], slots[a, sa], (t0[a, sa] - t0[b, sb]) % (4 * n)
+    bounds = np.searchsorted(at, np.arange(n // 2 + 1)).tolist()
+    by_d = list(map(slice, bounds[:-1], bounds[1:]))
     cosines = np.cos(np.pi * np.arange(4 * n) / (2 * n))
     # Block (q, z) has chi(T^l Z^f) = e^(i pi t / 2N) for t = 4 q l + 2 N f [z = -1],
     # and holds the representatives whose stabilizer has t = 0 only.
-    block_q, block_minus = np.divmod(np.arange((n // 2 + 1) * (len(images) // n)), len(images) // n)
-    group = np.arange(len(images))
+    block_q, block_minus = np.divmod(np.arange((n // 2 + 1) * (group.size // n)), group.size // n)
     chi_t = (4 * block_q[:, None] * (group % n) + 2 * n * block_minus[:, None] * (group // n)) % (4 * n)
     block_reps = ~(fixed & (chi_t != 0)[:, :, None]).any(axis=1)
 
-    def fold(q, minus, chi, inside):
+    def fold(q, minus, inside):
         d = np.count_nonzero(inside)
-        cut = n // 2 * d * d
-        # Each representative's position in the block; a term of one outside it lands on `cut`.
-        pos = np.where(inside, np.cumsum(inside) - 1, cut)
-        cells = np.minimum((at * d + pos[row]) * d + pos[col], cut)
-        # t_phi stays unreduced: halving it mod 4N would flip a self-mirror vector's sign.
-        t_phi = (4 * q * m + 2 * n * minus * f)[:, None]
-        t = np.where(mirror, t_phi // 2, np.where(lower, [0, n], t_phi - [0, n]))
-        values = magnitude * cosines[(t[a, sa] - t[b, sb] + chi[element]) % (4 * n)]
-        flat = np.bincount(cells, values, cut + 1)[:cut].reshape(n // 2, d * d)
+        # Each representative's position in the block; a term of one outside it lands on d*d.
+        pos = np.where(inside, np.cumsum(inside) - 1, d * d)
+        cells = np.minimum(pos[row] * d + pos[col], d * d)
+        values = magnitude * cosines[(p0 + q * pq + minus * pz) % (4 * n)]
+        matrix = np.bincount(cells, coeff[at] * values, d * d + 1)[: d * d]
         diagonal = zz_rows[inside]
-        flat[:, :: d + 1] += diagonal.T
-        matrix = coeff @ flat
-        matrix[:: d + 1] += 0.75 * n * ALPHA
-        return matrix.reshape(d, d), flat.reshape(n // 2, d, d), diagonal, 1 if 2 * q % n == 0 else 2, (1 - 2 * minus) * (n % 2 == 0)
+        matrix[:: d + 1] += diagonal @ coeff + 0.75 * n * ALPHA
+        exchange = (np.bincount(cells[k], values[k], d * d + 1)[: d * d].reshape(d, d) for k in by_d)
+        return matrix.reshape(d, d), exchange, diagonal, 1 if 2 * q % n == 0 else 2, (1 - 2 * minus) * (n % 2 == 0)
 
     kept = block_reps.any(axis=1)
-    return map(fold, block_q[kept].tolist(), block_minus[kept].tolist(), chi_t[kept], block_reps[kept])
+    return map(fold, block_q[kept].tolist(), block_minus[kept].tolist(), block_reps[kept])
 
 
 def eigh_symmetric(matrix: np.ndarray):
@@ -330,12 +349,14 @@ def _multiplets(n: int, blocks):
 def _solve_block(block):
     """Eigenvalues, <O_d> and summed zz rows of the eigenvectors of one
     `_middle_blocks` block, with its z, as a list of `copies` equal rows.
-    <O_d> is formed one separation d at a time, so no product of all the
-    O_d with the eigenvectors is held at once."""
-    matrix, operators, zz_rows, copies, z = block
+    <O_d> is the expectation of O_d's exchange part, formed one separation
+    d at a time so that only one is held, plus that of its sigma^z sigma^z
+    diagonal, which is the summed zz row."""
+    matrix, exchange, zz_rows, copies, z = block
     values, u = eigh_symmetric(matrix)
-    dot = np.stack([(u * (o_d @ u)).sum(axis=0) for o_d in operators], axis=1)
-    return [(values, dot, (u * u).T @ zz_rows, np.full(values.size, z))] * copies
+    zz = (u * u).T @ zz_rows
+    dot = np.stack([(u * (x_d @ u)).sum(axis=0) for x_d in exchange], axis=1) + zz
+    return [(values, dot, zz, np.full(values.size, z))] * copies
 
 
 class Sectors:

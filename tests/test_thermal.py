@@ -122,8 +122,9 @@ class TestDiagonalizeChain:
         # N - q of the blocks 0 < q < N/2, which conj(W) turns into the
         # same real block, they cover the sector once. Each separation
         # operator O_d, the sum of sigma^i . sigma^j over the pairs i < j at
-        # separation d, is W^H O_d W, and each zz row holds the diagonal
-        # sigma^z sigma^z part of every O_d at its representative.
+        # separation d, is W^H O_d W: the block's exchange part of O_d plus
+        # its diagonal sigma^z sigma^z part, which each zz row holds at its
+        # representative.
         from spinchain import thermal
 
         sh = build_sector_hamiltonian(ModelParams(n, j), n // 2)
@@ -148,10 +149,13 @@ class TestDiagonalizeChain:
         blocks = list(thermal._middle_blocks(n))
         assert len(blocks) == len(labels)
         covered = 0
-        for (q, z), (matrix, operators, zz_rows, copies, block_z) in zip(labels, blocks):
+        for (q, z), (matrix, exchange, zz_rows, copies, block_z) in zip(labels, blocks):
             assert block_z == (z if n % 2 == 0 else 0)
             assert copies == (1 if 2 * q % n == 0 else 2)
             covered += copies * len(matrix)
+            # O_d is its exchange part plus its sigma^z sigma^z diagonal.
+            operators = [x_d + np.diag(zz_rows[:, d]) for d, x_d in enumerate(exchange)]
+            assert len(operators) == len(separation_ops)
             for m in (matrix, *operators):
                 assert m.dtype == np.float64
                 assert np.abs(m - m.T).max() <= 1e-13
@@ -167,9 +171,9 @@ class TestDiagonalizeChain:
                 assert matrix.shape == want.shape
                 assert np.abs(want.imag).max() <= 1e-13
                 assert np.abs(j * matrix - want.real).max() <= 1e-13
-                assert operators.shape == (n // 2, *matrix.shape)
                 for op, o_d in zip(operators, separation_ops):
                     want = basis.conj().T @ o_d @ basis
+                    assert op.shape == want.shape
                     assert np.abs(want.imag).max() <= 1e-13
                     assert np.abs(op - want.real).max() <= 1e-13
             want = zz_sums[np.searchsorted(states, block_representatives(states, n, q, z))]
@@ -227,8 +231,8 @@ class TestDiagonalizeChain:
         real = thermal._middle_blocks
 
         def labelled(n_spins):
-            for k, (matrix, operators, zz_rows, copies, z) in enumerate(real(n_spins)):
-                yield matrix, operators, zz_rows, copies, -z if mislabel and k == 0 else z
+            for k, (matrix, exchange, zz_rows, copies, z) in enumerate(real(n_spins)):
+                yield matrix, exchange, zz_rows, copies, -z if mislabel and k == 0 else z
 
         monkeypatch.setattr(thermal, "_middle_blocks", labelled)
         if raises:
@@ -250,10 +254,11 @@ class TestDiagonalizeChain:
             assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
 
     def test_spectrum_memory_is_one_block_and_the_rows(self):
-        # The blocks are folded and solved one at a time, <O_d> one
-        # separation at a time, and the spectrum keeps each row's multiplet
-        # instead of a feature table (2^14 x 7 x 5 floats, 4.4 MiB): at N=14
-        # the traced peak stays under 6 MiB and what is kept under 2 MiB.
+        # The blocks are folded from one term list and solved one at a time,
+        # <O_d> one separation at a time, and the spectrum keeps each row's
+        # multiplet instead of a feature table (2^14 x 7 x 5 floats,
+        # 4.4 MiB): at N=14 the traced peak stays under 6 MiB and what is
+        # kept under 2 MiB.
         diagonalize_chain(4, 1.0)  # lazy imports and caches stay outside the traced call
         tracemalloc.start()
         try:
@@ -264,6 +269,23 @@ class TestDiagonalizeChain:
         assert sp.energies.size == 2**14
         assert peak <= 6 * 2**20
         assert kept <= 2 * 2**20
+
+    def test_spectrum_memory_is_one_separation_operator(self, monkeypatch):
+        # After `eigh`, each O_d's exchange part is formed from its d's slice
+        # of the term list and dropped before the next, so no block holds
+        # all N/2 dense O_d: at N=16 those of the largest block (8 x 415^2
+        # floats, 10.5 MiB) held at once take the traced peak to about
+        # 18 MiB, and the traced peak stays under 14 MiB.
+        monkeypatch.setattr("spinchain.basis.MAX_SPINS", 16)
+        diagonalize_chain(4, 1.0)  # lazy imports and caches stay outside the traced call
+        tracemalloc.start()
+        try:
+            sp = diagonalize_chain(16, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.energies.size == 2**16
+        assert peak <= 14 * 2**20
 
     @pytest.mark.parametrize("n", range(3, 14, 2))
     def test_odd_ground_level_is_a_momentum_doublet(self, n):
