@@ -3,99 +3,72 @@
 Exact diagonalization in magnetization sectors, Gibbs states, two-site
 reduced density matrices, and pairwise entanglement/correlation measures,
 plus parameter scans, critical-point detection, and figure datasets.
+
+The public names load on first use (PEP 562), so `import spinchain` loads
+no numpy: `spinchain.cli` can set numpy's BLAS thread count before numpy
+starts.
 """
 
-from .basis import MAX_SPINS, ModelParams, SectorBasis, enumerate_sector
-from .errors import (
-    DomainError,
-    MeasurementError,
-    NumericError,
-    ParameterError,
-    SpinChainError,
-    StateValidityError,
-)
-from .measures import (
-    ConcurrenceResult,
-    PairDensityMatrix,
-    analytic_two_qubit_concurrence,
-    binary_entropy,
-    chsh_quantity,
-    chsh_violated,
-    concurrence,
-    correlation_matrix,
-    critical_temperature_two_qubit,
-    eof_from_concurrence,
-    mutual_information,
-    project_remaining_down,
-    pure_state_pair_rdm,
-    von_neumann_entropy,
-    w_state,
-)
-from .scans import (
-    EntanglementLengthResult,
-    FigureDataset,
-    LipschitzReport,
-    ScanGrid,
-    StaircaseResult,
-    critical_field_closed_form,
-    entanglement_length,
-    figure_dataset,
-    lipschitz_check,
-    magnetization_staircase,
-    scan_pair_measures,
-)
-from .thermal import (
-    ChainSpectrum,
-    GibbsEnsemble,
-    diagonalize_chain,
-    eigh_symmetric,
-    gibbs_weights,
-    pair_rdm,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_SPINS",
-    "ModelParams",
-    "SectorBasis",
-    "enumerate_sector",
-    "SpinChainError",
-    "ParameterError",
-    "DomainError",
-    "StateValidityError",
-    "NumericError",
-    "MeasurementError",
-    "critical_field_closed_form",
-    "critical_temperature_two_qubit",
-    "eigh_symmetric",
-    "binary_entropy",
-    "von_neumann_entropy",
-    "ChainSpectrum",
-    "GibbsEnsemble",
-    "PairDensityMatrix",
-    "diagonalize_chain",
-    "gibbs_weights",
-    "pair_rdm",
-    "pure_state_pair_rdm",
-    "ConcurrenceResult",
-    "concurrence",
-    "eof_from_concurrence",
-    "analytic_two_qubit_concurrence",
-    "mutual_information",
-    "correlation_matrix",
-    "chsh_quantity",
-    "chsh_violated",
-    "w_state",
-    "project_remaining_down",
-    "ScanGrid",
-    "StaircaseResult",
-    "EntanglementLengthResult",
-    "LipschitzReport",
-    "FigureDataset",
-    "scan_pair_measures",
-    "magnetization_staircase",
-    "entanglement_length",
-    "lipschitz_check",
-    "figure_dataset",
-]
+# Each public name and the module that owns it, in `__all__` order.
+_EXPORTS = {
+    "MAX_SPINS": "basis",
+    "ModelParams": "basis",
+    "SectorBasis": "basis",
+    "enumerate_sector": "basis",
+    "SpinChainError": "errors",
+    "ParameterError": "errors",
+    "DomainError": "errors",
+    "StateValidityError": "errors",
+    "NumericError": "errors",
+    "MeasurementError": "errors",
+    "critical_field_closed_form": "scans",
+    "critical_temperature_two_qubit": "measures",
+    "eigh_symmetric": "thermal",
+    "binary_entropy": "measures",
+    "von_neumann_entropy": "measures",
+    "ChainSpectrum": "thermal",
+    "GibbsEnsemble": "thermal",
+    "PairDensityMatrix": "measures",
+    "diagonalize_chain": "thermal",
+    "gibbs_weights": "thermal",
+    "pair_rdm": "thermal",
+    "pure_state_pair_rdm": "measures",
+    "ConcurrenceResult": "measures",
+    "concurrence": "measures",
+    "eof_from_concurrence": "measures",
+    "analytic_two_qubit_concurrence": "measures",
+    "mutual_information": "measures",
+    "correlation_matrix": "measures",
+    "chsh_quantity": "measures",
+    "chsh_violated": "measures",
+    "w_state": "measures",
+    "project_remaining_down": "measures",
+    "ScanGrid": "scans",
+    "StaircaseResult": "scans",
+    "EntanglementLengthResult": "scans",
+    "LipschitzReport": "scans",
+    "FigureDataset": "scans",
+    "scan_pair_measures": "scans",
+    "magnetization_staircase": "scans",
+    "entanglement_length": "scans",
+    "lipschitz_check": "scans",
+    "figure_dataset": "scans",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,9 +1,18 @@
 """Command-line interface: scans, figure datasets, and critical-point queries.
 
 Exit codes: 0 success, 1 numeric failure (named grid point), 2 argument
-or configuration errors, a grid too large for memory among them. A command
-writes the same bytes for the same numpy/BLAS build and the same BLAS thread
-count; across thread counts an N=14 grid stays within 1e-11.
+or configuration errors, a grid too large for memory among them.
+
+BLAS runs on one thread: this module sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where they are unset before it
+imports numpy, and BLAS reads them when numpy first loads. By default a
+command therefore writes the same bytes for the same numpy/BLAS build on
+any number of cores. A value already set is kept (OpenBLAS reads
+OPENBLAS_NUM_THREADS before OMP_NUM_THREADS, so set that one to choose its
+count); a command writes the same bytes for the same count, and across
+counts an N=14 grid stays within 1e-11. Library callers keep numpy's
+default; they get the same by setting OPENBLAS_NUM_THREADS=1 before
+importing numpy.
 SPINCHAIN_THREADS must be a positive integer if set, but has no effect.
 """
 
@@ -16,11 +25,21 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# The largest eigh block is 128 x 128 at N = 14, too small to gain from a
+# second BLAS thread, yet OpenBLAS starts one per core and it spin-waits.
+# Measured on 2 cores with OpenBLAS 0.3.31: an N=14 grid used twice its
+# wall time in CPU (0.14 s for 0.07 s), and in 2 of 16 fresh processes the
+# first 128 x 128 eigh took 220 ms instead of 2.7 ms. BLAS reads these
+# variables when numpy loads, so numpy must load after them.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-from .basis import MAX_SPINS
-from .errors import NumericError, ParameterError, SpinChainError
-from .scans import (
+import numpy as np  # noqa: E402
+
+from .basis import MAX_SPINS  # noqa: E402
+from .errors import NumericError, ParameterError, SpinChainError  # noqa: E402
+from .scans import (  # noqa: E402
     FIGURE_IDS,
     ScanGrid,
     critical_field_closed_form,
@@ -32,7 +51,7 @@ from .scans import (
     scan_pair_measures,
     scan_table,
 )
-from .svgplot import render_plot_payload
+from .svgplot import render_plot_payload  # noqa: E402
 
 
 def _write_csv(path: Path, table):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -470,6 +471,35 @@ class TestJsonCommands:
         assert not out.exists()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Prepended to a child's code: `Spy.seen` holds the BLAS thread variables as
+# they were when the first import of numpy began, or None if none began.
+NUMPY_SPY = (
+    "import os, sys\n"
+    "class Spy:\n"
+    "    seen = None\n"
+    "    @classmethod\n"
+    "    def find_spec(cls, name, path=None, target=None):\n"
+    "        if name == 'numpy' and cls.seen is None:\n"
+    f"            cls.seen = [os.environ.get(k) for k in {BLAS_THREAD_VARS!r}]\n"
+    "sys.meta_path.insert(0, Spy)\n"
+)
+
+
+def fresh_python(args, **env):
+    """Stdout of a fresh interpreter that imports spinchain from this tree.
+
+    Its environment is this one's without the BLAS thread variables, plus
+    `env`: once a test has imported spinchain.cli, this process carries them.
+    """
+    src = str(Path(spinchain.__file__).parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, *args], env={**base, **env}, capture_output=True, timeout=300)
+    assert res.returncode == 0, res.stderr.decode(errors="replace")[-2000:]
+    return res.stdout
+
+
 def test_cli_import_loads_only_stdlib_and_numpy():
     # Every module that loading the command line pulls in counts against
     # each command's start-up time, so a fresh interpreter that imports
@@ -478,11 +508,40 @@ def test_cli_import_loads_only_stdlib_and_numpy():
         "import sys; before = set(sys.modules); import spinchain.cli; "
         "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
     )
-    src = str(Path(spinchain.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split())
+    loaded = set(fresh_python(["-c", code]).decode().split())
     assert "spinchain" in loaded
     assert loaded - set(sys.stdlib_module_names) - {"numpy", "spinchain"} == set()
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "openblas_2"])
+def test_cli_loads_numpy_with_one_blas_thread_unless_set(preset):
+    # OpenBLAS reads its thread count once, when numpy loads, so the CLI's
+    # default must be in the environment before that; a value already set
+    # stays.
+    seen = fresh_python(["-c", NUMPY_SPY + "import spinchain.cli\nprint(*Spy.seen)"], **preset).decode().split()
+    assert seen == [preset.get(k, "1") for k in BLAS_THREAD_VARS]
+
+
+def test_library_import_loads_no_numpy_and_leaves_blas_alone():
+    code = NUMPY_SPY + "import spinchain\nprint('numpy' in sys.modules, *dir(spinchain))\n"
+    loaded, *names = fresh_python(["-c", code]).decode().split()
+    assert loaded == "False"
+    assert set(spinchain.__all__) <= set(names)
+    code = NUMPY_SPY + "from spinchain import diagonalize_chain, scan_pair_measures\nprint(*Spy.seen)\n"
+    assert fresh_python(["-c", code]).decode().split() == ["None"] * 3
+
+
+def test_grid_bytes_do_not_depend_on_an_unset_blas_thread_count(tmp_path):
+    # A fresh `python -m spinchain.cli` on a ring14_sweep-sized grid writes
+    # the same bytes with no thread variable set as with one BLAS thread.
+    seps = [a for d in "1234567" for a in ("--sep", d)]
+    argv = ["-m", "spinchain.cli", "grid", "--n", "14", "--j", "1", *seps,
+            "--b-range", "0.3:4.5:13", "--kt-range", "0.07:1.8:6:geom", "--out"]
+    fresh_python([*argv, str(tmp_path / "unset.csv")])
+    fresh_python([*argv, str(tmp_path / "one.csv")], OPENBLAS_NUM_THREADS="1")
+    unset = (tmp_path / "unset.csv").read_bytes()
+    assert unset.count(b"\n") == 1 + 13 * 6 * 7
+    assert unset == (tmp_path / "one.csv").read_bytes()
 
 
 def test_star_import_binds_exactly_all():
@@ -493,3 +552,47 @@ def test_star_import_binds_exactly_all():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(spinchain.__all__)
     assert len(set(spinchain.__all__)) == len(spinchain.__all__)
+
+
+# The public names as they were before the package loaded them lazily, by
+# owning module; `__all__` keeps this order.
+PUBLIC_NAMES = """
+    MAX_SPINS ModelParams SectorBasis enumerate_sector SpinChainError
+    ParameterError DomainError StateValidityError NumericError
+    MeasurementError critical_field_closed_form critical_temperature_two_qubit
+    eigh_symmetric binary_entropy von_neumann_entropy ChainSpectrum
+    GibbsEnsemble PairDensityMatrix diagonalize_chain gibbs_weights pair_rdm
+    pure_state_pair_rdm ConcurrenceResult concurrence eof_from_concurrence
+    analytic_two_qubit_concurrence mutual_information correlation_matrix
+    chsh_quantity chsh_violated w_state project_remaining_down ScanGrid
+    StaircaseResult EntanglementLengthResult LipschitzReport FigureDataset
+    scan_pair_measures magnetization_staircase entanglement_length
+    lipschitz_check figure_dataset
+""".split()
+OWNERS = {
+    "basis": "MAX_SPINS ModelParams SectorBasis enumerate_sector",
+    "errors": "SpinChainError ParameterError DomainError StateValidityError NumericError MeasurementError",
+    "measures": "critical_temperature_two_qubit binary_entropy von_neumann_entropy PairDensityMatrix "
+                "pure_state_pair_rdm ConcurrenceResult concurrence eof_from_concurrence "
+                "analytic_two_qubit_concurrence mutual_information correlation_matrix chsh_quantity "
+                "chsh_violated w_state project_remaining_down",
+    "scans": "critical_field_closed_form ScanGrid StaircaseResult EntanglementLengthResult LipschitzReport "
+             "FigureDataset scan_pair_measures magnetization_staircase entanglement_length lipschitz_check "
+             "figure_dataset",
+    "thermal": "eigh_symmetric ChainSpectrum GibbsEnsemble diagonalize_chain gibbs_weights pair_rdm",
+}
+
+
+def test_public_names_are_their_owners_objects():
+    assert spinchain.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 42
+    owned = [(module, name) for module, names in OWNERS.items() for name in names.split()]
+    assert sorted(name for _, name in owned) == sorted(PUBLIC_NAMES)
+    for module, name in owned:
+        assert getattr(spinchain, name) is getattr(importlib.import_module(f"spinchain.{module}"), name), name
+    assert set(PUBLIC_NAMES) <= set(dir(spinchain))
+    assert spinchain.__version__ == "0.1.0"
+
+
+def test_an_unknown_public_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'diagonalise_chain'"):
+        spinchain.diagonalise_chain  # noqa: B018
