@@ -187,11 +187,6 @@ def critical_temperature_two_qubit(coupling: float) -> float:
     return kt
 
 
-def single_site_rdms(rho) -> tuple[np.ndarray, np.ndarray]:
-    """Partial traces of a pair state onto its first and second site."""
-    return _partial_traces(_as_matrix(rho)[0])
-
-
 def _partial_traces(m: np.ndarray):
     m = m.reshape(2, 2, 2, 2)
     return np.einsum("abcb->ac", m), np.einsum("abad->bd", m)

@@ -5,7 +5,7 @@ The ring of N spins 1/2 in a uniform field B is
     H = sum_i [B sigma_z^i + J sigma^i . sigma^{i+1}],  sites i + N = i (cyclic),
 
 with the site and bit conventions of `basis`; J > 0 is the antiferromagnet.
-`_middle_blocks` builds its exchange part, `diagonalize_chain` solves it,
+`_blocks` builds its exchange part, `diagonalize_chain` solves it,
 and the field enters only through each eigenstate's Zeeman slope.
 
 The full 2^N density matrix is never materialized. The chain is
@@ -30,15 +30,18 @@ the ring conserves total spin, so each of its eigenvectors stands for a
 whole SU(2) multiplet, and the Wigner-Eckart theorem gives every member's
 energy and pair features.
 The blocks and those pair correlations come from the same separation
-operators, held as one list of exchange terms grouped by separation. The
-blocks are folded from it and solved one at a time, each operator formed
-one separation at a time, and the spectrum keeps no eigenvectors: only
+operators, in three stages: `_orbits` labels the sector's orbits, `_terms`
+writes the operators on them as one list of exchange terms grouped by
+separation, and `_blocks` folds each (q, z) block from it. The blocks are
+solved one at a time, each operator formed one separation at a time, and
+the spectrum keeps no eigenvectors, only each multiplet's momentum: only
 `diagonalize_chain` sees them and knows how the eigenstates are blocked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -71,7 +74,8 @@ class ChainSpectrum:
     `zz` and `rank2`, one row per multiplet and one column per separation
     d = 1..N//2, hold their pair correlations (see `diagonalize_chain`),
     from which `Sectors.expand` expands each eigenstate's X-state features
-    one sector at a time. No eigenvectors are kept.
+    one sector at a time. `momentum` holds each multiplet's q = 0..N-1, its
+    crystal momentum k = 2 pi q / N. No eigenvectors are kept.
     """
 
     n_spins: int
@@ -82,6 +86,7 @@ class ChainSpectrum:
     s: np.ndarray
     zz: np.ndarray
     rank2: np.ndarray
+    momentum: np.ndarray
 
     @property
     def features(self) -> np.ndarray:
@@ -124,12 +129,12 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     n_up = N // 2. `eigh` therefore runs only on the real symmetric blocks
     (q, z) of H_1 + ALPHA S^2 restricted to that sector, momentum
     q = 0..N//2 and, for even N, spin inversion z = +-1, H_1 the ring at
-    J = 1 (see `_middle_blocks`); block (N - q, z) is the conjugate of
-    block (q, z), so its multiplets are copies of those of (q, z). The block
-    eigenvectors are eigenvectors of H = J H_1 for every J, so each gives its
-    multiplet's S, its energy E = J (lambda - ALPHA S(S+1)) and its pair
-    correlations s and zz (see `_multiplets`), and the splitting
-    ALPHA S(S+1) never sinks under the roundoff of a large |J|.
+    J = 1 (see `_blocks`); block (N - q, z) is the conjugate of block
+    (q, z), so its multiplets are copies of those of (q, z) at momentum N - q.
+    The block eigenvectors are eigenvectors of H = J H_1 for every J, so
+    each gives its multiplet's S, its energy E = J (lambda - ALPHA S(S+1))
+    and its pair correlations s and zz (see `_multiplets`), and the
+    splitting ALPHA S(S+1) never sinks under the roundoff of a large |J|.
 
     The multiplets are sorted by E (ties keep the block order), and each has
     one row per member m, in the sector n_up = m + N/2. By the
@@ -143,72 +148,32 @@ def diagonalize_chain(n_spins: int, coupling: float) -> ChainSpectrum:
     ModelParams(n_spins=n_spins, coupling=coupling)
     if not np.isfinite(4.0 * n_spins * coupling):
         raise ParameterError(f"the N={n_spins} Hamiltonian overflows float64 at J={coupling} (levels span 4N|J|)")
-    energies, two_s, s, zz = _multiplets(n_spins, _middle_blocks(n_spins))
+    energies, two_s, s, zz, q = _multiplets(n_spins, _blocks(n_spins))
     energies = coupling * energies
     order = np.argsort(energies, kind="stable")
-    energies, two_s, s, zz = energies[order], two_s[order], s[order], zz[order]
+    energies, two_s, s, zz, q = energies[order], two_s[order], s[order], zz[order], q[order]
     denom = 0.75 * (n_spins % 2) - two_s * (two_s + 2.0) / 4.0
     rank2 = np.divide(zz - s / 3.0, denom[:, None], out=np.zeros_like(zz), where=(denom != 0.0)[:, None])
     # Row k is member `sector[k] - N/2` of multiplet `multiplet[k]`.
     sector, multiplet = np.nonzero(two_s >= np.abs(2 * np.arange(n_spins + 1) - n_spins)[:, None])
-    return ChainSpectrum(n_spins, coupling, energies[multiplet], 2 * sector - n_spins, multiplet, s, zz, rank2)
+    return ChainSpectrum(n_spins, coupling, energies[multiplet], 2 * sector - n_spins, multiplet, s, zz, rank2, q)
 
 
-def _middle_blocks(n: int):
-    """Iterator over (matrix, exchange, zz_rows, copies, z) for each
-    symmetry block of H_1 + ALPHA S^2 on the sector n_up = N // 2 that
-    `eigh` solves, H_1 the ring at J = 1. Every block is a real symmetric
-    float64 matrix, folded only when the iterator reaches it; the arrays
-    that label the sector's orbits are gone by then.
-
-    With O_d the sum of sigma^i . sigma^j over the pairs i < j at separation
-    d, H_1 + ALPHA S^2 = (m + ALPHA/2) O_1 + (ALPHA/2) sum_{d>=2} O_d + 3N ALPHA/4,
-    where m = 2 for N = 2 (its ring visits its one bond twice), else 1.
+def _orbits(n: int):
+    """The sector n_up = N // 2 as orbits of its patterns under the ring's
+    symmetries: (states, reps, stabilizer, orbit, shift, flip, partner, m, f).
 
     The translation T moves site i to site i+1. For even N the spin
     inversion Z, which flips every spin, maps the sector onto itself too, and
     T and Z generate the group G of the 2N elements T^l Z^f (f = 0, 1); for
     odd N, Z leaves the sector and G is the N translations T^l. Each orbit
-    of the sector's patterns under G is labelled by its smallest pattern a,
-    the representative, and has R_a members. Block (q, z) belongs to the
-    character chi(T^l Z^f) = e^(ikl) z^f, k = 2 pi q / N (q = 0..N//2) and
-    z = +-1 (z = 1 for odd N), and is spanned by the orbits on whose
-    stabilizer chi is 1, as the states |a> = R_a^(-1/2) sum_x conj(chi(g_x)) x
-    over the members x = g_x a (Sandvik, arXiv:1101.3281, sec. 4, for the
-    spin-inversion states). A pattern s = g b met by applying O_d to |a>
-    adds its weight times chi(g) sqrt(R_a / R_b) to the element <b|O_d|a>.
-
-    The reflection P (site i to site N-1-i) obeys PT = T^-1 P and PZ = ZP;
-    write P a = T^(m_a) Z^(f_a) a', a' a representative, with the least
-    m_a + N f_a. Then theta = P K, K the complex conjugation, maps the
-    coefficient c of |a> to phi_a conj(c) at a', phi_a = e^(ik m_a) z^(f_a)
-    = e^(i pi t_phi / 2N) for t_phi = 4 q m_a + 2 N f_a [z = -1], commutes
-    with every O_d and squares to 1, so the block is real in a
-    theta-invariant basis (ibid., sec. 4.1). It has one vector per
-    representative, in ascending order of a, and a enters the two at
-    min(a, a') and max(a, a') with the coefficients v[a, s] = |v[a, s]|
-    e^(i pi t[a, s] / 2N), s = 0, 1: t[a] = t_phi / 2 if a' = a (where
-    v[a, 1] = 0), (0, N) if a < a' and (t_phi, t_phi - N) if a > a'. So a
-    symmetric-basis element <b|O_d|a> of character e^(i pi t_g / 2N) adds
-    |v[b, s] <b|O_d|a> v[a, s']| cos(pi (t[a, s'] - t[b, s] + t_g) / 2N),
-    read off a table of the 4N cosines, to the cell of slot s of b and slot
-    s' of a. Both t[a, s] and t_g = 4 q l + 2 N f [z = -1], for g = T^l Z^f,
-    are affine in (q, [z = -1]), so each such term, one per exchange and
-    pair of nonzero slots, stores its cosine index once as
-    p0 + q pq + [z = -1] pz (mod 4N), and serves every block.
-
-    That term list, sorted by d, is the only form the blocks take. A block's
-    `matrix` sums the terms between two of its representatives, each times
-    the coefficient of its O_d, and adds the diagonal. After `eigh`,
-    `exchange` yields the block's exchange part of each O_d in turn, O_d
-    less its sigma^z sigma^z diagonal, built from that d's slice of the
-    terms only when the iterator reaches it. That diagonal, equal at a and
-    a', is zz_rows[:, d-1], and `_multiplets` reads the pair correlations
-    off both. Block (N - q, z) is the complex conjugate of block (q, z), so
-    it has the same real block, spectrum and correlations, and `copies` is
-    2 for 0 < q < N/2, else 1. Blocks come in the order of q and then
-    z = 1, -1, skipping those with no representative; a block's `z` is 0
-    for odd N, whose blocks have no Z.
+    of the ascending patterns `states` under G is labelled by its smallest
+    pattern, the representative a (`reps`, ascending), and has R_a members;
+    stabilizer[l + N f, a] says whether T^l Z^f fixes a, and pattern s is
+    T^shift[s] Z^flip[s] applied to representative number orbit[s]. The
+    reflection P (site i to site N-1-i) obeys PT = T^-1 P and PZ = ZP, and
+    P a = T^m[a] Z^f[a] a', a' representative number partner[a], with the
+    least m + N f.
     """
     states = enumerate_sector(n, n // 2).states
     full = (1 << n) - 1
@@ -217,19 +182,50 @@ def _middle_blocks(n: int):
     images = ((states << shifts) | (states >> (n - shifts))) & full
     images = np.concatenate((images, images ^ full)) if n % 2 == 0 else images
     least = images.min(axis=0)
-    reps = np.flatnonzero(least == states)
-    fixed = images[:, reps] == states[reps]  # the stabilizer of each representative
-    members = len(images) // np.count_nonzero(fixed, axis=0)
-    # Pattern s is T^shift[s] Z^flip[s] applied to representative number orbit[s].
-    first = images.argmin(axis=0)
-    orbit, shift, flip = np.searchsorted(states[reps], least), -first % n, first // n
-    # P|a> = T^m[a] Z^f[a] |a'>, a' = partner[a] found at the bit reversal of a, and
-    # m + N f the first row of `images` that takes a' there.
-    mirrored = ((states[reps, None] >> np.arange(n)) & 1) @ (1 << np.arange(n)[::-1])
+    index = np.flatnonzero(least == states)  # of each representative among the patterns
+    reps, first = states[index], images.argmin(axis=0)
+    stabilizer = images[:, index] == reps
+    orbit, shift, flip = np.searchsorted(reps, least), -first % n, first // n
+    # a' is found at the bit reversal of a, and m + N f is the first row of `images` that takes a' there.
+    mirrored = ((reps[:, None] >> np.arange(n)) & 1) @ (1 << np.arange(n)[::-1])
     partner = orbit[np.searchsorted(states, mirrored)]
-    f, m = np.divmod(np.argmax(images[:, reps[partner]] == mirrored, axis=0), n)
-    group = np.arange(len(images))
-    del images  # |G| x C(N, N//2) patterns, which the terms below do not need
+    f, m = np.divmod(np.argmax(images[:, index[partner]] == mirrored, axis=0), n)
+    return states, reps, stabilizer, orbit, shift, flip, partner, m, f
+
+
+def _terms(n: int, orbits):
+    """The separation operators on the `_orbits` of the sector n_up = N // 2,
+    as one list of exchange terms that serves every block: (magnitude, at,
+    row, col, p0, pq, pz, coeff, zz_rows, by_d, cosines).
+
+    With O_d the sum of sigma^i . sigma^j over the pairs i < j at separation
+    d, H_1 + ALPHA S^2 = sum_d coeff[d-1] O_d + 3N ALPHA/4, coeff = (c + ALPHA/2,
+    ALPHA/2, ...), where c = 2 for N = 2 (its ring visits its one bond twice),
+    else 1. O_d's sigma^z sigma^z diagonal is zz_rows[a, d-1] at
+    representative a. In a block of character chi (see `_blocks`), a pattern
+    s = g b met by applying O_d to |a> adds its weight times
+    chi(g) sqrt(R_a / R_b) to the element <b|O_d|a>.
+
+    With P a = T^m Z^f a', theta = P K, K the complex conjugation, maps the
+    coefficient c of |a> to phi_a conj(c) at a', phi_a = e^(ik m) z^f =
+    e^(i pi t_phi / 2N) for t_phi = 4 q m + 2 N f [z = -1], commutes with
+    every O_d and squares to 1, so the block is real in a theta-invariant
+    basis (Sandvik, arXiv:1101.3281, sec. 4.1). It has one vector per
+    representative, in ascending order of a, and a enters the two at
+    min(a, a') and max(a, a') with the coefficients v[a, s] = |v[a, s]|
+    e^(i pi t[a, s] / 2N), s = 0, 1: t[a] = t_phi / 2 if a' = a (where
+    v[a, 1] = 0), (0, N) if a < a' and (t_phi, t_phi - N) if a > a'. So a
+    symmetric-basis element <b|O_d|a> of character e^(i pi t_g / 2N) adds
+    |v[b, s] <b|O_d|a> v[a, s']| cos(pi (t[a, s'] - t[b, s] + t_g) / 2N),
+    read off the table of the 4N `cosines`, to the cell (`row`, `col`) of
+    slot s of b and slot s' of a. Both t[a, s] and t_g = 4 q l + 2 N f [z = -1],
+    for g = T^l Z^f, are affine in (q, [z = -1]), so each such term, one per
+    exchange and pair of nonzero slots, stores its `magnitude` and its cosine
+    index p0 + q pq + [z = -1] pz (mod 4N) once. The terms are sorted by
+    d = at + 1, and by_d[d-1] slices those of O_d.
+    """
+    states, reps, stabilizer, orbit, shift, flip, partner, m, f = orbits
+    members = len(stabilizer) // np.count_nonzero(stabilizer, axis=0)
     # The pairs i < j in the order of their separation d, so that the exchanges, and
     # the terms folded from them, come grouped by d.
     i, j = np.triu_indices(n, 1)
@@ -237,13 +233,13 @@ def _middle_blocks(n: int):
     order = np.argsort(sep, kind="stable")
     i, j, sep = i[order], j[order], sep[order]
     by_sep = (sep == np.arange(1, n // 2 + 1)[:, None]).astype(float)
-    aligned = 1.0 - 2.0 * (((states[reps] >> i[:, None]) ^ (states[reps] >> j[:, None])) & 1)
+    aligned = 1.0 - 2.0 * (((reps >> i[:, None]) ^ (reps >> j[:, None])) & 1)
     zz_rows = (by_sep @ aligned).T
     # Each exchange (weight 2) swaps the unlike spins of a pair, sending representative
     # a to T^l Z^g |b>: per pair, first the a with spin j up, then those with spin i up.
-    up = (states[reps] >> np.stack([j, i], axis=1)[..., None]) & 1
+    up = (reps >> np.stack([j, i], axis=1)[..., None]) & 1
     bond, _, a = np.nonzero(up & (aligned < 0)[:, None])
-    target = np.searchsorted(states, states[reps[a]] ^ ((1 << i) | (1 << j))[bond])
+    target = np.searchsorted(states, reps[a] ^ ((1 << i) | (1 << j))[bond])
     b, at = orbit[target], (sep[bond] - 1).astype(np.int32)
     coeff = np.full(n // 2, ALPHA / 2)
     coeff[0] += 2 if n == 2 else 1
@@ -253,7 +249,7 @@ def _middle_blocks(n: int):
     v_abs = np.where(mirror, [1.0, 0.0], np.sqrt(0.5))
     magnitude = 2.0 * np.sqrt(members[a] / members[b])[:, None, None] * v_abs[b][:, :, None] * v_abs[a][:, None, :]
     # Slot s of a has t[a, s] = t0[a, s] + q tq[a] + [z = -1] tz[a], t_phi / 2 taken 0, 1 or 2
-    # times, and T^l Z^f the character index 4 q l + 2 N f [z = -1] (see the docstring).
+    # times, and T^l Z^f the character index 4 q l + 2 N f [z = -1].
     scale = 2 * (own > partner) + (own == partner)
     t0, tq, tz = np.where(lower, [0, n], np.where(mirror, 0, [0, -n])).astype(np.int32), 2 * scale * m, n * scale * f
     pq = ((tq[a] - tq[b] + 4 * shift[target]) % (4 * n)).astype(np.int32)
@@ -266,26 +262,52 @@ def _middle_blocks(n: int):
     bounds = np.searchsorted(at, np.arange(n // 2 + 1)).tolist()
     by_d = list(map(slice, bounds[:-1], bounds[1:]))
     cosines = np.cos(np.pi * np.arange(4 * n) / (2 * n))
+    return magnitude, at, row, col, p0, pq, pz, coeff, zz_rows, by_d, cosines
+
+
+def _blocks(n: int):
+    """Iterator over the blocks (q, z, matrix, exchange, zz_rows) of
+    H_1 + ALPHA S^2 on the sector n_up = N // 2, H_1 the ring at J = 1, each
+    folded by `_fold` only when the iterator reaches it; the `_orbits` arrays
+    are gone by then. Block (q, z) belongs to the character
+    chi(T^l Z^f) = e^(ikl) z^f, k = 2 pi q / N (q = 0..N//2) and z = +-1
+    (z = 1 for odd N), and is spanned by the orbits on whose stabilizer chi
+    is 1, as the states |a> = R_a^(-1/2) sum_x conj(chi(g_x)) x over the
+    members x = g_x a (Sandvik, arXiv:1101.3281, sec. 4). Blocks come in the
+    order of q and then z = 1, -1, skipping those with no representative.
+    """
+    orbits = _orbits(n)
+    stabilizer, terms = orbits[2], _terms(n, orbits)
+    group = np.arange(len(stabilizer))
     # Block (q, z) has chi(T^l Z^f) = e^(i pi t / 2N) for t = 4 q l + 2 N f [z = -1],
     # and holds the representatives whose stabilizer has t = 0 only.
     block_q, block_minus = np.divmod(np.arange((n // 2 + 1) * (group.size // n)), group.size // n)
     chi_t = (4 * block_q[:, None] * (group % n) + 2 * n * block_minus[:, None] * (group // n)) % (4 * n)
-    block_reps = ~(fixed & (chi_t != 0)[:, :, None]).any(axis=1)
-
-    def fold(q, minus, inside):
-        d = np.count_nonzero(inside)
-        # Each representative's position in the block; a term of one outside it lands on d*d.
-        pos = np.where(inside, np.cumsum(inside) - 1, d * d)
-        cells = np.minimum(pos[row] * d + pos[col], d * d)
-        values = magnitude * cosines[(p0 + q * pq + minus * pz) % (4 * n)]
-        matrix = np.bincount(cells, coeff[at] * values, d * d + 1)[: d * d]
-        diagonal = zz_rows[inside]
-        matrix[:: d + 1] += diagonal @ coeff + 0.75 * n * ALPHA
-        exchange = (np.bincount(cells[k], values[k], d * d + 1)[: d * d].reshape(d, d) for k in by_d)
-        return matrix.reshape(d, d), exchange, diagonal, 1 if 2 * q % n == 0 else 2, (1 - 2 * minus) * (n % 2 == 0)
-
+    block_reps = ~(stabilizer & (chi_t != 0)[:, :, None]).any(axis=1)
     kept = block_reps.any(axis=1)
-    return map(fold, block_q[kept].tolist(), block_minus[kept].tolist(), block_reps[kept])
+    return map(partial(_fold, n, terms), block_q[kept].tolist(), block_minus[kept].tolist(), block_reps[kept])
+
+
+def _fold(n: int, terms, q: int, minus: int, inside):
+    """Block (q, 1 - 2 minus) of `_blocks` on the representatives `inside`,
+    from the `_terms` list: a real symmetric float64 `matrix` that sums the
+    terms between two of them, each times its O_d's coefficient, plus the
+    diagonal; after `eigh`, `exchange` yields O_d less its diagonal for each
+    d in turn, from that d's slice of the terms; the diagonal's `zz_rows`
+    are equal at a and a', and `_multiplets` reads the pair correlations off
+    both.
+    """
+    magnitude, at, row, col, p0, pq, pz, coeff, zz_rows, by_d, cosines = terms
+    d = np.count_nonzero(inside)
+    # Each representative's position in the block; a term of one outside it lands on d*d.
+    pos = np.where(inside, np.cumsum(inside) - 1, d * d)
+    cells = np.minimum(pos[row] * d + pos[col], d * d)
+    values = magnitude * cosines[(p0 + q * pq + minus * pz) % (4 * n)]
+    matrix = np.bincount(cells, coeff[at] * values, d * d + 1)[: d * d]
+    diagonal = zz_rows[inside]
+    matrix[:: d + 1] += diagonal @ coeff + 0.75 * n * ALPHA
+    exchange = (np.bincount(cells[k], values[k], d * d + 1)[: d * d].reshape(d, d) for k in by_d)
+    return q, 1 - 2 * minus, matrix.reshape(d, d), exchange, diagonal
 
 
 def eigh_symmetric(matrix: np.ndarray):
@@ -312,11 +334,11 @@ def eigh_symmetric(matrix: np.ndarray):
 
 
 def _multiplets(n: int, blocks):
-    """Energy, 2S and pair correlations of the multiplet that each
-    eigenvector of the `_middle_blocks` blocks belongs to, `copies` times
-    for each block, in block order.
+    """Energy, 2S, pair correlations and momentum of the multiplet that each
+    eigenvector of the `_blocks` blocks belongs to, in block order, each
+    block followed by its conjugate copy where one exists.
 
-    Returns (E_1, 2S, s, zz), where E_1 is the energy at J = 1 and
+    Returns (E_1, 2S, s, zz, q), where E_1 is the energy at J = 1 and
     s[:, d-1] and zz[:, d-1] average <sigma^i . sigma^j> and
     <sigma^z_i sigma^z_j> over the pairs (i, j) at separation d. Each block
     is real, so are its eigenvectors, and each is a momentum eigenvector,
@@ -330,9 +352,9 @@ def _multiplets(n: int, blocks):
     they arrive, so each is released before the next one is folded.
     """
     solved = []
-    for rows in map(_solve_block, blocks):
+    for rows in map(partial(_solve_block, n), blocks):
         solved += rows
-    values, dot, zz, z = (np.concatenate(parts) for parts in zip(*solved))
+    values, dot, zz, z, q = (np.concatenate(parts) for parts in zip(*solved))
     x = 0.75 * n + 0.5 * dot.sum(axis=1)
     two_s = np.rint(np.sqrt(1.0 + 4.0 * x) - 1.0)
     s_s1 = two_s * (two_s + 2.0) / 4.0
@@ -343,20 +365,22 @@ def _multiplets(n: int, blocks):
     if n % 2 == 0 and np.any(1 - (two_s + n) % 4 != z):
         raise NumericError("an eigenvector's total spin S does not match its Z block: (-1)^(S + N/2) != z")
     pairs_at = np.where(2 * np.arange(1, zz.shape[1] + 1) == n, n / 2, n)  # N/2 pairs at d = N/2, else N
-    return values - ALPHA * s_s1, two_s, dot / pairs_at, zz / pairs_at
+    return values - ALPHA * s_s1, two_s, dot / pairs_at, zz / pairs_at, q
 
 
-def _solve_block(block):
-    """Eigenvalues, <O_d> and summed zz rows of the eigenvectors of one
-    `_middle_blocks` block, with its z, as a list of `copies` equal rows.
+def _solve_block(n: int, block):
+    """Eigenvalues, <O_d>, summed zz rows, z and q of the eigenvectors of one
+    `_blocks` block, as a list of one row, and a second equal row at
+    momentum N - q for the conjugate copy where 2q != 0 mod N.
     <O_d> is the expectation of O_d's exchange part, formed one separation
     d at a time so that only one is held, plus that of its sigma^z sigma^z
     diagonal, which is the summed zz row."""
-    matrix, exchange, zz_rows, copies, z = block
+    q, z, matrix, exchange, zz_rows = block
     values, u = eigh_symmetric(matrix)
     zz = (u * u).T @ zz_rows
     dot = np.stack([(u * (x_d @ u)).sum(axis=0) for x_d in exchange], axis=1) + zz
-    return [(values, dot, zz, np.full(values.size, z))] * copies
+    momenta = [q] if 2 * q % n == 0 else [q, n - q]
+    return [(values, dot, zz, np.full(values.size, z), np.full(values.size, k)) for k in momenta]
 
 
 class Sectors:
@@ -407,25 +431,7 @@ class Sectors:
             check_pair(n, i, j)
         columns = [separation(n, i, j) - 1 for i, j in pairs]
         s, zz, rank2 = sp.s[:, columns], sp.zz[:, columns], sp.rank2[:, columns]
-
-        def expand(n_up, rows):
-            two_m, k = 2 * n_up - n, sp.multiplet[rows]
-            zz_m = zz[k] + rank2[k] * (0.75 * (two_m**2 - n % 2))
-            f = np.empty(zz_m.shape + (5,))
-            f[..., 0] = (1.0 + zz_m) / 4.0 - two_m / (2.0 * n)
-            f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
-            f[..., 3] = (1.0 + zz_m) / 4.0 + two_m / (2.0 * n)
-            f[..., 4] = (s[k] - zz_m) / 4.0
-            if n_up <= 1:
-                f[..., 3] = 0.0
-            if n_up >= n - 1:
-                f[..., 0] = 0.0
-            if n_up in (0, n):
-                f[:] = [1.0, 0.0, 0.0, 0.0, 0.0] if n_up == 0 else [0.0, 0.0, 0.0, 1.0, 0.0]
-            np.maximum(f[..., :4], 0.0, out=f[..., :4])
-            return f
-
-        return map(expand, range(n + 1), self.rows)
+        return (_x_features(n, n_up, sp.multiplet[rows], s, zz, rank2) for n_up, rows in enumerate(self.rows))
 
     def field(self, kt):
         """w_s at each (kT > 0, B, sector)."""
@@ -439,6 +445,25 @@ class Sectors:
         """Whether each (B of the rows `b`, row of sector k) lies in the kT = 0 window."""
         gap = self.energies[self.rows[k]] + self.b_values[b, None] * self.slopes[k] - self.ground[b]
         return gap <= DEGENERACY_TOL * np.abs(self.ground[b])
+
+
+def _x_features(n, n_up, k, s, zz, rank2):
+    """The `Sectors.expand` features of sector n_up, whose rows belong to the multiplets k."""
+    two_m = 2 * n_up - n
+    zz_m = zz[k] + rank2[k] * (0.75 * (two_m**2 - n % 2))
+    f = np.empty(zz_m.shape + (5,))
+    f[..., 0] = (1.0 + zz_m) / 4.0 - two_m / (2.0 * n)
+    f[..., 1] = f[..., 2] = (1.0 - zz_m) / 4.0
+    f[..., 3] = (1.0 + zz_m) / 4.0 + two_m / (2.0 * n)
+    f[..., 4] = (s[k] - zz_m) / 4.0
+    if n_up <= 1:
+        f[..., 3] = 0.0
+    if n_up >= n - 1:
+        f[..., 0] = 0.0
+    if n_up in (0, n):
+        f[:] = [1.0, 0.0, 0.0, 0.0, 0.0] if n_up == 0 else [0.0, 0.0, 0.0, 1.0, 0.0]
+    np.maximum(f[..., :4], 0.0, out=f[..., :4])
+    return f
 
 
 def _boltzmann(gap, kt):
@@ -480,14 +505,8 @@ def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarr
     sectors = Sectors(spectrum, b_values)
     cold, hot = kt_values == 0.0, kt_values[kt_values > 0.0]
     at_zero = slice(None) if cold.any() else slice(0)  # the B rows of the kT = 0 columns, if any
-
-    def sums(k, f):
-        f = f.transpose(1, 0, 2)  # (pairs, rows of the sector, 5)
-        x = sectors.boltzmann(k, hot)  # (kT, rows)
-        window = sectors.window(k, at_zero)  # (B, rows)
-        return x @ f, x.sum(axis=1), window @ f, np.count_nonzero(window, axis=1)
-
     # map drops each sector's rows before the next one is expanded.
+    sums = partial(_sector_sums, sectors, hot, at_zero)
     g, z, g_cold, z_cold = zip(*map(sums, range(spectrum.n_spins + 1), sectors.expand(pairs)))
     w = sectors.field(hot)  # (kT, B, sectors)
     states = np.empty((b_values.size, kt_values.size, len(pairs), 5))
@@ -496,6 +515,14 @@ def pair_states(spectrum: ChainSpectrum, b_values, kt_values, pairs) -> np.ndarr
     states[:, ~cold] = states_hot.transpose(2, 1, 0, 3)
     states[at_zero, cold] = (sum(g_cold) / sum(z_cold)[:, None]).transpose(1, 0, 2)[:, None]
     return states
+
+
+def _sector_sums(sectors, kt, b, k, f):
+    """Sector k's sums of x F and x at each kT > 0, and of F and 1 in the window at each B of `b` (see `pair_states`)."""
+    f = f.transpose(1, 0, 2)  # (pairs, rows of the sector, 5)
+    x = sectors.boltzmann(k, kt)  # (kT, rows)
+    window = sectors.window(k, b)  # (B, rows)
+    return x @ f, x.sum(axis=1), window @ f, np.count_nonzero(window, axis=1)
 
 
 def pair_rdm(ensemble: GibbsEnsemble, i: int, j: int) -> PairDensityMatrix:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -117,14 +118,14 @@ class TestDiagonalizeChain:
         # for even N, the spin inversion Z, V its reflection-adapted real
         # basis, and S^2 built from Kronecker products of Pauli matrices;
         # J times the J = 1 block is that of the J ring, which shares its
-        # eigenvectors. The blocks are yielded in the order of q = 0..N//2
-        # and then z = +1, -1, and none is empty; with the conjugates
-        # N - q of the blocks 0 < q < N/2, which conj(W) turns into the
-        # same real block, they cover the sector once. Each separation
-        # operator O_d, the sum of sigma^i . sigma^j over the pairs i < j at
-        # separation d, is W^H O_d W: the block's exchange part of O_d plus
-        # its diagonal sigma^z sigma^z part, which each zz row holds at its
-        # representative.
+        # eigenvectors. Each block carries its own (q, z), z = 1 for odd N;
+        # they come in the order of q = 0..N//2 and then z = +1, -1, and
+        # none is empty; with the conjugates N - q of the blocks
+        # 0 < q < N/2, which conj(W) turns into the same real block, they
+        # cover the sector once. Each separation operator O_d, the sum of
+        # sigma^i . sigma^j over the pairs i < j at separation d, is
+        # W^H O_d W: the block's exchange part of O_d plus its diagonal
+        # sigma^z sigma^z part, which each zz row holds at its representative.
         from spinchain import thermal
 
         sh = build_sector_hamiltonian(ModelParams(n, j), n // 2)
@@ -145,14 +146,11 @@ class TestDiagonalizeChain:
         flip = np.searchsorted(states, states ^ ((1 << n) - 1)) if n % 2 == 0 else None
         signs = (1, -1) if n % 2 == 0 else (1,)
         bases = {(q, z): symmetry_basis(states, n, q, z) for q in range(n) for z in signs}
-        labels = [(q, z) for q in range(n // 2 + 1) for z in signs if bases[q, z].shape[1]]
-        blocks = list(thermal._middle_blocks(n))
-        assert len(blocks) == len(labels)
+        blocks = list(thermal._blocks(n))
+        assert [block[:2] for block in blocks] == [(q, z) for q in range(n // 2 + 1) for z in signs if bases[q, z].shape[1]]
         covered = 0
-        for (q, z), (matrix, exchange, zz_rows, copies, block_z) in zip(labels, blocks):
-            assert block_z == (z if n % 2 == 0 else 0)
-            assert copies == (1 if 2 * q % n == 0 else 2)
-            covered += copies * len(matrix)
+        for q, z, matrix, exchange, zz_rows in blocks:
+            covered += (1 if 2 * q % n == 0 else 2) * len(matrix)
             # O_d is its exchange part plus its sigma^z sigma^z diagonal.
             operators = [x_d + np.diag(zz_rows[:, d]) for d, x_d in enumerate(exchange)]
             assert len(operators) == len(separation_ops)
@@ -180,6 +178,22 @@ class TestDiagonalizeChain:
             assert zz_rows.shape == want.shape
             assert np.abs(zz_rows - want).max() <= 1e-13
         assert covered == len(states)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_orbits_label_every_sector_pattern(self, n):
+        # Every pattern of the sector n_up = N // 2 is T^shift Z^flip of its
+        # orbit's representative, the orbits' sizes |G| / |stabilizer| add up
+        # to the sector, and the reflection pairs the representatives:
+        # P a = T^m Z^f a' for a' = reps[partner[a]], partner an involution.
+        from spinchain import thermal
+
+        states, reps, stabilizer, orbit, shift, flip, partner, m, f = thermal._orbits(n)
+        for x, a, l, g in zip(states.tolist(), reps[orbit].tolist(), shift.tolist(), flip.tolist()):
+            assert group_images(a, n)[l + n * g] == x
+        assert (len(stabilizer) // np.count_nonzero(stabilizer, axis=0)).sum() == math.comb(n, n // 2)
+        assert np.array_equal(partner[partner], np.arange(reps.size))
+        for a, b, g in zip(reps.tolist(), reps[partner].tolist(), (m + n * f).tolist()):
+            assert group_images(b, n).index(int(format(a, f"0{n}b")[::-1], 2)) == g
 
     @pytest.mark.parametrize("j", [0.5, 1e9])
     @pytest.mark.parametrize("n", range(2, 13))
@@ -228,13 +242,13 @@ class TestDiagonalizeChain:
         # the other z fail the check.
         from spinchain import thermal
 
-        real = thermal._middle_blocks
+        real = thermal._blocks
 
         def labelled(n_spins):
-            for k, (matrix, exchange, zz_rows, copies, z) in enumerate(real(n_spins)):
-                yield matrix, exchange, zz_rows, copies, -z if mislabel and k == 0 else z
+            for k, (q, z, *block) in enumerate(real(n_spins)):
+                yield (q, -z if mislabel and k == 0 else z, *block)
 
-        monkeypatch.setattr(thermal, "_middle_blocks", labelled)
+        monkeypatch.setattr(thermal, "_blocks", labelled)
         if raises:
             with pytest.raises(NumericError, match=r"Z block"):
                 diagonalize_chain(n, 1.0)
@@ -248,7 +262,7 @@ class TestDiagonalizeChain:
         # the per-sector loop's arithmetic, so they are bit-identical.
         from spinchain import thermal
 
-        energies, two_s, s, zz = thermal._multiplets(n, thermal._middle_blocks(n))
+        energies, two_s, s, zz, _ = thermal._multiplets(n, thermal._blocks(n))
         sp = diagonalize_chain(n, j)
         for mine, ref in zip((sp.energies, sp.slopes, sp.features), member_rows(n, j * energies, two_s, s, zz)):
             assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
@@ -291,8 +305,9 @@ class TestDiagonalizeChain:
     def test_odd_ground_level_is_a_momentum_doublet(self, n):
         # The odd-N antiferromagnet's ground level is two S = 1/2 doublets
         # at momenta +-k. Block N - q is not solved but copied from block q,
-        # so in each of the sectors S_z = -+1/2 its two rows are bit-identical,
-        # and the kT = 0 window mixes all four members equally.
+        # so in each of the sectors S_z = -+1/2 its two rows are bit-identical
+        # and carry the momenta q and N - q, and the kT = 0 window mixes all
+        # four members equally.
         sp = diagonalize_chain(n, 1.0)
         ground = []
         for slope in (-1, 1):
@@ -300,6 +315,8 @@ class TestDiagonalizeChain:
             rows = rows[sp.energies[rows] == sp.energies[rows].min()]
             assert rows.size == 2
             assert np.array_equal(sp.features[rows[0]], sp.features[rows[1]])
+            q, conjugate = sorted(sp.momentum[sp.multiplet[rows]].tolist())
+            assert 0 < q < n / 2 and conjugate == n - q
             ground += rows.tolist()
         w = gibbs_weights(sp, 0.0, 0.0).weights
         assert np.flatnonzero(w).tolist() == ground
